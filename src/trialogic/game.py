@@ -17,14 +17,22 @@ nothing left, or both pools are empty.  Two consecutive passes instead
 trigger adjudication: a player who passed is defeated when their goal
 fails and no subset of their remaining pool could achieve it, which
 settles games that the strict conditions leave open.
+
+Every position is reached through ``step``, which discloses a set of
+rule ids (none for a pass) and reports the targets that disclosure
+could declare, and every position is scored by ``settle``.  Legality
+checks, scripted games, automatic play and exhaustive search all drive
+these two.  ``initial_state`` creates the table cache of one game: every
+state reached from it carries the same cache, so a theory that several
+moves, checks or searches reach is computed once.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .dsl import ParseError, ParseFailure, SourceSpan
 from .engine import ConclusionTable, compute_conclusions
@@ -64,7 +72,11 @@ class Move:
 
 @dataclass(frozen=True, eq=False)
 class GameState:
-    """Immutable snapshot after ``turn`` moves."""
+    """Immutable snapshot after ``turn`` moves.
+
+    ``tables`` is the conclusion-table cache of the game, shared by
+    every state reached from the same ``initial_state``.
+    """
 
     setup: GameSetup
     turn: int
@@ -73,10 +85,16 @@ class GameState:
     def_ids: frozenset[str]
     consecutive_passes: int
     conclusions: ConclusionTable
+    tables: dict = field(repr=False)
 
     @property
     def mover(self) -> str:
         return PR if self.turn % 2 == 0 else DEF
+
+    def table_after(self, disclosed: frozenset[str]) -> ConclusionTable:
+        """Conclusions once ``disclosed`` joins the current theory."""
+        return conclusions_for(
+            self.setup, self.common_ids | disclosed, self.tables)
 
 
 @dataclass(frozen=True)
@@ -141,55 +159,79 @@ def _claim_extras(setup: GameSetup) -> list[Literal]:
 
 
 def conclusions_for(setup: GameSetup, rule_ids: Iterable[str],
-                    cache: Optional[dict] = None) -> ConclusionTable:
+                    cache: dict) -> ConclusionTable:
     """Conclusion table of the theory induced by a set of rule ids,
-    widened so claim literals always have rows."""
+    widened so claim literals always have rows, memoised in ``cache``."""
     key = frozenset(rule_ids)
-    if cache is not None and key in cache:
-        return cache[key]
-    table = compute_conclusions(setup.theory_for(key), _claim_extras(setup))
-    if cache is not None:
-        cache[key] = table
+    table = cache.get(key)
+    if table is None:
+        table = cache[key] = compute_conclusions(
+            setup.theory_for(key), _claim_extras(setup))
     return table
+
+
+def subsets(ids: frozenset[str], include_empty: bool = True
+            ) -> Iterator[frozenset[str]]:
+    """Subsets of ``ids`` by size, then in id order within a size."""
+    ordered = sorted(ids)
+    for size in range(0 if include_empty else 1, len(ordered) + 1):
+        for combo in combinations(ordered, size):
+            yield frozenset(combo)
+
+
+def claim_conditions(setup: GameSetup, player: str
+                     ) -> Iterator[tuple[str, str, str, Literal]]:
+    """The (sign, tag, mode, literal) conclusions behind ``player``'s
+    goal, claim literal by claim literal, at the configured standards.
+
+    For pr, all of them together establish the claim: each literal
+    proved evidentially and the obligation of its complement proved.
+    For def, any one refutes it: the protective obligation refuted or
+    the opposite obligation proved, or the literal disproved or its
+    complement proved.
+    """
+    ev, de = setup.evidential_standard, setup.deontic_standard
+    for literal in setup.claim.literals:
+        if player == PR:
+            yield PLUS, ev, EVIDENTIAL, literal
+            yield PLUS, de, OBLIGATION, literal.complement()
+        else:
+            yield MINUS, de, OBLIGATION, literal.complement()
+            yield PLUS, de, OBLIGATION, literal
+            yield PLUS, ev, EVIDENTIAL, literal.complement()
+            yield MINUS, ev, EVIDENTIAL, literal
 
 
 def claim_established(table: ConclusionTable, setup: GameSetup) -> bool:
     """Every claim literal proved evidentially and the obligation of its
     complement proved deontically, at the configured standards."""
-    ev, de = setup.evidential_standard, setup.deontic_standard
-    return all(
-        table.derived(PLUS, ev, EVIDENTIAL, literal)
-        and table.derived(PLUS, de, OBLIGATION, literal.complement())
-        for literal in setup.claim.literals)
+    return all(table.derived(*condition)
+               for condition in claim_conditions(setup, PR))
 
 
 def claim_refuted(table: ConclusionTable, setup: GameSetup) -> bool:
     """Some claim element lost: its protective obligation refuted or the
     opposite obligation proved, or the literal itself disproved or its
     complement proved, at the configured standards."""
-    ev, de = setup.evidential_standard, setup.deontic_standard
-    return any(
-        table.derived(MINUS, de, OBLIGATION, literal.complement())
-        or table.derived(PLUS, de, OBLIGATION, literal)
-        or table.derived(PLUS, ev, EVIDENTIAL, literal.complement())
-        or table.derived(MINUS, ev, EVIDENTIAL, literal)
-        for literal in setup.claim.literals)
+    return any(table.derived(*condition)
+               for condition in claim_conditions(setup, DEF))
+
+
+_GAP_FOR_MODE = {
+    EVIDENTIAL: "claim literal {} is not proved evidentially",
+    OBLIGATION: "obligation of {} is not proved",
+}
 
 
 def _claim_gaps(table: ConclusionTable, setup: GameSetup) -> list[str]:
-    ev, de = setup.evidential_standard, setup.deontic_standard
-    gaps = []
-    for literal in setup.claim.literals:
-        if not table.derived(PLUS, ev, EVIDENTIAL, literal):
-            gaps.append(f"claim literal {literal} is not proved evidentially")
-        if not table.derived(PLUS, de, OBLIGATION, literal.complement()):
-            gaps.append(
-                f"obligation of {literal.complement()} is not proved")
-    return gaps
+    return [_GAP_FOR_MODE[mode].format(literal)
+            for sign, tag, mode, literal in claim_conditions(setup, PR)
+            if not table.derived(sign, tag, mode, literal)]
 
 
 def initial_state(setup: GameSetup) -> GameState:
     common = frozenset(r.id for r in setup.common_rules)
+    tables: dict = {}
     return GameState(
         setup=setup,
         turn=0,
@@ -197,37 +239,62 @@ def initial_state(setup: GameSetup) -> GameState:
         pr_ids=frozenset(r.id for r in setup.pr_rules),
         def_ids=frozenset(r.id for r in setup.def_rules),
         consecutive_passes=0,
-        conclusions=conclusions_for(setup, common),
+        conclusions=conclusions_for(setup, common, tables),
+        tables=tables,
     )
+
+
+def step(state: GameState, disclosed: frozenset[str]
+         ) -> tuple[GameState, frozenset[tuple[str, Literal]]]:
+    """The state after the mover discloses ``disclosed`` (nothing: a
+    pass), and the targets that move could legally declare: every
+    (mode, literal) whose status changed and which was already
+    determined beforehand.  Ownership is the caller's to check."""
+    if not disclosed:
+        return replace(state, turn=state.turn + 1,
+                       consecutive_passes=state.consecutive_passes + 1), \
+            frozenset()
+    old = state.conclusions
+    new = state.table_after(disclosed)
+    nxt = replace(
+        state, turn=state.turn + 1, common_ids=state.common_ids | disclosed,
+        pr_ids=state.pr_ids - disclosed, def_ids=state.def_ids - disclosed,
+        consecutive_passes=0, conclusions=new)
+    return nxt, frozenset(
+        (entry.mode, entry.literal) for entry in new.newly_determined(old)
+        if old.is_determined(entry.literal))
+
+
+def _open(state: GameState, opening: frozenset[str]) -> GameState:
+    if state.setup.claim is None:
+        raise ValueError("setup has no claim to prosecute")
+    stray = opening - state.pr_ids
+    if stray:
+        raise ValueError(
+            "opening rules not in the pr pool: " + ", ".join(sorted(stray)))
+    nxt, _ = step(state, opening)
+    gaps = _claim_gaps(nxt.conclusions, state.setup)
+    if gaps:
+        raise OpeningRejected(gaps)
+    # an opening that discloses nothing prosecutes from common rules
+    # alone; it is not a pass
+    return replace(nxt, consecutive_passes=0)
+
+
+def accepted_openings(start: GameState
+                      ) -> Iterator[tuple[frozenset[str], GameState]]:
+    """Every opening from ``start`` that establishes the claim, smallest
+    first, with the state it opens."""
+    for opening in subsets(start.pr_ids):
+        if claim_established(start.table_after(opening), start.setup):
+            yield opening, _open(start, opening)
 
 
 def open_game(setup: GameSetup, opening_ids: Iterable[str]) -> GameState:
     """Play the opening: migrate the given prosecutor rules and check
     that the whole claim is established.  Raises OpeningRejected with
     one reason per unmet claim component otherwise."""
-    if setup.claim is None:
-        raise ValueError("setup has no claim to prosecute")
-    opening = frozenset(opening_ids)
-    own = frozenset(r.id for r in setup.pr_rules)
-    stray = opening - own
-    if stray:
-        raise ValueError(
-            "opening rules not in the pr pool: " + ", ".join(sorted(stray)))
-    state = initial_state(setup)
-    common = state.common_ids | opening
-    table = conclusions_for(setup, common)
-    gaps = _claim_gaps(table, setup)
-    if gaps:
-        raise OpeningRejected(gaps)
-    return GameState(
-        setup=setup,
-        turn=1,
-        common_ids=common,
-        pr_ids=state.pr_ids - opening,
-        def_ids=state.def_ids,
-        consecutive_passes=0,
-        conclusions=table,
-    )
+    return _open(initial_state(setup), frozenset(opening_ids))
 
 
 def _attempt(state: GameState, move: Move):
@@ -241,13 +308,7 @@ def _attempt(state: GameState, move: Move):
         if move.targets:
             return LegalityReport(
                 False, ("a pass declares no targets",)), None
-        nxt = GameState(
-            setup=state.setup, turn=state.turn + 1,
-            common_ids=state.common_ids, pr_ids=state.pr_ids,
-            def_ids=state.def_ids,
-            consecutive_passes=state.consecutive_passes + 1,
-            conclusions=state.conclusions)
-        return LegalityReport(True), nxt
+        return LegalityReport(True), step(state, move.rule_ids)[0]
 
     pool = state.pr_ids if move.player == PR else state.def_ids
     stray = move.rule_ids - pool
@@ -260,13 +321,11 @@ def _attempt(state: GameState, move: Move):
         return LegalityReport(
             False, ("a non-pass move must declare at least one target",)), None
 
-    common = state.common_ids | move.rule_ids
-    table = conclusions_for(state.setup, common)
+    nxt, _ = step(state, move.rule_ids)
     old = state.conclusions
-    newly = table.newly_determined(old)
+    newly = nxt.conclusions.newly_determined(old)
     changed = {(entry.mode, entry.literal) for entry in newly}
-    for mode, literal in sorted(
-            move.targets, key=lambda t: (t[0], literal_sort_key(t[1]))):
+    for mode, literal in _sorted_targets(move.targets):
         if not old.is_determined(literal):
             reasons.append(
                 f"target precondition: {literal} has no determined status "
@@ -278,11 +337,6 @@ def _attempt(state: GameState, move: Move):
                 f"about {literal} in mode {mode}")
     if reasons:
         return LegalityReport(False, tuple(reasons)), None
-    nxt = GameState(
-        setup=state.setup, turn=state.turn + 1, common_ids=common,
-        pr_ids=state.pr_ids - move.rule_ids,
-        def_ids=state.def_ids - move.rule_ids,
-        consecutive_passes=0, conclusions=table)
     return LegalityReport(True), nxt
 
 
@@ -298,33 +352,21 @@ def apply_move(state: GameState, move: Move) -> GameState:
     return nxt
 
 
-def termination_for(setup: GameSetup, table: ConclusionTable,
-                    pr_ids: frozenset[str], def_ids: frozenset[str]) -> str:
+def termination_status(state: GameState) -> str:
     """The strict end-of-game test.  The defence's condition is checked
     first, so degenerate theories where both hold resolve that way."""
-    good = claim_established(table, setup)
-    bad = claim_refuted(table, setup)
-    if not pr_ids and bad:
+    setup = state.setup
+    if setup.claim is None:
+        raise ValueError("setup has no claim to prosecute")
+    good = claim_established(state.conclusions, setup)
+    bad = claim_refuted(state.conclusions, setup)
+    if not state.pr_ids and bad:
         return DEF_SUCCEEDS
-    if not def_ids and good:
+    if not state.def_ids and good:
         return PR_SUCCEEDS
-    if not pr_ids and not def_ids:
+    if not state.pr_ids and not state.def_ids:
         return DEF_SUCCEEDS if bad else (PR_SUCCEEDS if good else STALLED)
     return ONGOING
-
-
-def termination_status(state: GameState) -> str:
-    if state.setup.claim is None:
-        raise ValueError("setup has no claim to prosecute")
-    return termination_for(state.setup, state.conclusions,
-                           state.pr_ids, state.def_ids)
-
-
-def _subsets(ids: frozenset[str]):
-    ordered = sorted(ids)
-    for size in range(len(ordered) + 1):
-        for combo in combinations(ordered, size):
-            yield frozenset(combo)
 
 
 def adjudicate_pools(setup: GameSetup, common_ids: frozenset[str],
@@ -341,10 +383,10 @@ def adjudicate_pools(setup: GameSetup, common_ids: frozenset[str],
     bad = claim_refuted(table, setup)
     pr_defeated = not good and not any(
         claim_established(table_for(common_ids | subset), setup)
-        for subset in _subsets(pr_ids))
+        for subset in subsets(pr_ids))
     def_defeated = not bad and not any(
         claim_refuted(table_for(common_ids | subset), setup)
-        for subset in _subsets(def_ids))
+        for subset in subsets(def_ids))
     if pr_defeated and def_defeated:
         return STALLED
     if pr_defeated:
@@ -358,23 +400,45 @@ def adjudicate_pools(setup: GameSetup, common_ids: frozenset[str],
     return STALLED
 
 
-def adjudicate(state: GameState, cache: Optional[dict] = None) -> str:
-    cache = {} if cache is None else cache
+def adjudicate(state: GameState) -> str:
     return adjudicate_pools(
         state.setup, state.common_ids, state.pr_ids, state.def_ids,
-        lambda ids: conclusions_for(state.setup, ids, cache))
+        lambda ids: conclusions_for(state.setup, ids, state.tables))
 
 
-def _claim_targets(setup: GameSetup) -> frozenset[tuple[str, Literal]]:
-    targets = set()
-    for literal in setup.claim.literals:
-        targets.add((EVIDENTIAL, literal))
-        targets.add((OBLIGATION, literal.complement()))
-    return frozenset(targets)
+def settle(state: GameState) -> str:
+    """The outcome at ``state``: the strict end-of-game test, then
+    adjudication once both players have passed in a row."""
+    outcome = termination_status(state)
+    if outcome == ONGOING and state.consecutive_passes >= 2:
+        return adjudicate(state)
+    return outcome
 
 
 def _sorted_targets(targets) -> tuple[tuple[str, Literal], ...]:
     return tuple(sorted(targets, key=lambda t: (t[0], literal_sort_key(t[1]))))
+
+
+def play_move(trace: GameTrace, state: GameState, move: Move) -> GameState:
+    """Validate ``move`` at ``state``, append its record to ``trace`` and
+    settle the trace's outcome.  The first move is the opening; when it
+    declares no targets they default to the claim."""
+    if state.turn == 0:
+        if move.player != PR:
+            raise IllegalMove(0, move.player,
+                              ("the opening move belongs to pr",))
+        nxt = _open(state, move.rule_ids)
+        targets = move.targets or {
+            (mode, literal)
+            for _, _, mode, literal in claim_conditions(state.setup, PR)}
+    else:
+        nxt = apply_move(state, move)
+        targets = move.targets
+    trace.records.append(TurnRecord(
+        move.player, tuple(sorted(move.rule_ids)), _sorted_targets(targets),
+        nxt.conclusions.newly_determined(state.conclusions), nxt.conclusions))
+    trace.outcome = settle(nxt)
+    return nxt
 
 
 def run_game(setup: GameSetup, moves: Sequence[Move]) -> GameTrace:
@@ -383,38 +447,17 @@ def run_game(setup: GameSetup, moves: Sequence[Move]) -> GameTrace:
     moves are validated in full.  Raises OpeningRejected or IllegalMove
     on bad scripts, including moves after the game has ended."""
     state = initial_state(setup)
-    trace = GameTrace(setup, state.conclusions, [], ONGOING)
-    outcome = termination_status(state)
-    cache: dict = {}
-    for index, move in enumerate(moves):
-        if outcome in TERMINAL_OUTCOMES:
+    trace = GameTrace(setup, state.conclusions, [], settle(state))
+    for move in moves:
+        if trace.outcome in TERMINAL_OUTCOMES:
             raise IllegalMove(state.turn, move.player,
                               ("the game has already ended",))
-        if index == 0:
-            if move.player != PR:
-                raise IllegalMove(0, move.player,
-                                  ("the opening move belongs to pr",))
-            before = state.conclusions
-            state = open_game(setup, move.rule_ids)
-            targets = move.targets or _claim_targets(setup)
-            trace.records.append(TurnRecord(
-                PR, tuple(sorted(move.rule_ids)), _sorted_targets(targets),
-                state.conclusions.newly_determined(before), state.conclusions))
-        else:
-            before = state.conclusions
-            state = apply_move(state, move)
-            trace.records.append(TurnRecord(
-                move.player, tuple(sorted(move.rule_ids)),
-                _sorted_targets(move.targets),
-                state.conclusions.newly_determined(before), state.conclusions))
-        outcome = termination_status(state)
-        if outcome == ONGOING and state.consecutive_passes >= 2:
-            outcome = adjudicate(state, cache)
-    trace.outcome = outcome
+        state = play_move(trace, state, move)
     return trace
 
 
 _MOVE_LINE_RE = re.compile(r"(pr|def)\s*:\s*(.*)\.\s*$")
+_TARGETS_RE = re.compile(r"\btargets\b")
 _TARGET_RE = re.compile(r"([EO])\s+(~?[a-z][A-Za-z0-9_]*)\s*$")
 _ID_RE = re.compile(r"[a-z][A-Za-z0-9_]*\s*$")
 
@@ -426,7 +469,8 @@ def parse_moves(text: str) -> list[Move]:
         def: pass.
 
     Targets are mandatory for non-pass moves after the opening; the
-    opening may omit them (they default to the claim)."""
+    opening may omit them (they default to the claim).  ``targets`` is
+    a keyword only as a whole word, so rule ids may contain it."""
     moves: list[Move] = []
     errors: list[ParseError] = []
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -443,7 +487,7 @@ def parse_moves(text: str) -> list[Move]:
         if body == "pass":
             moves.append(Move(player, frozenset()))
             continue
-        rules_part, sep, targets_part = body.partition("targets")
+        rules_part, *targets_part = _TARGETS_RE.split(body, maxsplit=1)
         ids = [part.strip() for part in rules_part.split(",")]
         bad = [i for i in ids if not _ID_RE.match(i)]
         if not ids or bad:
@@ -451,14 +495,14 @@ def parse_moves(text: str) -> list[Move]:
                 span, f"bad rule id list {rules_part.strip()!r}"))
             continue
         targets = set()
-        if not sep and moves:
+        if not targets_part and moves:
             errors.append(ParseError(
                 span, "a non-pass move after the opening needs a "
                       "targets clause"))
             continue
-        if sep:
+        if targets_part:
             ok = True
-            for part in targets_part.split(","):
+            for part in targets_part[0].split(","):
                 target_match = _TARGET_RE.match(part.strip())
                 if not target_match:
                     errors.append(ParseError(

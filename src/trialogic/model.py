@@ -282,24 +282,23 @@ class ValidationReport:
 
 
 def _superiority_cycles(pairs: frozenset[tuple[str, str]]) -> bool:
-    graph: dict[str, set[str]] = {}
+    """Whether the pairs contain a cycle: repeatedly remove rules that no
+    remaining rule is stronger than; a cycle is what can never go."""
+    weaker_than: dict[str, list[str]] = {}
+    stronger_count: dict[str, int] = {}
     for stronger, weaker in pairs:
-        graph.setdefault(stronger, set()).add(weaker)
-    seen: set[str] = set()
-    onpath: set[str] = set()
-
-    def visit(node: str) -> bool:
-        seen.add(node)
-        onpath.add(node)
-        for nxt in graph.get(node, ()):
-            if nxt in onpath:
-                return True
-            if nxt not in seen and visit(nxt):
-                return True
-        onpath.discard(node)
-        return False
-
-    return any(visit(n) for n in graph if n not in seen)
+        weaker_than.setdefault(stronger, []).append(weaker)
+        stronger_count[weaker] = stronger_count.get(weaker, 0) + 1
+        stronger_count.setdefault(stronger, 0)
+    free = [rule for rule, count in stronger_count.items() if count == 0]
+    removed = 0
+    while free:
+        removed += 1
+        for weaker in weaker_than.get(free.pop(), ()):
+            stronger_count[weaker] -= 1
+            if stronger_count[weaker] == 0:
+                free.append(weaker)
+    return removed < len(stronger_count)
 
 
 def _validate_parts(facts, rules, superiority, report: ValidationReport) -> None:

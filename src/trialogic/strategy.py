@@ -16,24 +16,27 @@ Automatic play offers two deliberately simple policies: greedy minimal
 disclosure (smallest accepted opening, then smallest move that improves
 the mover's goal coverage, else pass) and full disclosure (everything
 at once, then passes).
+
+Every search here moves through ``game.step`` and scores positions with
+``game.settle``, so it plays by the same rules as a scripted game.  Each
+public entry point starts from one ``game.initial_state`` and every
+state it reaches shares that state's table cache; ``analyze`` runs both
+of its searches from the same start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional
 
 from .engine import ConclusionTable
 from .game import (
     DEF_SUCCEEDS, ONGOING, PR_SUCCEEDS, STALLED, TERMINAL_OUTCOMES,
-    GameState, GameTrace, Move, adjudicate_pools, claim_established,
-    claim_refuted, conclusions_for, initial_state, open_game,
-    OpeningRejected, run_game, termination_for,
+    GameState, GameTrace, Move, OpeningRejected, accepted_openings,
+    adjudicate, claim_conditions, claim_established, claim_refuted,
+    initial_state, open_game, play_move, settle, step, subsets,
 )
-from .model import (
-    DEF, EVIDENTIAL, MINUS, OBLIGATION, PLUS, PR, GameSetup, Literal,
-)
+from .model import DEF, PR, GameSetup
 
 GREEDY_MINIMAL = "greedy_minimal"
 FULL_DISCLOSURE = "full_disclosure"
@@ -65,76 +68,33 @@ class Analysis:
     states_explored: int
 
 
-def _ordered_subsets(ids: frozenset[str], include_empty: bool):
-    ordered = sorted(ids)
-    start = 0 if include_empty else 1
-    for size in range(start, len(ordered) + 1):
-        for combo in combinations(ordered, size):
-            yield frozenset(combo)
-
-
-def auto_targets(old: ConclusionTable,
-                 new: ConclusionTable) -> frozenset[tuple[str, Literal]]:
-    """Targets a move can legally declare: every (mode, literal) whose
-    status changed and which was already determined beforehand."""
-    targets = set()
-    for entry in new.newly_determined(old):
-        if old.is_determined(entry.literal):
-            targets.add((entry.mode, entry.literal))
-    return frozenset(targets)
-
-
-class _Arena:
-    """Shared conclusion-table cache for one setup."""
-
-    def __init__(self, setup: GameSetup):
-        self.setup = setup
-        self.cache: dict = {}
-        self.pr_all = frozenset(r.id for r in setup.pr_rules)
-        self.def_all = frozenset(r.id for r in setup.def_rules)
-        self.common_base = frozenset(r.id for r in setup.common_rules)
-
-    def table(self, common_ids: frozenset[str]) -> ConclusionTable:
-        return conclusions_for(self.setup, common_ids, self.cache)
-
-    def accepted_openings(self) -> Iterable[frozenset[str]]:
-        for opening in _ordered_subsets(self.pr_all, include_empty=True):
-            if claim_established(
-                    self.table(self.common_base | opening), self.setup):
-                yield opening
-
-    def robust(self, opening: frozenset[str]) -> bool:
-        common = self.common_base | opening
-        return not any(
-            claim_refuted(self.table(common | rebuttal), self.setup)
-            for rebuttal in _ordered_subsets(self.def_all, include_empty=False))
+def _robust(opened: GameState) -> bool:
+    return not any(
+        claim_refuted(opened.table_after(rebuttal), opened.setup)
+        for rebuttal in subsets(opened.def_ids, include_empty=False))
 
 
 def opening_is_winning(setup: GameSetup, opening_ids: Iterable[str]) -> bool:
     """Accepted and robust against every defence rebuttal."""
-    if setup.claim is None:
-        raise ValueError("setup has no claim to prosecute")
-    opening = frozenset(opening_ids)
-    arena = _Arena(setup)
-    stray = opening - arena.pr_all
-    if stray:
-        raise ValueError(
-            "opening rules not in the pr pool: " + ", ".join(sorted(stray)))
-    if not claim_established(
-            arena.table(arena.common_base | opening), setup):
+    try:
+        opened = open_game(setup, opening_ids)
+    except OpeningRejected:
         return False
-    return arena.robust(opening)
+    return _robust(opened)
+
+
+def _minimal_opening(start: GameState) -> Optional[tuple[str, ...]]:
+    for opening, opened in accepted_openings(start):
+        if _robust(opened):
+            return tuple(sorted(opening))
+    return None
 
 
 def minimal_winning_opening(setup: GameSetup) -> Optional[tuple[str, ...]]:
     """Smallest robust accepted opening by (size, id order), or None."""
     if setup.claim is None:
         raise ValueError("setup has no claim to prosecute")
-    arena = _Arena(setup)
-    for opening in arena.accepted_openings():
-        if arena.robust(opening):
-            return tuple(sorted(opening))
-    return None
+    return _minimal_opening(initial_state(setup))
 
 
 _PREFERENCE = {
@@ -143,172 +103,108 @@ _PREFERENCE = {
 }
 
 
-def _exhaustive(setup: GameSetup, bound: int) -> tuple[str, int]:
-    arena = _Arena(setup)
-    total = len(arena.pr_all) + len(arena.def_all)
+def _exhaustive(start: GameState, bound: int) -> tuple[str, int]:
+    total = len(start.pr_ids) + len(start.def_ids)
     if total > bound:
         raise BoundExceeded(total, bound)
+    if start.setup.claim is None:
+        raise ValueError("setup has no claim to prosecute")
     memo: dict = {}
     explored = 0
 
-    def adjudicated(common, pr_ids, def_ids) -> str:
-        return adjudicate_pools(setup, common, pr_ids, def_ids, arena.table)
+    def outcome(state: GameState) -> str:
+        settled = settle(state)
+        return value(state) if settled == ONGOING else settled
 
-    def moves_from(common, pool):
-        old = arena.table(common)
-        for disclosed in _ordered_subsets(pool, include_empty=False):
-            new = arena.table(common | disclosed)
-            if auto_targets(old, new):
-                yield disclosed
-
-    def value(pr_ids, def_ids, mover, passes) -> str:
+    def value(state: GameState) -> str:
         nonlocal explored
-        key = (pr_ids, def_ids, mover, passes)
+        key = (state.pr_ids, state.def_ids, state.mover,
+               state.consecutive_passes)
         if key in memo:
             return memo[key]
         explored += 1
-        common = (arena.common_base | arena.pr_all | arena.def_all) \
-            - pr_ids - def_ids
-        pool = pr_ids if mover == PR else def_ids
-        other = DEF if mover == PR else PR
+        pool = state.pr_ids if state.mover == PR else state.def_ids
         outcomes = []
-        for disclosed in moves_from(common, pool):
-            next_pr = pr_ids - disclosed
-            next_def = def_ids - disclosed
-            strict = termination_for(
-                setup, arena.table(common | disclosed), next_pr, next_def)
-            if strict in TERMINAL_OUTCOMES:
-                outcomes.append(strict)
-            else:
-                outcomes.append(value(next_pr, next_def, other, 0))
-        if passes + 1 >= 2:
-            outcomes.append(adjudicated(common, pr_ids, def_ids))
-        else:
-            outcomes.append(value(pr_ids, def_ids, other, passes + 1))
-        best = min(outcomes, key=_PREFERENCE[mover].get)
+        for disclosed in subsets(pool, include_empty=False):
+            nxt, targets = step(state, disclosed)
+            if targets:
+                outcomes.append(outcome(nxt))
+        outcomes.append(outcome(step(state, frozenset())[0]))
+        best = min(outcomes, key=_PREFERENCE[state.mover].get)
         memo[key] = best
         return best
 
-    if setup.claim is None:
-        raise ValueError("setup has no claim to prosecute")
     root_outcomes = []
-    for opening in arena.accepted_openings():
+    for _, opened in accepted_openings(start):
         explored += 1
-        next_pr = arena.pr_all - opening
-        common = arena.common_base | opening
-        strict = termination_for(
-            setup, arena.table(common), next_pr, arena.def_all)
-        if strict in TERMINAL_OUTCOMES:
-            root_outcomes.append(strict)
-        else:
-            root_outcomes.append(value(next_pr, arena.def_all, DEF, 0))
+        root_outcomes.append(outcome(opened))
     if not root_outcomes:
-        return adjudicated(
-            arena.common_base, arena.pr_all, arena.def_all), explored
+        return adjudicate(start), explored
     return min(root_outcomes, key=_PREFERENCE[PR].get), explored
 
 
 def exhaustive_winner(setup: GameSetup, bound: int = DEFAULT_BOUND) -> str:
-    outcome, _ = _exhaustive(setup, bound)
+    outcome, _ = _exhaustive(initial_state(setup), bound)
     return WINNER_FOR_OUTCOME[outcome]
 
 
 def analyze(setup: GameSetup, bound: int = DEFAULT_BOUND) -> Analysis:
-    outcome, explored = _exhaustive(setup, bound)
+    start = initial_state(setup)
+    outcome, explored = _exhaustive(start, bound)
     return Analysis(
-        WINNER_FOR_OUTCOME[outcome], minimal_winning_opening(setup), explored)
+        WINNER_FOR_OUTCOME[outcome], _minimal_opening(start), explored)
 
 
-def _pr_coverage(table: ConclusionTable, setup: GameSetup) -> int:
-    ev, de = setup.evidential_standard, setup.deontic_standard
-    score = 0
-    for literal in setup.claim.literals:
-        score += table.derived(PLUS, ev, EVIDENTIAL, literal)
-        score += table.derived(PLUS, de, OBLIGATION, literal.complement())
-    return score
+def _coverage(table: ConclusionTable, setup: GameSetup, player: str) -> int:
+    """How many conditions of ``player``'s goal hold in ``table``."""
+    return sum(table.derived(*condition)
+               for condition in claim_conditions(setup, player))
 
 
-def _def_coverage(table: ConclusionTable, setup: GameSetup) -> int:
-    ev, de = setup.evidential_standard, setup.deontic_standard
-    score = 0
-    for literal in setup.claim.literals:
-        score += table.derived(MINUS, de, OBLIGATION, literal.complement())
-        score += table.derived(PLUS, de, OBLIGATION, literal)
-        score += table.derived(PLUS, ev, EVIDENTIAL, literal.complement())
-        score += table.derived(MINUS, ev, EVIDENTIAL, literal)
-    return score
-
-
-def _policy_move(arena: _Arena, state: GameState, policy: str) -> Move:
+def _policy_move(state: GameState, policy: str) -> Move:
     mover = state.mover
     pool = state.pr_ids if mover == PR else state.def_ids
-    old = state.conclusions
     if policy == FULL_DISCLOSURE:
-        candidates = [frozenset(pool)] if pool else []
+        candidates = [pool] if pool else []
     else:
-        candidates = list(_ordered_subsets(pool, include_empty=False))
-    scorer = _pr_coverage if mover == PR else _def_coverage
-    baseline = scorer(old, state.setup)
+        candidates = subsets(pool, include_empty=False)
+    baseline = _coverage(state.conclusions, state.setup, mover)
     for disclosed in candidates:
-        new = arena.table(state.common_ids | disclosed)
-        targets = auto_targets(old, new)
+        nxt, targets = step(state, disclosed)
         if not targets:
             continue
-        if policy == GREEDY_MINIMAL and scorer(new, state.setup) <= baseline:
+        if (policy == GREEDY_MINIMAL
+                and _coverage(nxt.conclusions, state.setup, mover)
+                <= baseline):
             continue
         return Move(mover, disclosed, targets)
     return Move(mover, frozenset())
 
 
 def auto_play(setup: GameSetup, policy: str = GREEDY_MINIMAL) -> GameTrace:
-    """Play both sides under one policy and return the full trace."""
+    """Play both sides under one policy and return the full trace.
+
+    Every move goes through the same legality check as a scripted game,
+    so the trace equals ``run_game`` on its own moves."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     if setup.claim is None:
         raise ValueError("setup has no claim to prosecute")
-    arena = _Arena(setup)
-    start = initial_state(setup)
-    outcome = termination_for(
-        setup, start.conclusions, start.pr_ids, start.def_ids)
-    if outcome in TERMINAL_OUTCOMES:
-        return GameTrace(setup, start.conclusions, [], outcome)
+    state = initial_state(setup)
+    trace = GameTrace(setup, state.conclusions, [], settle(state))
+    if trace.outcome in TERMINAL_OUTCOMES:
+        return trace
 
-    if policy == FULL_DISCLOSURE:
-        opening: Optional[frozenset[str]] = None
-        try:
-            open_game(setup, arena.pr_all)
-            opening = arena.pr_all
-        except OpeningRejected:
-            opening = next(iter(arena.accepted_openings()), None)
+    if (policy == FULL_DISCLOSURE
+            and claim_established(state.table_after(state.pr_ids), setup)):
+        opening: Optional[frozenset[str]] = state.pr_ids
     else:
-        opening = next(iter(arena.accepted_openings()), None)
+        opening = next(accepted_openings(state), (None, None))[0]
     if opening is None:
-        outcome = adjudicate_pools(
-            setup, start.common_ids, start.pr_ids, start.def_ids, arena.table)
-        return GameTrace(setup, start.conclusions, [], outcome)
+        trace.outcome = adjudicate(state)
+        return trace
 
-    moves = [Move(PR, opening)]
-    state = open_game(setup, opening)
-    outcome = termination_for(
-        setup, state.conclusions, state.pr_ids, state.def_ids)
-    while outcome == ONGOING:
-        move = _policy_move(arena, state, policy)
-        moves.append(move)
-        if move.is_pass:
-            passes = state.consecutive_passes + 1
-            state = GameState(setup, state.turn + 1, state.common_ids,
-                              state.pr_ids, state.def_ids, passes,
-                              state.conclusions)
-        else:
-            common = state.common_ids | move.rule_ids
-            state = GameState(setup, state.turn + 1, common,
-                              state.pr_ids - move.rule_ids,
-                              state.def_ids - move.rule_ids, 0,
-                              arena.table(common))
-        outcome = termination_for(
-            setup, state.conclusions, state.pr_ids, state.def_ids)
-        if outcome == ONGOING and state.consecutive_passes >= 2:
-            outcome = adjudicate_pools(
-                setup, state.common_ids, state.pr_ids, state.def_ids,
-                arena.table)
-    return run_game(setup, moves)
+    state = play_move(trace, state, Move(PR, opening))
+    while trace.outcome == ONGOING:
+        state = play_move(trace, state, _policy_move(state, policy))
+    return trace

@@ -254,3 +254,11 @@ class TestMovesParsing:
     def test_opening_may_omit_targets(self):
         moves = parse_moves("pr: r1, r4.\n")
         assert moves[0].targets == frozenset()
+
+    def test_targets_inside_a_rule_id_is_not_the_keyword(self):
+        moves = parse_moves(
+            "pr: r1, mytargets.\ndef: r2, targetsx targets E b.\n")
+        assert moves[0].rule_ids == {"r1", "mytargets"}
+        assert moves[0].targets == frozenset()
+        assert moves[1].rule_ids == {"r2", "targetsx"}
+        assert moves[1].targets == {(EVIDENTIAL, lit("b"))}

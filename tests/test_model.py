@@ -114,6 +114,20 @@ class TestTheory:
         report = validate_theory(theory)
         assert any("cycle" in w for w in report.warnings)
 
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_long_superiority_chain(self, closed):
+        # rules alternate heads b / ~b, so every pair is effective
+        n = 3000
+        rules = tuple(rule(f"r{i}", ["a"], EVIDENTIAL, "~b" if i % 2 else "b")
+                      for i in range(n))
+        pairs = {(f"r{i + 1}", f"r{i}") for i in range(n - 1)}
+        if closed:
+            pairs.add(("r0", f"r{n - 1}"))
+        theory = DefeasibleTheory(frozenset(), rules, frozenset(pairs))
+        report = validate_theory(theory)
+        assert report.ok
+        assert any("cycle" in w for w in report.warnings) == closed
+
     def test_modal_fact_conflict_warned(self):
         theory = DefeasibleTheory(
             frozenset({(OBLIGATION, lit("b")), (OBLIGATION, lit("~b"))}),

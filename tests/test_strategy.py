@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
 from trialogic import (
     DEF, DEF_SUCCEEDS, EVIDENTIAL, FULL_DISCLOSURE, GREEDY_MINIMAL,
-    OBLIGATION, PR, PR_SUCCEEDS, WINNER_FOR_OUTCOME, Antecedent,
-    BoundExceeded, Claim, GameSetup, Rule, analyze, auto_play,
-    exhaustive_winner, lit, minimal_winning_opening, opening_is_winning,
-    with_standards,
+    OBLIGATION, POLICIES, PR, PR_SUCCEEDS, WINNER_FOR_OUTCOME, Antecedent,
+    BoundExceeded, Claim, GameSetup, Rule, analyze, auto_play, corpus,
+    exhaustive_winner, game, lit, minimal_winning_opening,
+    opening_is_winning, parse_moves, run_game, with_standards,
 )
 
 
@@ -130,3 +132,72 @@ class TestPolicyAgainstExhaustive:
             trace = auto_play(setup, GREEDY_MINIMAL)
             assert WINNER_FOR_OUTCOME[trace.outcome] == \
                 exhaustive_winner(setup)
+
+
+# Corpus setups (seed, claim) whose claim the union theory establishes,
+# chosen for variety: defence moves under full disclosure, defence wins
+# by adjudication, and a game decided by the opening alone.
+CORPUS_GAMES = ((430, "b"), (1657, "~a"), (814, "~a"), (629, "~a"))
+
+
+def _corpus_game(seed, claim):
+    setup = corpus.random_setup(seed, max_rules=14, deontic_ratio=0.5)
+    return replace(setup, claim=Claim((lit(claim),)))
+
+
+@pytest.fixture(scope="module")
+def game_setups(s1, s2, s3):
+    return [s1, s2, s3] + [_corpus_game(*game) for game in CORPUS_GAMES]
+
+
+def _record_fields(record):
+    return (record.player, record.rule_ids, record.targets,
+            record.newly_determined, record.conclusions.rows())
+
+
+class TestOneTransition:
+    def test_auto_play_trace_replays_under_run_game(self, game_setups):
+        for setup in game_setups:
+            for policy in POLICIES:
+                trace = auto_play(setup, policy)
+                assert trace.records
+                replay = run_game(setup, trace.moves())
+                assert replay.outcome == trace.outcome
+                assert replay.initial_conclusions.rows() == \
+                    trace.initial_conclusions.rows()
+                assert [_record_fields(r) for r in replay.records] == \
+                    [_record_fields(r) for r in trace.records]
+
+    def test_analysis_agrees_with_separate_searches(self, game_setups):
+        for setup in game_setups:
+            result = analyze(setup)
+            assert result.winner == exhaustive_winner(setup)
+            assert result.minimal_opening == minimal_winning_opening(setup)
+
+
+class TestOneCachePerCall:
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        keys = []
+        compute = game.compute_conclusions
+
+        def recording(theory, extras=()):
+            keys.append(frozenset(rule.id for rule in theory.rules))
+            return compute(theory, extras)
+
+        monkeypatch.setattr(game, "compute_conclusions", recording)
+        return keys
+
+    def test_no_table_computed_twice(self, computed, s1, s2, fixtures_dir):
+        script = parse_moves(
+            (fixtures_dir / "s1_play_b.moves").read_text(encoding="utf-8"))
+        calls = [lambda: run_game(s1, script)]
+        for setup in (s1, s2, _corpus_game(*CORPUS_GAMES[0])):
+            calls.append(lambda setup=setup: analyze(setup))
+            calls.extend(lambda setup=setup, policy=policy:
+                         auto_play(setup, policy) for policy in POLICIES)
+        for call in calls:
+            computed.clear()
+            call()
+            assert computed
+            assert len(computed) == len(set(computed))
