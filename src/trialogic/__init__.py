@@ -4,7 +4,7 @@ prosecution/defence disclosure game."""
 from .model import (
     DEF, DELTA, EVIDENTIAL, MINUS, MODES, OBLIGATION, PARTIAL, PLAYERS,
     PLUS, PR, PROVED, REFUTED, SIGMA, SIGMA_MINUS, TAGS, UNDETERMINED,
-    Antecedent, Claim, DefeasibleTheory, GameSetup, Literal, Rule,
+    Antecedent, Claim, DefeasibleTheory, GameSetup, Literal, Move, Rule,
     TaggedLiteral, complement, lit, player_view, validate_setup,
     validate_theory, with_standards,
 )
@@ -14,7 +14,8 @@ from .engine import (
     compute_conclusions, holds, standards_met, strength_order,
 )
 from .dsl import (
-    ParseError, ParseFailure, parse_query, parse_theory, serialize_theory,
+    ParseError, ParseFailure, parse_moves, parse_query, parse_theory,
+    serialize_theory,
 )
 from .arguments import (
     Argument, AttackGraph, EquivalenceReport, build_arguments,
@@ -27,9 +28,9 @@ from .permission import (
 )
 from .game import (
     DEF_SUCCEEDS, ONGOING, PR_SUCCEEDS, STALLED, TERMINAL_OUTCOMES,
-    GameState, GameTrace, IllegalMove, LegalityReport, Move,
-    OpeningRejected, TurnRecord, adjudicate, apply_move, initial_state,
-    legal_move, open_game, parse_moves, run_game, termination_status,
+    GameState, GameTrace, IllegalMove, LegalityReport, OpeningRejected,
+    TurnRecord, adjudicate, apply_move, initial_state, legal_move,
+    open_game, run_game, termination_status,
 )
 from .strategy import (
     DEFAULT_BOUND, FULL_DISCLOSURE, GREEDY_MINIMAL, POLICIES,

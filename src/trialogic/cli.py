@@ -17,11 +17,9 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .dsl import ParseFailure, parse_query, parse_theory
+from .dsl import ParseFailure, parse_moves, parse_query, parse_theory
 from .engine import compute_conclusions, standards_met
-from .game import (
-    IllegalMove, OpeningRejected, GameTrace, parse_moves, run_game,
-)
+from .game import IllegalMove, OpeningRejected, GameTrace, run_game
 from .model import (
     EVIDENTIAL, GLYPH_FOR_TAG, OBLIGATION, TAG_FOR_TOKEN, GameSetup, lit,
     validate_setup, with_standards,

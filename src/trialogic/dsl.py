@@ -1,8 +1,9 @@
-"""Plain-text rule language for theories and game setups.
+"""The three text formats: theories and game setups, moves files and
+queries, read by one tokenizer.
 
 Statements end with a period; ``#`` starts a comment running to the end
-of the line.  Atoms and rule ids match ``[a-z][A-Za-z0-9_]*``; ``~`` is
-negation.  The statement forms:
+of the line.  Atoms and rule ids match ``model.ATOM_RE``; ``~`` is
+negation.  The theory statement forms:
 
     fact O ~b.
     rule r4: g =>O ~b.
@@ -20,6 +21,11 @@ lines override the default proof standards of the setup; files without
 them keep delta for the evidential half and partial for the deontic
 half.
 
+A moves file holds one statement per move, ``pr: r1, r4 targets E b.``
+or ``def: pass.``, where ``E`` and ``O`` mark evidential and obligation
+targets.  A query is one signed, tagged, optionally ``O``-marked
+literal such as ``+d b`` or ``-p O ~b``.
+
 Parsing recovers at statement boundaries, so one bad statement does not
 hide errors in the rest of the file.  ``serialize_theory`` emits a
 canonical form: statements sorted by kind then content, one per line,
@@ -28,14 +34,13 @@ defaults omitted.  Parsing a serialized setup reproduces it exactly.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .model import (
-    DEF, DELTA, EVIDENTIAL, OBLIGATION, PARTIAL, PR, TAG_FOR_TOKEN,
-    TOKEN_FOR_TAG, Antecedent, Claim, GameSetup, Literal, Rule,
-    TaggedLiteral, literal_sort_key,
+    ATOM_RE, DEF, DELTA, EVIDENTIAL, MODES, OBLIGATION, PARTIAL, PLAYERS,
+    PR, TAG_FOR_TOKEN, TOKEN_FOR_TAG, Antecedent, Claim, GameSetup,
+    Literal, Move, Rule, TaggedLiteral, literal_sort_key,
 )
 
 
@@ -67,70 +72,57 @@ class _Token(NamedTuple):
     span: SourceSpan
 
 
-_WORD_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 _PUNCT = {">": "GT", ":": "COLON", ",": "COMMA", ".": "DOT",
           "~": "TILDE", "+": "PLUS", "-": "MINUS"}
 
 
 def _tokenize(text: str):
+    """The tokens of ``text``, ending with EOF, and its lexical errors.
+
+    The one lexer of all three formats.  Lines are those of
+    ``str.splitlines``; any whitespace separates tokens, and ``#``
+    comments out the rest of its line.
+    """
     tokens: list[_Token] = []
     errors: list[ParseError] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
+    lines = text.splitlines()
+    if text[-1:].splitlines() != [text[-1:]]:
+        lines.append("")  # empty text, or a line break ends it
+    for line, source in enumerate(lines, start=1):
+        i, n = 0, len(source)
+        while i < n:
+            ch = source[i]
+            if ch.isspace():
                 i += 1
-            continue
-        span = SourceSpan(line, col, 1)
-        if ch == "=":
-            if text[i:i + 2] == "=>":
-                rest = text[i + 2:i + 3]
-                if rest == "O" and not _is_word_char(text[i + 3:i + 4]):
+            elif ch == "#":
+                break
+            elif ch in _PUNCT:
+                tokens.append(_Token(_PUNCT[ch], ch, SourceSpan(line, i + 1, 1)))
+                i += 1
+            elif match := ATOM_RE.match(source, i):
+                word = match.group()
+                tokens.append(_Token("WORD", word,
+                                     SourceSpan(line, i + 1, len(word))))
+                i = match.end()
+            elif ch in MODES and not _is_word_char(source[i + 1:i + 2]):
+                tokens.append(_Token("MODE", ch, SourceSpan(line, i + 1, 1)))
+                i += 1
+            elif source.startswith("=>", i):
+                if source[i + 2:i + 3] == OBLIGATION and \
+                        not _is_word_char(source[i + 3:i + 4]):
                     tokens.append(_Token("DARROW", "=>O",
-                                         SourceSpan(line, col, 3)))
+                                         SourceSpan(line, i + 1, 3)))
                     i += 3
-                    col += 3
                 else:
-                    tokens.append(_Token("ARROW", "=>", SourceSpan(line, col, 2)))
+                    tokens.append(_Token("ARROW", "=>",
+                                         SourceSpan(line, i + 1, 2)))
                     i += 2
-                    col += 2
-                continue
-            errors.append(ParseError(span, "unexpected character '='"))
-            i += 1
-            col += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, span))
-            i += 1
-            col += 1
-            continue
-        if ch == "O" and not _is_word_char(text[i + 1:i + 2]):
-            tokens.append(_Token("MODE", "O", span))
-            i += 1
-            col += 1
-            continue
-        match = _WORD_RE.match(text, i)
-        if match:
-            word = match.group(0)
-            tokens.append(_Token("WORD", word, SourceSpan(line, col, len(word))))
-            i = match.end()
-            col += len(word)
-            continue
-        errors.append(ParseError(span, f"unexpected character {ch!r}"))
-        i += 1
-        col += 1
-    tokens.append(_Token("EOF", "", SourceSpan(line, col, 0)))
+            else:
+                errors.append(ParseError(SourceSpan(line, i + 1, 1),
+                                         f"unexpected character {ch!r}"))
+                i += 1
+    tokens.append(_Token("EOF", "", SourceSpan(
+        len(lines), len(lines[-1]) + 1, 0)))
     return tokens, errors
 
 
@@ -149,6 +141,7 @@ class _Parser:
         self.claim: Optional[list[Literal]] = None
         self.sections: dict[str, list[tuple[str, SourceSpan]]] = {}
         self.standards: dict[str, str] = {}
+        self.moves: list[Move] = []
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -174,10 +167,10 @@ class _Parser:
         if self.peek().kind == "DOT":
             self.advance()
 
-    def parse(self) -> None:
+    def parse(self, statement) -> None:
         while self.peek().kind != "EOF":
             try:
-                self.statement()
+                statement()
             except _Bail:
                 self.skip_statement()
 
@@ -198,6 +191,14 @@ class _Parser:
         handler()
         self.expect("DOT", "'.'")
 
+    def comma_list(self, item) -> list:
+        """One or more ``item()`` separated by commas."""
+        items = [item()]
+        while self.peek().kind == "COMMA":
+            self.advance()
+            items.append(item())
+        return items
+
     def literal(self) -> Literal:
         negated = False
         if self.peek().kind == "TILDE":
@@ -206,11 +207,16 @@ class _Parser:
         word = self.expect("WORD", "an atom")
         return Literal(word.value, not negated)
 
-    def fact_stmt(self) -> None:
-        mode = EVIDENTIAL
-        if self.peek().kind == "MODE":
+    def mode(self) -> str:
+        """Obligation if the marker ``O`` comes next, else evidential.
+        ``E`` marks only move targets; here the literal rejects it."""
+        if self.peek().value == OBLIGATION:
             self.advance()
-            mode = OBLIGATION
+            return OBLIGATION
+        return EVIDENTIAL
+
+    def fact_stmt(self) -> None:
+        mode = self.mode()
         self.facts.append((mode, self.literal()))
 
     def antecedent(self) -> Antecedent:
@@ -222,19 +228,13 @@ class _Parser:
                 self.fail(f"unknown proof tag {token.value!r}",
                           ("d", "p", "s", "w"))
             tag = TAG_FOR_TOKEN[token.value]
-        mode = EVIDENTIAL
-        if self.peek().kind == "MODE":
-            self.advance()
-            mode = OBLIGATION
+        mode = self.mode()
         return Antecedent(mode, self.literal(), sign, tag)
 
     def rule_stmt(self) -> None:
         name = self.expect("WORD", "a rule id")
         self.expect("COLON", "':'")
-        antecedents = [self.antecedent()]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            antecedents.append(self.antecedent())
+        antecedents = self.comma_list(self.antecedent)
         arrow = self.peek()
         if arrow.kind not in ("ARROW", "DARROW"):
             self.fail(f"expected '=>' or '=>O', found {arrow.value!r}",
@@ -257,10 +257,7 @@ class _Parser:
     def claim_stmt(self) -> None:
         span = self.peek().span
         self.expect("COLON", "':'")
-        literals = [self.literal()]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            literals.append(self.literal())
+        literals = self.comma_list(self.literal)
         if self.claim is not None:
             self.errors.append(ParseError(span, "duplicate claim statement"))
             return
@@ -271,10 +268,7 @@ class _Parser:
         if token.value not in (PR, DEF, "common"):
             self.fail(f"unknown pool {token.value!r}", (PR, DEF, "common"))
         self.expect("COLON", "':'")
-        ids = [self.expect("WORD", "a rule id")]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            ids.append(self.expect("WORD", "a rule id"))
+        ids = self.comma_list(lambda: self.expect("WORD", "a rule id"))
         bucket = self.sections.setdefault(token.value, [])
         bucket.extend((t.value, t.span) for t in ids)
 
@@ -294,6 +288,38 @@ class _Parser:
             return
         self.standards[which.value] = TAG_FOR_TOKEN[token.value]
 
+    def move_stmt(self) -> None:
+        if self.peek().value not in PLAYERS:
+            self.fail(f"expected 'pr' or 'def', found {self.peek().value!r}",
+                      PLAYERS)
+        player = self.advance().value
+        self.expect("COLON", "':'")
+        if self.peek().value == "pass" and \
+                self.tokens[self.pos + 1].kind == "DOT":
+            self.advance()
+            move = Move(player, frozenset())
+        else:
+            ids = self.comma_list(self.move_rule_id)
+            targets = []
+            if self.peek().value == "targets":
+                self.advance()
+                targets = self.comma_list(self.target)
+            elif self.moves:
+                self.fail("a non-pass move after the opening needs a "
+                          "targets clause", ("targets",))
+            move = Move(player, frozenset(ids), frozenset(targets))
+        self.expect("DOT", "'.'")
+        self.moves.append(move)
+
+    def move_rule_id(self) -> str:
+        if self.peek().value == "targets":
+            self.fail("expected a rule id, found 'targets'", ("a rule id",))
+        return self.expect("WORD", "a rule id").value
+
+    def target(self) -> tuple[str, Literal]:
+        mode = self.expect("MODE", "a target mode (E or O)").value
+        return mode, self.literal()
+
 
 class _Bail(Exception):
     pass
@@ -302,9 +328,8 @@ class _Bail(Exception):
 def parse_theory(text: str) -> GameSetup:
     """Parse a setup file.  Raises ParseFailure carrying every error
     found (recovery is per statement)."""
-    tokens, lex_errors = _tokenize(text)
-    parser = _Parser(tokens, lex_errors)
-    parser.parse()
+    parser = _Parser(*_tokenize(text))
+    parser.parse(parser.statement)
     errors = parser.errors
 
     declared = {rule.id: rule for rule in parser.rules}
@@ -319,6 +344,10 @@ def parse_theory(text: str) -> GameSetup:
             if rule_id not in declared:
                 errors.append(ParseError(
                     span, f"game section references unknown rule id {rule_id!r}"))
+            elif owner.get(rule_id) == section:
+                errors.append(ParseError(
+                    span, f"rule id {rule_id!r} listed twice in the "
+                          f"{section} pool"))
             elif rule_id in owner:
                 errors.append(ParseError(
                     span, f"rule id {rule_id!r} assigned to more than one pool"))
@@ -326,7 +355,7 @@ def parse_theory(text: str) -> GameSetup:
                 owner[rule_id] = section
 
     if errors:
-        raise ParseFailure(sorted(errors, key=lambda e: (e.span.line, e.span.col)))
+        raise _failure(errors)
 
     pools: dict[str, list[Rule]] = {PR: [], DEF: [], "common": []}
     for rule in parser.rules:
@@ -343,23 +372,43 @@ def parse_theory(text: str) -> GameSetup:
     )
 
 
-_QUERY_RE = re.compile(
-    r"([+-])([A-Za-z])\s+(?:(O)\s+)?(~)?([a-z][A-Za-z0-9_]*)\Z")
+def parse_moves(text: str) -> list[Move]:
+    """Parse a moves file, one statement per move:
+
+        pr: r1, r4 targets E b, O ~b.
+        def: pass.
+
+    ``pass`` is a pass only as the whole body.  Targets are mandatory
+    for non-pass moves after the opening; the opening may omit them
+    (they default to the claim).  ``targets`` is a keyword, never a
+    rule id.  Raises ParseFailure carrying every error found."""
+    parser = _Parser(*_tokenize(text))
+    parser.parse(parser.move_stmt)
+    if parser.errors:
+        raise _failure(parser.errors)
+    return parser.moves
 
 
 def parse_query(text: str) -> TaggedLiteral:
     """Parse a signed tagged query such as ``"+d b"`` or ``"-p O ~b"``."""
-    match = _QUERY_RE.match(text.strip())
-    if not match or match.group(2) not in TAG_FOR_TOKEN:
-        raise ParseFailure([ParseError(
-            SourceSpan(1, 1, len(text)),
-            f"bad query {text!r}: expected e.g. '+d b' or '-p O ~b'",
-            ("+", "-", "d", "p", "s", "w"))])
-    sign, tag_token, mode, tilde, atom = match.groups()
-    return TaggedLiteral(
-        sign, TAG_FOR_TOKEN[tag_token],
-        OBLIGATION if mode else EVIDENTIAL,
-        Literal(atom, tilde is None))
+    parser = _Parser(*_tokenize(text))
+    try:
+        if parser.peek().kind in ("PLUS", "MINUS"):
+            query = parser.antecedent()
+            parser.expect("EOF", "the end of the query")
+            if not parser.errors:
+                return TaggedLiteral(query.sign, query.tag, query.mode,
+                                     query.literal)
+    except _Bail:
+        pass
+    raise ParseFailure([ParseError(
+        SourceSpan(1, 1, len(text)),
+        f"bad query {text!r}: expected e.g. '+d b' or '-p O ~b'",
+        ("+", "-", "d", "p", "s", "w"))])
+
+
+def _failure(errors: list[ParseError]) -> ParseFailure:
+    return ParseFailure(sorted(errors, key=lambda e: (e.span.line, e.span.col)))
 
 
 def _render_antecedent(ant: Antecedent) -> str:

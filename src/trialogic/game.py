@@ -25,20 +25,22 @@ checks, scripted games, automatic play and exhaustive search all drive
 these two.  ``initial_state`` creates the table cache of one game: every
 state reached from it carries the same cache, so a theory that several
 moves, checks or searches reach is computed once.
+
+This module reads no text: ``dsl.parse_moves`` turns a moves file into
+the ``Move`` list that ``run_game`` plays.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .dsl import ParseError, ParseFailure, SourceSpan
+from .dsl import parse_moves  # noqa: F401  (moves files are read in dsl)
 from .engine import ConclusionTable, compute_conclusions
 from .model import (
-    DEF, EVIDENTIAL, OBLIGATION, PLUS, PR, MINUS, PLAYERS, GameSetup,
-    Literal, TaggedLiteral, lit, literal_sort_key,
+    DEF, EVIDENTIAL, OBLIGATION, PLUS, PR, MINUS, GameSetup, Literal, Move,
+    TaggedLiteral, literal_sort_key,
 )
 
 PR_SUCCEEDS = "pr_succeeds"
@@ -46,28 +48,6 @@ DEF_SUCCEEDS = "def_succeeds"
 STALLED = "stalled"
 ONGOING = "ongoing"
 TERMINAL_OUTCOMES = (PR_SUCCEEDS, DEF_SUCCEEDS, STALLED)
-
-
-@dataclass(frozen=True)
-class Move:
-    """One turn: disclosed rule ids plus declared target literals.
-
-    An empty rule set is a pass and declares no targets.
-    """
-
-    player: str
-    rule_ids: frozenset[str]
-    targets: frozenset[tuple[str, Literal]] = frozenset()
-
-    def __post_init__(self) -> None:
-        if self.player not in PLAYERS:
-            raise ValueError(f"bad player {self.player!r}")
-        object.__setattr__(self, "rule_ids", frozenset(self.rule_ids))
-        object.__setattr__(self, "targets", frozenset(self.targets))
-
-    @property
-    def is_pass(self) -> bool:
-        return not self.rule_ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,67 +434,3 @@ def run_game(setup: GameSetup, moves: Sequence[Move]) -> GameTrace:
                               ("the game has already ended",))
         state = play_move(trace, state, move)
     return trace
-
-
-_MOVE_LINE_RE = re.compile(r"(pr|def)\s*:\s*(.*)\.\s*$")
-_TARGETS_RE = re.compile(r"\btargets\b")
-_TARGET_RE = re.compile(r"([EO])\s+(~?[a-z][A-Za-z0-9_]*)\s*$")
-_ID_RE = re.compile(r"[a-z][A-Za-z0-9_]*\s*$")
-
-
-def parse_moves(text: str) -> list[Move]:
-    """Parse a moves file: one move per line, comments with ``#``.
-
-        pr: r1, r4 targets E b, O ~b.
-        def: pass.
-
-    Targets are mandatory for non-pass moves after the opening; the
-    opening may omit them (they default to the claim).  ``targets`` is
-    a keyword only as a whole word, so rule ids may contain it."""
-    moves: list[Move] = []
-    errors: list[ParseError] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        span = SourceSpan(number, 1, len(line))
-        match = _MOVE_LINE_RE.match(line)
-        if not match:
-            errors.append(ParseError(
-                span, "expected 'pr: ...' or 'def: ...' ending with '.'"))
-            continue
-        player, body = match.group(1), match.group(2).strip()
-        if body == "pass":
-            moves.append(Move(player, frozenset()))
-            continue
-        rules_part, *targets_part = _TARGETS_RE.split(body, maxsplit=1)
-        ids = [part.strip() for part in rules_part.split(",")]
-        bad = [i for i in ids if not _ID_RE.match(i)]
-        if not ids or bad:
-            errors.append(ParseError(
-                span, f"bad rule id list {rules_part.strip()!r}"))
-            continue
-        targets = set()
-        if not targets_part and moves:
-            errors.append(ParseError(
-                span, "a non-pass move after the opening needs a "
-                      "targets clause"))
-            continue
-        if targets_part:
-            ok = True
-            for part in targets_part[0].split(","):
-                target_match = _TARGET_RE.match(part.strip())
-                if not target_match:
-                    errors.append(ParseError(
-                        span, f"bad target {part.strip()!r}: expected "
-                              "'E lit' or 'O lit'"))
-                    ok = False
-                    break
-                mode, literal = target_match.groups()
-                targets.add((mode, lit(literal)))
-            if not ok:
-                continue
-        moves.append(Move(player, frozenset(ids), frozenset(targets)))
-    if errors:
-        raise ParseFailure(errors)
-    return moves

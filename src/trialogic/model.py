@@ -54,7 +54,8 @@ PR = "pr"
 DEF = "def"
 PLAYERS = (PR, DEF)
 
-ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
+# Atoms, rule ids and the words of the rule language.
+ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 
 
 class Literal(NamedTuple):
@@ -74,7 +75,7 @@ def lit(text: str) -> Literal:
     """Build a literal from its surface form, e.g. ``"b"`` or ``"~b"``."""
     negated = text.startswith("~")
     atom = text[1:] if negated else text
-    if not ATOM_RE.match(atom):
+    if not ATOM_RE.fullmatch(atom):
         raise ValueError(f"bad atom {atom!r}")
     return Literal(atom, not negated)
 
@@ -154,7 +155,7 @@ class Rule:
     head: Literal
 
     def __post_init__(self) -> None:
-        if not ATOM_RE.match(self.id):
+        if not ATOM_RE.fullmatch(self.id):
             raise ValueError(f"bad rule id {self.id!r}")
         _check_mode(self.head_mode)
         object.__setattr__(self, "antecedents", tuple(self.antecedents))
@@ -246,11 +247,7 @@ class GameSetup:
 
     def union_theory(self) -> DefeasibleTheory:
         """The omniscient view: every rule regardless of ownership."""
-        rules = self.all_rules()
-        ids = {r.id for r in rules}
-        sup = frozenset(p for p in self.superiority
-                        if p[0] in ids and p[1] in ids)
-        return DefeasibleTheory(self.facts, rules, sup)
+        return self.theory_for(r.id for r in self.all_rules())
 
     def theory_for(self, rule_ids: Iterable[str]) -> DefeasibleTheory:
         """The theory induced by a subset of rule ids (facts included)."""
@@ -260,6 +257,28 @@ class GameSetup:
         sup = frozenset(p for p in self.superiority
                         if p[0] in ids and p[1] in ids)
         return DefeasibleTheory(self.facts, rules, sup)
+
+
+@dataclass(frozen=True)
+class Move:
+    """One turn: disclosed rule ids plus declared target literals.
+
+    An empty rule set is a pass and declares no targets.
+    """
+
+    player: str
+    rule_ids: frozenset[str]
+    targets: frozenset[tuple[str, Literal]] = frozenset()
+
+    def __post_init__(self) -> None:
+        if self.player not in PLAYERS:
+            raise ValueError(f"bad player {self.player!r}")
+        object.__setattr__(self, "rule_ids", frozenset(self.rule_ids))
+        object.__setattr__(self, "targets", frozenset(self.targets))
+
+    @property
+    def is_pass(self) -> bool:
+        return not self.rule_ids
 
 
 def player_view(setup: GameSetup, player: str) -> DefeasibleTheory:

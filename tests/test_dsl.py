@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trialogic import (
-    DELTA, EVIDENTIAL, OBLIGATION, PARTIAL, SIGMA,
-    ParseFailure, lit, parse_query, parse_theory, serialize_theory,
+    DELTA, EVIDENTIAL, MODES, OBLIGATION, PARTIAL, PLAYERS, SIGMA, Literal,
+    Move, ParseFailure, lit, parse_moves, parse_query, parse_theory,
+    serialize_theory,
 )
 from trialogic.corpus import random_setup
 
@@ -82,6 +83,10 @@ class TestParseErrors:
         self.expect("rule r1: a => b. game pr: r1. game def: r1.",
                     "more than one pool")
 
+    def test_rule_twice_in_one_pool(self):
+        self.expect("rule r1: a => b. game pr: r1, r1.",
+                    "rule id 'r1' listed twice in the pr pool")
+
     def test_game_section_unknown_rule(self):
         self.expect("rule r1: a => b. game pr: r9.",
                     "game section references unknown rule id")
@@ -127,6 +132,100 @@ class TestQueries:
         for bad in ["d b", "+z b", "+d", "+d B", "++d b", "+d O", ""]:
             with pytest.raises(ParseFailure):
                 parse_query(bad)
+
+
+class TestOneLexer:
+    """Theories, moves files and queries share one tokenizer; ``E`` is
+    a mode token there, legal only in move targets."""
+
+    def test_e_is_no_mode_in_theories_or_queries(self):
+        with pytest.raises(ParseFailure) as exc:
+            parse_theory("fact E a.")
+        assert exc.value.errors[0].render().startswith("1:6: ")
+        with pytest.raises(ParseFailure):
+            parse_theory("rule r1: E a => b.")
+        with pytest.raises(ParseFailure):
+            parse_query("+d E b")
+
+    def test_move_split_across_lines(self):
+        moves = parse_moves("pr: r1,\n  r4.\ndef: r5 targets\nE b. pr: pass.")
+        assert moves == [Move("pr", frozenset({"r1", "r4"})),
+                         Move("def", frozenset({"r5"}),
+                              frozenset({(EVIDENTIAL, lit("b"))})),
+                         Move("pr", frozenset())]
+
+    def test_pass_is_a_rule_id_unless_it_is_the_whole_body(self):
+        moves = parse_moves("pr: pass, r1.\ndef: pass targets E b.\n"
+                            "pr: pass.\n")
+        assert moves[0].rule_ids == {"pass", "r1"}
+        assert moves[1].rule_ids == {"pass"}
+        assert moves[2].is_pass
+
+    def test_bad_target_span_points_at_the_target(self):
+        with pytest.raises(ParseFailure) as exc:
+            parse_moves("pr: r1.\ndef: r5 targets b.\n")
+        assert [e.render() for e in exc.value.errors] == [
+            "2:17: expected a target mode (E or O), found 'b'"]
+
+    def test_query_widenings(self):
+        assert parse_query("+ d ~ b # c") == parse_query("+d ~b")
+        assert parse_query("-p O~b") == parse_query("-p O ~b")
+
+
+_DSL_WORDS = ["fact", "rule", "sup", "claim", "game", "standard", "pr",
+              "def", "common", "pass", "targets", "evidential", "deontic",
+              "r1", "b", "d", "p", "E", "O", "=>", "=>O", ":", ",", ".",
+              "~", "+", "-", ">", "=", "#", " ", "\n", "\r", "\t", "A"]
+_WORDS = st.builds(str.__add__, st.sampled_from("abrt"),
+                   st.text("aZ9_", max_size=4))
+_RULE_IDS = st.sampled_from(
+    ["r1", "pass", "mytargets", "targetsx", "r_targets"]) | _WORDS
+_LITERALS = st.builds(Literal, _WORDS, st.booleans())
+
+
+@st.composite
+def _move_lists(draw):
+    moves = []
+    for index in range(draw(st.integers(0, 5))):
+        player = draw(st.sampled_from(PLAYERS))
+        if draw(st.booleans()):
+            moves.append(Move(player, frozenset()))
+            continue
+        ids = draw(st.frozensets(_RULE_IDS, min_size=1, max_size=3))
+        targets = draw(st.frozensets(
+            st.tuples(st.sampled_from(MODES), _LITERALS),
+            min_size=0 if index == 0 else 1, max_size=3))
+        assume(ids != {"pass"} or targets)  # that spelling is a pass
+        moves.append(Move(player, ids, targets))
+    return moves
+
+
+def _render_move(move: Move) -> str:
+    if move.is_pass:
+        return f"{move.player}: pass."
+    body = ", ".join(sorted(move.rule_ids))
+    if move.targets:
+        body += " targets " + ", ".join(
+            f"{mode} {literal}" for mode, literal in sorted(move.targets))
+    return f"{move.player}: {body}."
+
+
+class TestFuzzing:
+    @settings(max_examples=250, deadline=None)
+    @given(st.text(max_size=40)
+           | st.lists(st.sampled_from(_DSL_WORDS), max_size=30).map("".join))
+    def test_any_text_fails_only_with_parse_failure(self, text):
+        for parse in (parse_theory, parse_moves, parse_query):
+            try:
+                parse(text)
+            except ParseFailure:
+                pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(_move_lists(), st.sampled_from(["\n", " ", " # note\n"]))
+    def test_rendered_moves_parse_back(self, moves, separator):
+        text = separator.join(_render_move(move) for move in moves)
+        assert parse_moves(text) == moves
 
 
 class TestSerialization:
