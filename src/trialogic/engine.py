@@ -17,6 +17,14 @@ conditions, derived in the same fixpoint rather than by failure.  A
 query can therefore come back undetermined: circular support such as
 ``p => p`` settles neither ``+partial p`` nor ``-partial p``.
 
+The table is built by an agenda over cells, a cell being one moded
+literal with its four tags.  A cell is evaluated again only after a
+cell that one of its supporting or attacking rules reads has settled
+a tag, so a chain of rules costs time linear in its length whatever
+order its literals sort in.  Every condition is monotone in the
+statuses derived so far, hence the table is the single least fixpoint
+of those conditions and does not depend on evaluation order.
+
 Proof standards map onto the tags: scintilla of evidence is
 sigma_minus, substantial evidence (clear and convincing) is sigma,
 preponderance is partial, beyond reasonable doubt is delta, and
@@ -26,6 +34,7 @@ stripped.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -144,6 +153,27 @@ class ConclusionTable:
 
 
 class _Fixpoint:
+    """One table computation: a FIFO agenda of cells ``(mode, literal)``.
+
+    The agenda starts with every cell in ``literal_sort_key`` order.
+    Popping a cell evaluates each of its unsettled tags.  The conditions
+    of ``(mode, l)`` read only facts and the cells named by antecedents
+    of rules with head ``(mode, l)`` or ``(mode, ~l)``, so when a tag of
+    a cell settles, ``readers`` lists exactly the cells to queue again;
+    a cell already waiting is not queued twice.
+
+    Why the order cannot matter: each condition only asks whether some
+    key already has some status, and statuses are only ever added, so
+    every condition is monotone.  Let L be the least set of signed
+    conclusions closed under the conditions; the coherence check says
+    L never holds both signs of a key.  Every status the agenda writes
+    is in L, by induction on the writes.  When the agenda is empty
+    every cell has been evaluated since its inputs last changed, so no
+    condition derives anything beyond what is written (a derivable
+    opposite sign would contradict coherence).  The written statuses
+    are therefore closed, contain L, and equal it.
+    """
+
     def __init__(self, theory: DefeasibleTheory,
                  extra_literals: Iterable[Literal]):
         literals: set[Literal] = set()
@@ -159,38 +189,55 @@ class _Fixpoint:
 
         self.facts = frozenset(theory.facts)
         heads: dict[tuple[str, Literal], list] = {}
+        # cell -> the head cells whose conditions read it (a dict as an
+        # ordered set, so each reader is queued at most once per settle)
+        readers: dict[tuple[str, Literal], dict] = {}
         for rule in theory.rules:
-            heads.setdefault((rule.head_mode, rule.head), []).append(rule)
+            head = (rule.head_mode, rule.head)
+            heads.setdefault(head, []).append(rule)
+            opposed = (rule.head_mode, rule.head.complement())
+            for ant in rule.antecedents:
+                readers.setdefault((ant.mode, ant.literal), {}).update(
+                    {head: None, opposed: None})
         self.heads = heads
+        self.readers = readers
         present = theory.rule_ids()
         self.sup = frozenset(p for p in theory.superiority
                              if p[0] in present and p[1] in present)
         self.status: dict[tuple[str, str, Literal], str] = {}
 
     def run(self) -> ConclusionTable:
-        keys = [
-            (tag, mode, literal)
+        agenda = deque(
+            (mode, literal)
             for literal in sorted(self.literals, key=literal_sort_key)
-            for mode in MODES
-            for tag in TAGS
-        ]
-        changed = True
-        while changed:
-            changed = False
-            for key in keys:
-                if key in self.status:
+            for mode in MODES)
+        queued = set(agenda)
+        status = self.status
+        while agenda:
+            cell = agenda.popleft()
+            queued.discard(cell)
+            mode, literal = cell
+            settled = False
+            for tag in TAGS:
+                key = (tag, mode, literal)
+                if key in status:
                     continue
-                pos = self._positive(*key)
-                neg = self._negative(*key)
+                pos = self._positive(tag, mode, literal)
+                neg = self._negative(tag, mode, literal)
                 if pos and neg:
                     raise CoherenceError(f"incoherent conclusion for {key}")
                 if pos:
-                    self.status[key] = PROVED
-                    changed = True
+                    status[key] = PROVED
+                    settled = True
                 elif neg:
-                    self.status[key] = REFUTED
-                    changed = True
-        return ConclusionTable(self.status, self.literals)
+                    status[key] = REFUTED
+                    settled = True
+            if settled:
+                for reader in self.readers.get(cell, ()):
+                    if reader not in queued:
+                        queued.add(reader)
+                        agenda.append(reader)
+        return ConclusionTable(status, self.literals)
 
     # Antecedent satisfaction against the statuses derived so far.
 
@@ -306,16 +353,18 @@ def standards_met(theory: DefeasibleTheory, literal: Literal,
     """Which proof standards a literal meets in the given mode.
 
     Dialectical validity is checked against the theory with its
-    superiority relation removed.
+    superiority relation removed; without superiority that is the
+    theory itself, so its table is reused.
     """
     table = compute_conclusions(theory, [literal])
     met = [
         standard for standard in (SCINTILLA, SUBSTANTIAL, PREPONDERANCE, BRD)
         if table.status(STANDARD_TAG[standard], mode, literal) == PROVED
     ]
-    stripped = DefeasibleTheory(theory.facts, theory.rules, frozenset())
-    if compute_conclusions(stripped, [literal]).status(
-            DELTA, mode, literal) == PROVED:
+    if theory.superiority:
+        stripped = DefeasibleTheory(theory.facts, theory.rules, frozenset())
+        table = compute_conclusions(stripped, [literal])
+    if table.status(DELTA, mode, literal) == PROVED:
         met.append(DIALECTICAL_VALIDITY)
     return StandardsReport(literal, mode, tuple(met))
 

@@ -3,8 +3,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from trialogic import PLAYERS, serialize_theory
 from trialogic.cli import run
+from trialogic.corpus import ATOM_POOL, random_setup
 
 
 def invoke(capsys, *argv):
@@ -295,3 +298,61 @@ class TestModuleEntryPoint:
             capture_output=True)
         assert result.returncode == 1
         assert result.stdout == b""
+
+
+# Inputs of each kind: well formed, near misses, or arbitrary text.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
+_LITERAL_TEXT = st.builds(str.__add__, st.sampled_from(["", "~"]),
+                          st.sampled_from(ATOM_POOL + "z"))
+_QUERY_TEXT = st.builds(
+    "{}{} {}{}".format, st.sampled_from("+-"), st.sampled_from("dpswx"),
+    st.sampled_from(["", "O ", "E "]), _LITERAL_TEXT)
+_MOVE_LINE = st.builds(
+    "{}: {}.".format, st.sampled_from(PLAYERS + ("xx",)),
+    st.sampled_from(["pass", "r1", "r2, r3", "r4 targets E b",
+                     "r5, r6 targets O ~a, E c", "r7 targets", "r99"]))
+
+
+@st.composite
+def _cli_files(draw):
+    if draw(st.integers(0, 9)) == 0:
+        theory = draw(_TEXT)
+    else:
+        theory = serialize_theory(random_setup(
+            draw(st.integers(0, 10**6)), max_rules=draw(st.integers(1, 10)),
+            allow_annotations=draw(st.booleans())))
+    moves = draw(_TEXT | st.lists(_MOVE_LINE, max_size=4).map("\n".join))
+    return theory, moves
+
+
+def _argvs(theory, moves, literal, query, bound, flags):
+    return [
+        ["check", theory, *flags],
+        ["prove", theory, f"--query={query}", *flags],
+        ["prove", theory, "--all", *flags],
+        ["standards", theory, f"--literal={literal}", *flags],
+        ["standards", theory, f"--literal={literal}", "--mode", "O", *flags],
+        ["permission", theory, f"--literal={literal}", *flags],
+        ["game", "run", theory, "--moves", moves, *flags],
+        ["game", "auto", theory, "--policy", "full", *flags],
+        ["game", "auto", theory, *flags],
+        ["game", "analyze", theory, "--bound", str(bound), *flags],
+    ]
+
+
+class TestAnyInput:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_cli_files(), _LITERAL_TEXT | _TEXT, _QUERY_TEXT | _TEXT,
+           st.integers(0, 6),
+           st.lists(st.sampled_from(
+               ["--json", "--evidential-standard=w",
+                "--deontic-standard=d"]), unique=True))
+    def test_every_subcommand_ends_in_an_exit_code(
+            self, tmp_path, files, literal, query, bound, flags):
+        theory, moves = tmp_path / "setup.ddt", tmp_path / "play.moves"
+        theory.write_text(files[0], encoding="utf-8")
+        moves.write_text(files[1], encoding="utf-8")
+        for argv in _argvs(str(theory), str(moves), literal, query, bound,
+                           flags):
+            assert run(argv) in (0, 1, 2, 3), argv

@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trialogic import (
-    BRD, DELTA, DIALECTICAL_VALIDITY, EVIDENTIAL, OBLIGATION, PARTIAL,
-    PREPONDERANCE, PROVED, REFUTED, SCINTILLA, SIGMA, SIGMA_MINUS,
-    SUBSTANTIAL, TAGS, UNDETERMINED, Antecedent, DefeasibleTheory, Rule,
-    compute_conclusions, holds, lit, parse_query, standards_met,
+    BRD, DELTA, DIALECTICAL_VALIDITY, EVIDENTIAL, MODES, OBLIGATION,
+    PARTIAL, PREPONDERANCE, PROVED, REFUTED, SCINTILLA, SIGMA, SIGMA_MINUS,
+    SUBSTANTIAL, TAGS, UNDETERMINED, Antecedent, DefeasibleTheory, Literal,
+    Rule, compute_conclusions, holds, lit, parse_query, standards_met,
     strength_order,
 )
-from trialogic.corpus import random_theory
+from trialogic import engine
+from trialogic.corpus import ATOM_POOL, random_theory
 
 # tag order from strongest positive proof to weakest
 _CHAIN = (DELTA, PARTIAL, SIGMA, SIGMA_MINUS)
@@ -223,6 +224,51 @@ class TestStandards:
         report = standards_met(cycle.union_theory(), lit("p"))
         assert report.met == ()
 
+    @staticmethod
+    def _count_tables(monkeypatch):
+        calls = []
+        original = engine.compute_conclusions
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "compute_conclusions", counting)
+        return calls
+
+    def test_one_table_without_superiority(self, monkeypatch, ambiguity):
+        calls = self._count_tables(monkeypatch)
+        theory = ambiguity.union_theory()
+        assert not theory.superiority
+        standards_met(theory, lit("e"))
+        assert len(calls) == 1
+
+    def test_two_tables_with_superiority(self, monkeypatch, s3):
+        calls = self._count_tables(monkeypatch)
+        standards_met(s3.union_theory(), lit("b"), OBLIGATION)
+        assert len(calls) == 2
+
+    def test_stratified_reports_match_stripped_recomputation(self):
+        # without superiority, dialectical validity read off the first
+        # table must agree with a separate fixpoint on the stripped theory
+        for seed in range(100):
+            theory = random_theory(seed, allow_superiority=False,
+                                   stratified=True)
+            stripped = compute_conclusions(
+                DefeasibleTheory(theory.facts, theory.rules, frozenset()))
+            full = compute_conclusions(theory)
+            for literal in sorted({r.head for r in theory.rules}):
+                for mode in MODES:
+                    expected = [
+                        standard for standard in
+                        (SCINTILLA, SUBSTANTIAL, PREPONDERANCE, BRD)
+                        if full.status(engine.STANDARD_TAG[standard], mode,
+                                       literal) == PROVED]
+                    if stripped.status(DELTA, mode, literal) == PROVED:
+                        expected.append(DIALECTICAL_VALIDITY)
+                    report = standards_met(theory, literal, mode)
+                    assert report.met == tuple(expected), (seed, literal)
+
 
 class TestStrengthOrder:
     def test_positive_chain(self):
@@ -268,3 +314,56 @@ class TestInclusions:
                 for tag in TAGS:
                     assert table.status(tag, mode, literal) in (
                         PROVED, REFUTED, UNDETERMINED)
+
+
+def _reverse_chain(n):
+    """``n`` rules from one fact in which every head sorts before its
+    antecedent, so a sweep in sorted order settles one link per pass."""
+    atoms = [f"c{i:04d}" for i in range(n + 1)]
+    rules = tuple(
+        Rule(f"r{i}", (Antecedent(EVIDENTIAL, Literal(atoms[i])),),
+             EVIDENTIAL, Literal(atoms[i - 1]))
+        for i in range(1, n + 1))
+    return DefeasibleTheory(
+        frozenset({(EVIDENTIAL, Literal(atoms[n]))}), rules)
+
+
+class TestAgenda:
+    @pytest.mark.parametrize("n", [50, 200, 400])
+    def test_reverse_chain_is_linear(self, monkeypatch, n):
+        calls = [0]
+        original = engine._Fixpoint._positive
+
+        def counting(self, *key):
+            calls[0] += 1
+            return original(self, *key)
+
+        monkeypatch.setattr(engine._Fixpoint, "_positive", counting)
+        table = compute_conclusions(_reverse_chain(n))
+        keys = len(table.literals) * len(MODES) * len(TAGS)
+        assert calls[0] <= 2 * keys, (calls[0], keys)
+        assert table.status(DELTA, EVIDENTIAL, lit("c0000")) == PROVED
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6), st.booleans(),
+           st.lists(st.builds(Literal, st.sampled_from(ATOM_POOL + "xyz"),
+                              st.booleans()), max_size=3),
+           st.data())
+    def test_rule_order_does_not_matter(self, seed, annotations, extra,
+                                        data):
+        theory = random_theory(seed, max_rules=20,
+                               allow_annotations=annotations)
+        order = data.draw(st.permutations(theory.rules))
+        # DefeasibleTheory sorts rules by id, so renaming them by their
+        # drawn position is what puts them in the drawn order
+        ids = {rule.id: f"q{position:03d}"
+               for position, rule in enumerate(order)}
+        permuted = DefeasibleTheory(
+            theory.facts,
+            tuple(Rule(ids[r.id], r.antecedents, r.head_mode, r.head)
+                  for r in order),
+            frozenset((ids[a], ids[b]) for a, b in theory.superiority))
+        assert [(r.antecedents, r.head) for r in permuted.rules] == \
+            [(r.antecedents, r.head) for r in order]
+        assert compute_conclusions(permuted, extra) == \
+            compute_conclusions(theory, extra)
