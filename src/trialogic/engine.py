@@ -25,6 +25,16 @@ order its literals sort in.  Every condition is monotone in the
 statuses derived so far, hence the table is the single least fixpoint
 of those conditions and does not depend on evaluation order.
 
+A table can also grow from the table of the same theory without one
+rule r.  Only the affected cone can change: the cells that reach r's
+head cells ``(mode, head)`` and ``(mode, ~head)`` through the readers
+of the agenda, plus the cells of literals new to the universe.  Every
+other cell reads only unaffected cells, keeps the same supporting and
+attacking rules and, since superiority acts only between the rules of
+one head cell pair, the same superiority pairs; its conditions are
+those of the smaller theory over the same inputs, so it has the same
+least fixpoint and its statuses are copied.  Only the cone is queued.
+
 Proof standards map onto the tags: scintilla of evidence is
 sigma_minus, substantial evidence (clear and convincing) is sigma,
 preponderance is partial, beyond reasonable doubt is delta, and
@@ -41,7 +51,7 @@ from typing import Iterable, Optional
 from .model import (
     DELTA, EVIDENTIAL, MINUS, MODES, OBLIGATION, PARTIAL, PLUS, PROVED,
     REFUTED, SIGMA, SIGMA_MINUS, TAGS, UNDETERMINED, Antecedent,
-    DefeasibleTheory, Literal, TaggedLiteral, literal_sort_key,
+    DefeasibleTheory, Literal, Rule, TaggedLiteral, literal_sort_key,
 )
 
 # Proof standard names.
@@ -62,6 +72,7 @@ STANDARD_TAG = {
 }
 
 _TAG_INDEX = {tag: i for i, tag in enumerate(TAGS)}
+_MODE_INDEX = {mode: i for i, mode in enumerate(MODES)}
 _POS_RANK = {DELTA: 0, PARTIAL: 1, SIGMA: 2, SIGMA_MINUS: 3}
 _NEG_RANK = {SIGMA_MINUS: 0, SIGMA: 1, PARTIAL: 2, DELTA: 3}
 
@@ -129,16 +140,13 @@ class ConclusionTable:
         Flips count as well: a status that changed from proved to
         refuted yields the newly derived negative conclusion.
         """
-        fresh = []
-        for literal in sorted(self.literals, key=literal_sort_key):
-            for mode in MODES:
-                for tag in TAGS:
-                    status = self.status(tag, mode, literal)
-                    if status == UNDETERMINED:
-                        continue
-                    if old.status(tag, mode, literal) != status:
-                        sign = PLUS if status == PROVED else MINUS
-                        fresh.append(TaggedLiteral(sign, tag, mode, literal))
+        before = old._statuses.get  # equal only where old.status is too
+        fresh = [
+            TaggedLiteral(PLUS if status == PROVED else MINUS, *key)
+            for key, status in self._statuses.items()
+            if before(key) != status and old.status(*key) != status]
+        fresh.sort(key=lambda t: (literal_sort_key(t.literal),
+                                  _MODE_INDEX[t.mode], _TAG_INDEX[t.tag]))
         return tuple(fresh)
 
     def __eq__(self, other) -> bool:
@@ -172,6 +180,14 @@ class _Fixpoint:
     condition derives anything beyond what is written (a derivable
     opposite sign would contradict coherence).  The written statuses
     are therefore closed, contain L, and equal it.
+
+    Given the table of this theory without one rule, the agenda starts
+    from that table's statuses instead, minus the affected cone (see
+    ``_cone``), and holds only the cone's cells, in the same order.
+    The statuses kept are those of cells outside the cone; such a cell
+    reads only cells outside the cone through unchanged rules, so the
+    smaller theory's least fixpoint already closes them, and the
+    argument above then applies to the cone alone.
     """
 
     def __init__(self, theory: DefeasibleTheory,
@@ -206,11 +222,21 @@ class _Fixpoint:
                              if p[0] in present and p[1] in present)
         self.status: dict[tuple[str, str, Literal], str] = {}
 
-    def run(self) -> ConclusionTable:
-        agenda = deque(
-            (mode, literal)
-            for literal in sorted(self.literals, key=literal_sort_key)
-            for mode in MODES)
+    def run(self, parent: Optional[ConclusionTable] = None,
+            added: Optional[Rule] = None) -> ConclusionTable:
+        if parent is None:
+            agenda = deque(
+                (mode, literal)
+                for literal in sorted(self.literals, key=literal_sort_key)
+                for mode in MODES)
+        else:
+            cone = self._cone(parent, added)
+            agenda = deque(sorted(cone, key=lambda cell: (
+                literal_sort_key(cell[1]), _MODE_INDEX[cell[0]])))
+            self.status = dict(parent._statuses)
+            for mode, literal in cone:
+                for tag in TAGS:
+                    self.status.pop((tag, mode, literal), None)
         queued = set(agenda)
         status = self.status
         while agenda:
@@ -238,6 +264,23 @@ class _Fixpoint:
                         queued.add(reader)
                         agenda.append(reader)
         return ConclusionTable(status, self.literals)
+
+    def _cone(self, parent: ConclusionTable, added: Rule) -> set:
+        """The cells whose status may differ from ``parent``'s: every
+        cell of a literal ``parent`` lacks, ``added``'s two head cells,
+        and every cell that reaches those through ``readers``."""
+        cone = {(added.head_mode, added.head),
+                (added.head_mode, added.head.complement())}
+        cone.update((mode, literal) for literal in self.literals
+                    if literal not in parent.literals for mode in MODES)
+        stack = list(cone)
+        readers = self.readers
+        while stack:
+            for reader in readers.get(stack.pop(), ()):
+                if reader not in cone:
+                    cone.add(reader)
+                    stack.append(reader)
+        return cone
 
     # Antecedent satisfaction against the statuses derived so far.
 
@@ -326,13 +369,19 @@ class _Fixpoint:
 
 
 def compute_conclusions(theory: DefeasibleTheory,
-                        extra_literals: Iterable[Literal] = ()) -> ConclusionTable:
+                        extra_literals: Iterable[Literal] = (),
+                        parent: Optional[ConclusionTable] = None,
+                        added: Optional[Rule] = None) -> ConclusionTable:
     """Derive the full tagged-conclusion table of a theory.
 
     ``extra_literals`` widens the universe so that literals the theory
     never mentions (claim elements, ad hoc queries) still get a row.
+    ``parent``, when given, must be the table of ``theory`` without the
+    rule ``added`` (and without the superiority pairs naming it), over
+    the same extra literals; only the cells that rule can affect are
+    then evaluated again.
     """
-    return _Fixpoint(theory, extra_literals).run()
+    return _Fixpoint(theory, extra_literals).run(parent, added)
 
 
 def holds(theory: DefeasibleTheory, query: TaggedLiteral) -> str:

@@ -24,7 +24,10 @@ could declare, and every position is scored by ``settle``.  Legality
 checks, scripted games, automatic play and exhaustive search all drive
 these two.  ``initial_state`` creates the table cache of one game: every
 state reached from it carries the same cache, so a theory that several
-moves, checks or searches reach is computed once.
+moves, checks or searches reach is computed once.  Tables grow from
+their parent: a table missing from the cache is derived from the cached
+table with one rule fewer, re-evaluating only the cells that rule can
+reach, and is computed in full only when no such parent is cached.
 
 This module reads no text: ``dsl.parse_moves`` turns a moves file into
 the ``Move`` list that ``run_game`` plays.
@@ -138,15 +141,37 @@ def _claim_extras(setup: GameSetup) -> list[Literal]:
     return extras
 
 
+class _Tables(dict):
+    """The table cache of one game, keyed by rule-id set, with the
+    setup's rules by id for finding the rule a parent table lacks."""
+
+    __slots__ = ("rules",)
+
+    def __init__(self, setup: GameSetup):
+        super().__init__()
+        self.rules = setup.rule_by_id()
+
+
 def conclusions_for(setup: GameSetup, rule_ids: Iterable[str],
-                    cache: dict) -> ConclusionTable:
+                    cache: _Tables) -> ConclusionTable:
     """Conclusion table of the theory induced by a set of rule ids,
-    widened so claim literals always have rows, memoised in ``cache``."""
+    widened so claim literals always have rows, memoised in ``cache``.
+
+    A missing table grows from a cached parent: the table of the same
+    ids less one rule of the setup, the first such id in id order.
+    With no parent cached it is computed in full."""
     key = frozenset(rule_ids)
     table = cache.get(key)
     if table is None:
+        parent = added = None
+        for rule_id in sorted(key & cache.rules.keys()):
+            parent = cache.get(key - {rule_id})
+            if parent is not None:
+                added = cache.rules[rule_id]
+                break
         table = cache[key] = compute_conclusions(
-            setup.theory_for(key), _claim_extras(setup))
+            setup.theory_for(key), _claim_extras(setup),
+            parent=parent, added=added)
     return table
 
 
@@ -211,7 +236,7 @@ def _claim_gaps(table: ConclusionTable, setup: GameSetup) -> list[str]:
 
 def initial_state(setup: GameSetup) -> GameState:
     common = frozenset(r.id for r in setup.common_rules)
-    tables: dict = {}
+    tables = _Tables(setup)
     return GameState(
         setup=setup,
         turn=0,

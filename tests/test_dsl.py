@@ -2,8 +2,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from trialogic import (
-    DELTA, EVIDENTIAL, MODES, OBLIGATION, PARTIAL, PLAYERS, SIGMA, Literal,
-    Move, ParseFailure, lit, parse_moves, parse_query, parse_theory,
+    DEF, DELTA, EVIDENTIAL, MINUS, MODES, OBLIGATION, PARTIAL, PLAYERS,
+    PLUS, PR, SIGMA, TAGS, Antecedent, Claim, GameSetup, Literal, Move,
+    ParseFailure, Rule, lit, parse_moves, parse_query, parse_theory,
     serialize_theory,
 )
 from trialogic.corpus import random_setup
@@ -210,6 +211,43 @@ def _render_move(move: Move) -> str:
     return f"{move.player}: {body}."
 
 
+# keywords and tag letters are atoms too
+_ATOMS = st.sampled_from(
+    [w for w in _DSL_WORDS if w.isalpha() and w.islower()] + ["s", "w"]) \
+    | _WORDS
+_ANY_LITERALS = st.builds(Literal, _ATOMS, st.booleans())
+_ANTECEDENTS = (
+    st.builds(Antecedent, st.sampled_from(MODES), _ANY_LITERALS)
+    | st.builds(Antecedent, st.sampled_from(MODES), _ANY_LITERALS,
+                st.sampled_from([PLUS, MINUS]), st.sampled_from(TAGS)))
+
+
+@st.composite
+def _setups(draw):
+    """Game setups of any shape the model accepts: keyword-like atoms
+    and ids, annotated and deontic premises, obligation facts, inert and
+    cyclic superiority, any pools, claim and standards."""
+    pools = {"common": [], PR: [], DEF: []}
+    ids = draw(st.lists(_RULE_IDS, unique=True, max_size=6))
+    for rule_id in ids:
+        pools[draw(st.sampled_from(sorted(pools)))].append(Rule(
+            rule_id, draw(st.lists(_ANTECEDENTS, min_size=1, max_size=3)),
+            draw(st.sampled_from(MODES)), draw(_ANY_LITERALS)))
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+    return GameSetup(
+        facts=draw(st.frozensets(
+            st.tuples(st.sampled_from(MODES), _ANY_LITERALS), max_size=4)),
+        common_rules=tuple(pools["common"]),
+        pr_rules=tuple(pools[PR]),
+        def_rules=tuple(pools[DEF]),
+        superiority=draw(st.frozensets(pairs, max_size=4))
+        if ids else frozenset(),
+        claim=draw(st.none() | st.lists(_ANY_LITERALS, min_size=1, max_size=3)
+                   .map(lambda ls: Claim(tuple(ls)))),
+        evidential_standard=draw(st.sampled_from(TAGS)),
+        deontic_standard=draw(st.sampled_from([DELTA, PARTIAL])))
+
+
 class TestFuzzing:
     @settings(max_examples=250, deadline=None)
     @given(st.text(max_size=40)
@@ -250,6 +288,13 @@ class TestSerialization:
             out = serialize_theory(setup)
             assert parse_theory(out) == setup, path.name
             assert serialize_theory(parse_theory(out)) == out, path.name
+
+    @settings(max_examples=100, deadline=None)
+    @given(_setups())
+    def test_generated_setups_round_trip(self, setup):
+        out = serialize_theory(setup)
+        assert parse_theory(out) == setup
+        assert serialize_theory(parse_theory(out)) == out
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trialogic import (
-    DEF, DEF_SUCCEEDS, EVIDENTIAL, OBLIGATION, ONGOING, PR, PR_SUCCEEDS,
-    STALLED, Claim, GameSetup, IllegalMove, Move, OpeningRejected,
-    ParseFailure, adjudicate, apply_move, initial_state, legal_move, lit,
-    open_game, parse_moves, run_game, termination_status,
+    DEF, DEF_SUCCEEDS, EVIDENTIAL, OBLIGATION, ONGOING, POLICIES, PR,
+    PR_SUCCEEDS, STALLED, Claim, GameSetup, IllegalMove, Move,
+    OpeningRejected, ParseFailure, adjudicate, analyze, apply_move,
+    auto_play, compute_conclusions, corpus, game, initial_state,
+    legal_move, lit, open_game, parse_moves, run_game, termination_status,
 )
 
 
@@ -262,3 +264,68 @@ class TestMovesParsing:
         assert moves[0].targets == frozenset()
         assert moves[1].rule_ids == {"r2", "targetsx"}
         assert moves[1].targets == {(EVIDENTIAL, lit("b"))}
+
+
+class TestIncrementalTables:
+    """A table grown from its one-rule-smaller parent equals the table
+    computed in full."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """Every table computed, as (theory, extras, grown, table)."""
+        runs = []
+        compute = game.compute_conclusions
+
+        def recording(theory, extras=(), parent=None, added=None):
+            table = compute(theory, extras, parent=parent, added=added)
+            runs.append((theory, tuple(extras), parent is not None, table))
+            return table
+
+        monkeypatch.setattr(game, "compute_conclusions", recording)
+        return runs
+
+    def test_requested_tables_equal_full_computation(self, computed, s1, s2,
+                                                     s3):
+        claimed = [setup for setup in corpus.setups(25)
+                   if setup.claim is not None]
+        for setup in [s1, s2, s3] + claimed:
+            analyze(setup)
+            for policy in POLICIES:
+                auto_play(setup, policy)
+        grown = [run for run in computed if run[2]]
+        assert len(grown) > len(computed) // 2
+        for theory, extras, _, table in grown:
+            assert table == compute_conclusions(theory, extras)
+
+    def test_analyze_grows_all_but_the_first_table(self, computed, s1):
+        for setup, grown in ((s1, 50),
+                             (corpus.random_setup(9, max_rules=20), 511)):
+            computed.clear()
+            analyze(setup)
+            assert [run[2] for run in computed] == [False] + [True] * grown
+
+    def test_unknown_rule_id_is_no_parent(self, computed, s1):
+        state = initial_state(s1)
+        table = state.table_after(frozenset({"nosuchrule"}))
+        assert [run[2] for run in computed] == [False, False]
+        assert table == state.conclusions
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6),
+           st.booleans(), st.randoms(use_true_random=False))
+    def test_any_disclosure_order(self, seed, annotated, rng):
+        setup = corpus.random_setup(seed, max_rules=12,
+                                    allow_annotations=annotated)
+        state = initial_state(setup)
+        private = sorted(state.pr_ids | state.def_ids)
+        rng.shuffle(private)
+        requests = [frozenset(private[:size])
+                    for size in range(1, len(private) + 1)]
+        requests += [
+            frozenset(rng.sample(private, rng.randint(0, len(private))))
+            for _ in range(4)]
+        for disclosed in requests:
+            full = compute_conclusions(
+                setup.theory_for(state.common_ids | disclosed),
+                game._claim_extras(setup))
+            assert state.table_after(disclosed) == full

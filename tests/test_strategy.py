@@ -181,9 +181,9 @@ class TestOneCachePerCall:
         keys = []
         compute = game.compute_conclusions
 
-        def recording(theory, extras=()):
+        def recording(theory, extras=(), **parent):
             keys.append(frozenset(rule.id for rule in theory.rules))
-            return compute(theory, extras)
+            return compute(theory, extras, **parent)
 
         monkeypatch.setattr(game, "compute_conclusions", recording)
         return keys
