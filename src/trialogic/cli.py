@@ -310,16 +310,10 @@ def run(argv) -> int:
         for error in failure.errors:
             print(f"error: {error}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except OpeningRejected as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except IllegalMove as exc:
+    except (OpeningRejected, IllegalMove) as exc:
         print(exc, file=sys.stderr)
         return 2
     except BoundExceeded as exc:

@@ -54,7 +54,6 @@ class SourceSpan(NamedTuple):
 class ParseError:
     span: SourceSpan
     message: str
-    expected: tuple[str, ...] = ()
 
     def render(self) -> str:
         return f"{self.span.line}:{self.span.col}: {self.message}"
@@ -152,13 +151,13 @@ class _Parser:
             self.pos += 1
         return token
 
-    def fail(self, message: str, expected: tuple[str, ...] = ()):
-        self.errors.append(ParseError(self.peek().span, message, expected))
+    def fail(self, message: str):
+        self.errors.append(ParseError(self.peek().span, message))
         raise _Bail()
 
     def expect(self, kind: str, what: str) -> _Token:
         if self.peek().kind != kind:
-            self.fail(f"expected {what}, found {self.peek().value!r}", (what,))
+            self.fail(f"expected {what}, found {self.peek().value!r}")
         return self.advance()
 
     def skip_statement(self) -> None:
@@ -177,16 +176,14 @@ class _Parser:
     def statement(self) -> None:
         token = self.peek()
         if token.kind != "WORD":
-            self.fail(f"expected a statement keyword, found {token.value!r}",
-                      ("fact", "rule", "sup", "claim", "game", "standard"))
+            self.fail(f"expected a statement keyword, found {token.value!r}")
         handler = {
             "fact": self.fact_stmt, "rule": self.rule_stmt,
             "sup": self.sup_stmt, "claim": self.claim_stmt,
             "game": self.game_stmt, "standard": self.standard_stmt,
         }.get(token.value)
         if handler is None:
-            self.fail(f"unknown statement keyword {token.value!r}",
-                      ("fact", "rule", "sup", "claim", "game", "standard"))
+            self.fail(f"unknown statement keyword {token.value!r}")
         self.advance()
         handler()
         self.expect("DOT", "'.'")
@@ -225,8 +222,7 @@ class _Parser:
             sign = "+" if self.advance().kind == "PLUS" else "-"
             token = self.expect("WORD", "a proof tag (d, p, s or w)")
             if token.value not in TAG_FOR_TOKEN:
-                self.fail(f"unknown proof tag {token.value!r}",
-                          ("d", "p", "s", "w"))
+                self.fail(f"unknown proof tag {token.value!r}")
             tag = TAG_FOR_TOKEN[token.value]
         mode = self.mode()
         return Antecedent(mode, self.literal(), sign, tag)
@@ -237,8 +233,7 @@ class _Parser:
         antecedents = self.comma_list(self.antecedent)
         arrow = self.peek()
         if arrow.kind not in ("ARROW", "DARROW"):
-            self.fail(f"expected '=>' or '=>O', found {arrow.value!r}",
-                      ("=>", "=>O"))
+            self.fail(f"expected '=>' or '=>O', found {arrow.value!r}")
         self.advance()
         head_mode = OBLIGATION if arrow.kind == "DARROW" else EVIDENTIAL
         head = self.literal()
@@ -266,7 +261,7 @@ class _Parser:
     def game_stmt(self) -> None:
         token = self.expect("WORD", "a pool name (pr, def or common)")
         if token.value not in (PR, DEF, "common"):
-            self.fail(f"unknown pool {token.value!r}", (PR, DEF, "common"))
+            self.fail(f"unknown pool {token.value!r}")
         self.expect("COLON", "':'")
         ids = self.comma_list(lambda: self.expect("WORD", "a rule id"))
         bucket = self.sections.setdefault(token.value, [])
@@ -275,13 +270,12 @@ class _Parser:
     def standard_stmt(self) -> None:
         which = self.expect("WORD", "'evidential' or 'deontic'")
         if which.value not in ("evidential", "deontic"):
-            self.fail(f"unknown standard kind {which.value!r}",
-                      ("evidential", "deontic"))
+            self.fail(f"unknown standard kind {which.value!r}")
         token = self.expect("WORD", "a proof tag (d, p, s or w)")
         if token.value not in TAG_FOR_TOKEN:
-            self.fail(f"unknown proof tag {token.value!r}", ("d", "p", "s", "w"))
+            self.fail(f"unknown proof tag {token.value!r}")
         if which.value == "deontic" and token.value not in ("d", "p"):
-            self.fail("deontic standard must be d or p", ("d", "p"))
+            self.fail("deontic standard must be d or p")
         if which.value in self.standards:
             self.errors.append(ParseError(
                 token.span, f"duplicate {which.value} standard"))
@@ -290,8 +284,7 @@ class _Parser:
 
     def move_stmt(self) -> None:
         if self.peek().value not in PLAYERS:
-            self.fail(f"expected 'pr' or 'def', found {self.peek().value!r}",
-                      PLAYERS)
+            self.fail(f"expected 'pr' or 'def', found {self.peek().value!r}")
         player = self.advance().value
         self.expect("COLON", "':'")
         if self.peek().value == "pass" and \
@@ -306,14 +299,14 @@ class _Parser:
                 targets = self.comma_list(self.target)
             elif self.moves:
                 self.fail("a non-pass move after the opening needs a "
-                          "targets clause", ("targets",))
+                          "targets clause")
             move = Move(player, frozenset(ids), frozenset(targets))
         self.expect("DOT", "'.'")
         self.moves.append(move)
 
     def move_rule_id(self) -> str:
         if self.peek().value == "targets":
-            self.fail("expected a rule id, found 'targets'", ("a rule id",))
+            self.fail("expected a rule id, found 'targets'")
         return self.expect("WORD", "a rule id").value
 
     def target(self) -> tuple[str, Literal]:
@@ -403,8 +396,7 @@ def parse_query(text: str) -> TaggedLiteral:
         pass
     raise ParseFailure([ParseError(
         SourceSpan(1, 1, len(text)),
-        f"bad query {text!r}: expected e.g. '+d b' or '-p O ~b'",
-        ("+", "-", "d", "p", "s", "w"))])
+        f"bad query {text!r}: expected e.g. '+d b' or '-p O ~b'")])
 
 
 def _failure(errors: list[ParseError]) -> ParseFailure:

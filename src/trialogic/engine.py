@@ -12,10 +12,14 @@ matching negative tags:
 * sigma_minus: supported by a chain of applicable rules, conflicts and
   superiority ignored.
 
-Negative tags are the constructive strong negations of the positive
-conditions, derived in the same fixpoint rather than by failure.  A
-query can therefore come back undetermined: circular support such as
-``p => p`` settles neither ``+partial p`` nor ``-partial p``.
+Each negative tag is the strong negation of its positive condition:
+the same condition with "applicable" read as "no antecedent has failed"
+and "discarded" as "some antecedent is not yet satisfied", negated.
+That substituted condition can only turn false as statuses are added,
+so its negation is monotone like every positive condition.  Negative
+tags are thus derived in the same fixpoint rather than by failure, and
+a query can come back undetermined: circular support such as ``p => p``
+settles neither ``+partial p`` nor ``-partial p``.
 
 The table is built by an agenda over cells, a cell being one moded
 literal with its four tags.  A cell is evaluated again only after a
@@ -164,16 +168,18 @@ class _Fixpoint:
     """One table computation: a FIFO agenda of cells ``(mode, literal)``.
 
     The agenda starts with every cell in ``literal_sort_key`` order.
-    Popping a cell evaluates each of its unsettled tags.  The conditions
-    of ``(mode, l)`` read only facts and the cells named by antecedents
-    of rules with head ``(mode, l)`` or ``(mode, ~l)``, so when a tag of
-    a cell settles, ``readers`` lists exactly the cells to queue again;
-    a cell already waiting is not queued twice.
+    Popping a cell reads its facts and rules once, then evaluates each
+    of its unsettled tags.  The conditions of ``(mode, l)`` read only
+    facts and the cells named by antecedents of rules with head
+    ``(mode, l)`` or ``(mode, ~l)``, so when a tag of a cell settles,
+    ``readers`` lists exactly the cells to queue again; a cell already
+    waiting is not queued twice.
 
-    Why the order cannot matter: each condition only asks whether some
-    key already has some status, and statuses are only ever added, so
-    every condition is monotone.  Let L be the least set of signed
-    conclusions closed under the conditions; the coherence check says
+    Why the order cannot matter: statuses are only ever added.  A
+    positive condition is monotone in them; a negative one negates
+    ``_condition`` over ``_undiscarded`` and ``_unapplied``, which is
+    anti-monotone, so it is monotone too.  Let L be the least set of
+    signed conclusions closed under the conditions; the coherence check says
     L never holds both signs of a key.  Every status the agenda writes
     is in L, by induction on the writes.  When the agenda is empty
     every cell has been evaluated since its inputs last changed, so no
@@ -238,18 +244,24 @@ class _Fixpoint:
                 for tag in TAGS:
                     self.status.pop((tag, mode, literal), None)
         queued = set(agenda)
-        status = self.status
+        status, facts, heads = self.status, self.facts, self.heads
+        condition = self._condition
+        app, disc = self._app, self._disc
+        undiscarded, unapplied = self._undiscarded, self._unapplied
         while agenda:
             cell = agenda.popleft()
             queued.discard(cell)
             mode, literal = cell
+            opposed = (mode, literal.complement())
+            inputs = (cell in facts, opposed in facts,
+                      heads.get(cell, ()), heads.get(opposed, ()))
             settled = False
             for tag in TAGS:
                 key = (tag, mode, literal)
                 if key in status:
                     continue
-                pos = self._positive(tag, mode, literal)
-                neg = self._negative(tag, mode, literal)
+                pos = condition(tag, inputs, app, disc)
+                neg = not condition(tag, inputs, undiscarded, unapplied)
                 if pos and neg:
                     raise CoherenceError(f"incoherent conclusion for {key}")
                 if pos:
@@ -308,61 +320,42 @@ class _Fixpoint:
     def _disc(self, rule, ambient: str) -> bool:
         return any(self._fails(a, ambient) for a in rule.antecedents)
 
-    def _positive(self, tag: str, mode: str, literal: Literal) -> bool:
-        fact = (mode, literal) in self.facts
+    # The strong negations of _disc and _app, for the negative conditions.
+
+    def _undiscarded(self, rule, ambient: str) -> bool:
+        return not any(self._fails(a, ambient) for a in rule.antecedents)
+
+    def _unapplied(self, rule, ambient: str) -> bool:
+        return not all(self._sat(a, ambient) for a in rule.antecedents)
+
+    def _condition(self, tag: str, inputs: tuple, app, disc) -> bool:
+        """The condition of ``+tag`` on a cell whose inputs are (is a
+        fact, opposite is a fact, supporting rules, attacking rules).
+
+        With ``_app`` and ``_disc`` this is ``+tag`` itself.  With
+        ``_undiscarded`` and ``_unapplied`` its negation is ``-tag``."""
+        fact, opposed_fact, supporters, attackers = inputs
         if fact:
             return True
-        supporters = self.heads.get((mode, literal), ())
-        attackers = self.heads.get((mode, literal.complement()), ())
-        sup = self.sup
-        app, disc = self._app, self._disc
         if tag == SIGMA_MINUS:
             return any(app(r, SIGMA_MINUS) for r in supporters)
+        sup = self.sup
         if tag == SIGMA:
             return any(
                 app(r, SIGMA) and all(
                     disc(s, DELTA)
                     for s in attackers if (s.id, r.id) in sup)
                 for r in supporters)
+        if opposed_fact:
+            return False
         if tag == PARTIAL:
             ambient, guard = PARTIAL, PARTIAL
         else:
             ambient, guard = DELTA, SIGMA
-        if (mode, literal.complement()) in self.facts:
-            return False
         return any(
             app(r, ambient) and all(
                 disc(s, guard) or any(
                     app(t, ambient) and (t.id, s.id) in sup
-                    for t in supporters)
-                for s in attackers)
-            for r in supporters)
-
-    def _negative(self, tag: str, mode: str, literal: Literal) -> bool:
-        if (mode, literal) in self.facts:
-            return False
-        supporters = self.heads.get((mode, literal), ())
-        attackers = self.heads.get((mode, literal.complement()), ())
-        sup = self.sup
-        app, disc = self._app, self._disc
-        if tag == SIGMA_MINUS:
-            return all(disc(r, SIGMA_MINUS) for r in supporters)
-        if tag == SIGMA:
-            return all(
-                disc(r, SIGMA) or any(
-                    (s.id, r.id) in sup and app(s, DELTA)
-                    for s in attackers)
-                for r in supporters)
-        if tag == PARTIAL:
-            ambient, guard = PARTIAL, PARTIAL
-        else:
-            ambient, guard = DELTA, SIGMA
-        if (mode, literal.complement()) in self.facts:
-            return True
-        return all(
-            disc(r, ambient) or any(
-                app(s, guard) and all(
-                    disc(t, ambient) or (t.id, s.id) not in sup
                     for t in supporters)
                 for s in attackers)
             for r in supporters)

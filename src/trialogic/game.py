@@ -131,25 +131,17 @@ class GameTrace:
         return [record.as_move() for record in self.records]
 
 
-def _claim_extras(setup: GameSetup) -> list[Literal]:
-    if setup.claim is None:
-        return []
-    extras = []
-    for literal in setup.claim.literals:
-        extras.append(literal)
-        extras.append(literal.complement())
-    return extras
-
-
 class _Tables(dict):
     """The table cache of one game, keyed by rule-id set, with the
-    setup's rules by id for finding the rule a parent table lacks."""
+    setup's rules by id for finding the rule a parent table lacks and
+    the claim literals every table has rows for."""
 
-    __slots__ = ("rules",)
+    __slots__ = ("rules", "claim_literals")
 
     def __init__(self, setup: GameSetup):
         super().__init__()
         self.rules = setup.rule_by_id()
+        self.claim_literals = setup.claim.literals if setup.claim else ()
 
 
 def conclusions_for(setup: GameSetup, rule_ids: Iterable[str],
@@ -170,7 +162,7 @@ def conclusions_for(setup: GameSetup, rule_ids: Iterable[str],
                 added = cache.rules[rule_id]
                 break
         table = cache[key] = compute_conclusions(
-            setup.theory_for(key), _claim_extras(setup),
+            setup.theory_for(key), cache.claim_literals,
             parent=parent, added=added)
     return table
 

@@ -252,7 +252,9 @@ class GameSetup:
     def theory_for(self, rule_ids: Iterable[str]) -> DefeasibleTheory:
         """The theory induced by a subset of rule ids (facts included)."""
         wanted = set(rule_ids)
-        rules = tuple(r for r in self.all_rules() if r.id in wanted)
+        # DefeasibleTheory sorts the rules by id, as all_rules() would
+        rules = [r for r in self.common_rules + self.pr_rules + self.def_rules
+                 if r.id in wanted]
         ids = {r.id for r in rules}
         sup = frozenset(p for p in self.superiority
                         if p[0] in ids and p[1] in ids)

@@ -162,6 +162,33 @@ class TestSuperiority:
         assert probe(stripped, "+p O b") == REFUTED
         assert probe(stripped, "+p O ~b") == REFUTED
 
+    def test_delta_discarded_team_member_cannot_defend(self):
+        # rt beats the attacker rs, but its antecedent x is ambiguous:
+        # proved at sigma, refuted at delta.  At delta the team needs rt
+        # delta-applicable, so the sigma-applicable rs refutes +d c.
+        fact = Antecedent(EVIDENTIAL, lit("f"))
+        theory = DefeasibleTheory(
+            frozenset({(EVIDENTIAL, lit("f"))}),
+            (Rule("rx", (fact,), EVIDENTIAL, lit("x")),
+             Rule("rnx", (fact,), EVIDENTIAL, lit("~x")),
+             Rule("rc", (fact,), EVIDENTIAL, lit("c")),
+             Rule("rt", (Antecedent(EVIDENTIAL, lit("x")),),
+                  EVIDENTIAL, lit("c")),
+             Rule("rs", (fact,), EVIDENTIAL, lit("~c"))),
+            frozenset({("rt", "rs")}))
+        assert probe(theory, "+s x") == PROVED
+        assert probe(theory, "-d x") == PROVED
+        assert probe(theory, "-d c") == PROVED
+
+    @pytest.mark.parametrize("seed, cells", [
+        (427, [(EVIDENTIAL, "c"), (OBLIGATION, "c")]),
+        (696, [(OBLIGATION, "~d")]),
+    ])
+    def test_corpus_team_defeat_refutes_delta(self, seed, cells):
+        table = compute_conclusions(random_theory(seed))
+        for mode, text in cells:
+            assert table.status(DELTA, mode, lit(text)) == REFUTED
+
     def test_cross_mode_superiority_is_inert(self):
         base = [
             Rule("r1", (Antecedent(EVIDENTIAL, lit("a")),),
@@ -332,16 +359,17 @@ class TestAgenda:
     @pytest.mark.parametrize("n", [50, 200, 400])
     def test_reverse_chain_is_linear(self, monkeypatch, n):
         calls = [0]
-        original = engine._Fixpoint._positive
+        original = engine._Fixpoint._condition
 
-        def counting(self, *key):
+        def counting(self, *args):
             calls[0] += 1
-            return original(self, *key)
+            return original(self, *args)
 
-        monkeypatch.setattr(engine._Fixpoint, "_positive", counting)
+        monkeypatch.setattr(engine._Fixpoint, "_condition", counting)
         table = compute_conclusions(_reverse_chain(n))
         keys = len(table.literals) * len(MODES) * len(TAGS)
-        assert calls[0] <= 2 * keys, (calls[0], keys)
+        # one key evaluation calls the condition twice, once per sign
+        assert calls[0] <= 2 * 2 * keys, (calls[0], keys)
         assert table.status(DELTA, EVIDENTIAL, lit("c0000")) == PROVED
 
     @settings(max_examples=60, deadline=None)

@@ -327,5 +327,5 @@ class TestIncrementalTables:
         for disclosed in requests:
             full = compute_conclusions(
                 setup.theory_for(state.common_ids | disclosed),
-                game._claim_extras(setup))
+                state.tables.claim_literals)
             assert state.table_after(disclosed) == full
