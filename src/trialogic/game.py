@@ -29,6 +29,30 @@ their parent: a table missing from the cache is derived from the cached
 table with one rule fewer, re-evaluating only the cells that rule can
 reach, and is computed in full only when no such parent is cached.
 
+Claim questions are answered on sliced tables.  Accepted openings,
+robustness and adjudication ask only whether the claim is established
+or refuted, so they read the table of a key restricted to the rules
+``_Tables.keep`` names: every common rule plus the claim's backward
+cone.  The cone starts from the cells ``(E, a)`` and ``(O, a)`` of each
+claim atom a; a rule whose head cell ``(mode, head.atom)`` is in it
+joins, and adds the ``(mode, atom)`` cell of each antecedent.  For any
+key K, the claim cells have the same statuses in the tables of K and of
+K restricted to the kept rules.  The conditions of a cell ``(mode, l)``
+read only facts and the cells named by antecedents of the rules headed
+at ``(mode, l)`` or ``(mode, ~l)``, and superiority acts only between
+the rules of one such head-cell pair.  Working over atoms, the cone's
+cells therefore read only cone cells, through the same rules and pairs
+in both theories, and the least fixpoint restricted to them is the
+same.  A cone cell that no fact and no rule of the smaller theory
+mentions has no row there and answers as refuted; in the larger theory
+no fact or rule heads it either, so it derives every negative tag.
+Claim literals always have rows.  So any
+question over the subsets of a pool equals the same question over the
+subsets of its kept part.  This is the backward twin of the forward
+cone ``engine`` re-evaluates when a table grows.  Moves, their targets
+and the end-of-game test read full tables, since a rule outside the
+cone still changes statuses and still empties a pool.
+
 This module reads no text: ``dsl.parse_moves`` turns a moves file into
 the ``Move`` list that ``run_game`` plays.
 """
@@ -42,8 +66,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .dsl import parse_moves  # noqa: F401  (moves files are read in dsl)
 from .engine import ConclusionTable, compute_conclusions
 from .model import (
-    DEF, EVIDENTIAL, OBLIGATION, PLUS, PR, MINUS, GameSetup, Literal, Move,
-    TaggedLiteral, literal_sort_key,
+    DEF, EVIDENTIAL, MODES, OBLIGATION, PLUS, PR, MINUS, GameSetup, Literal,
+    Move, Rule, TaggedLiteral, literal_sort_key,
 )
 
 PR_SUCCEEDS = "pr_succeeds"
@@ -78,6 +102,14 @@ class GameState:
         """Conclusions once ``disclosed`` joins the current theory."""
         return conclusions_for(
             self.setup, self.common_ids | disclosed, self.tables)
+
+    def claim_table_after(self, disclosed: frozenset[str]
+                          ) -> ConclusionTable:
+        """A table that settles the claim as ``table_after`` would: that
+        of the same rules, less those outside the claim's cone."""
+        return conclusions_for(
+            self.setup, (self.common_ids | disclosed) & self.tables.keep,
+            self.tables)
 
 
 @dataclass(frozen=True)
@@ -133,15 +165,40 @@ class GameTrace:
 
 class _Tables(dict):
     """The table cache of one game, keyed by rule-id set, with the
-    setup's rules by id for finding the rule a parent table lacks and
-    the claim literals every table has rows for."""
+    setup's rules by id for finding the rule a parent table lacks, the
+    claim literals every table has rows for, and the ids of the rules
+    claim questions keep: the common rules and the claim's cone."""
 
-    __slots__ = ("rules", "claim_literals")
+    __slots__ = ("rules", "claim_literals", "keep")
 
     def __init__(self, setup: GameSetup):
         super().__init__()
         self.rules = setup.rule_by_id()
         self.claim_literals = setup.claim.literals if setup.claim else ()
+        self.keep = _claim_cone(self.rules.values(), self.claim_literals) \
+            | {r.id for r in setup.common_rules}
+
+
+def _claim_cone(rules: Iterable[Rule], claim_literals: Iterable[Literal]
+                ) -> frozenset[str]:
+    """Ids of the rules whose head cell the claim cells reach backwards
+    through antecedents, cells taken as (mode, atom)."""
+    headed: dict[tuple[str, str], list[Rule]] = {}
+    for rule in rules:
+        headed.setdefault((rule.head_mode, rule.head.atom), []).append(rule)
+    cells = {(mode, literal.atom)
+             for literal in claim_literals for mode in MODES}
+    work = list(cells)
+    cone = set()
+    while work:
+        for rule in headed.get(work.pop(), ()):
+            cone.add(rule.id)
+            for ant in rule.antecedents:
+                cell = (ant.mode, ant.literal.atom)
+                if cell not in cells:
+                    cells.add(cell)
+                    work.append(cell)
+    return frozenset(cone)
 
 
 def conclusions_for(setup: GameSetup, rule_ids: Iterable[str],
@@ -283,7 +340,7 @@ def accepted_openings(start: GameState
     """Every opening from ``start`` that establishes the claim, smallest
     first, with the state it opens."""
     for opening in subsets(start.pr_ids):
-        if claim_established(start.table_after(opening), start.setup):
+        if claim_established(start.claim_table_after(opening), start.setup):
             yield opening, _open(start, opening)
 
 
@@ -398,8 +455,10 @@ def adjudicate_pools(setup: GameSetup, common_ids: frozenset[str],
 
 
 def adjudicate(state: GameState) -> str:
+    keep = state.tables.keep
     return adjudicate_pools(
-        state.setup, state.common_ids, state.pr_ids, state.def_ids,
+        state.setup, state.common_ids & keep, state.pr_ids & keep,
+        state.def_ids & keep,
         lambda ids: conclusions_for(state.setup, ids, state.tables))
 
 

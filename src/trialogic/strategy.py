@@ -69,9 +69,13 @@ class Analysis:
 
 
 def _robust(opened: GameState) -> bool:
+    # A rebuttal of rules outside the claim's cone alone settles the
+    # claim as the opened table does, so it stands in as the empty one.
+    relevant = opened.def_ids & opened.tables.keep
     return not any(
-        claim_refuted(opened.table_after(rebuttal), opened.setup)
-        for rebuttal in subsets(opened.def_ids, include_empty=False))
+        claim_refuted(opened.claim_table_after(rebuttal), opened.setup)
+        for rebuttal in subsets(
+            relevant, include_empty=relevant != opened.def_ids))
 
 
 def opening_is_winning(setup: GameSetup, opening_ids: Iterable[str]) -> bool:
@@ -103,12 +107,19 @@ _PREFERENCE = {
 }
 
 
-def _exhaustive(start: GameState, bound: int) -> tuple[str, int]:
-    total = len(start.pr_ids) + len(start.def_ids)
+def _search_start(setup: GameSetup, bound: int) -> GameState:
+    """The start of an exhaustive search, once the setup is within the
+    bound and has a claim; a refused search computes no table."""
+    total = len({r.id for r in setup.pr_rules}) \
+        + len({r.id for r in setup.def_rules})
     if total > bound:
         raise BoundExceeded(total, bound)
-    if start.setup.claim is None:
+    if setup.claim is None:
         raise ValueError("setup has no claim to prosecute")
+    return initial_state(setup)
+
+
+def _exhaustive(start: GameState) -> tuple[str, int]:
     memo: dict = {}
     explored = 0
 
@@ -144,13 +155,13 @@ def _exhaustive(start: GameState, bound: int) -> tuple[str, int]:
 
 
 def exhaustive_winner(setup: GameSetup, bound: int = DEFAULT_BOUND) -> str:
-    outcome, _ = _exhaustive(initial_state(setup), bound)
+    outcome, _ = _exhaustive(_search_start(setup, bound))
     return WINNER_FOR_OUTCOME[outcome]
 
 
 def analyze(setup: GameSetup, bound: int = DEFAULT_BOUND) -> Analysis:
-    start = initial_state(setup)
-    outcome, explored = _exhaustive(start, bound)
+    start = _search_start(setup, bound)
+    outcome, explored = _exhaustive(start)
     return Analysis(
         WINNER_FOR_OUTCOME[outcome], _minimal_opening(start), explored)
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from trialogic import PLAYERS, serialize_theory
+from trialogic import PLAYERS, game, serialize_theory
 from trialogic.cli import run
 from trialogic.corpus import ATOM_POOL, random_setup
 
@@ -274,11 +274,16 @@ class TestExitCodes:
         assert "illegal move at turn 1 (def)" in err
         assert "target postcondition" in err
 
-    def test_bound_exceeded(self, capsys, s1_path):
+    def test_bound_exceeded(self, capsys, s1_path, monkeypatch):
+        tables = []
+        monkeypatch.setattr(game, "compute_conclusions",
+                            lambda *args, **kwargs: tables.append(args))
         code, out, err = invoke(
             capsys, "game", "analyze", s1_path, "--bound", "3")
         assert code == 3
-        assert "exceed the exhaustive search bound" in err
+        assert err == ("7 private rules exceed the exhaustive search "
+                       "bound of 3\n")
+        assert tables == []
 
 
 class TestModuleEntryPoint:

@@ -3,10 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from trialogic import (
     DEF, DEF_SUCCEEDS, EVIDENTIAL, OBLIGATION, ONGOING, POLICIES, PR,
-    PR_SUCCEEDS, STALLED, Claim, GameSetup, IllegalMove, Move,
-    OpeningRejected, ParseFailure, adjudicate, analyze, apply_move,
-    auto_play, compute_conclusions, corpus, game, initial_state,
-    legal_move, lit, open_game, parse_moves, run_game, termination_status,
+    PR_SUCCEEDS, STALLED, Antecedent, Claim, GameSetup, IllegalMove,
+    Literal, Move, OpeningRejected, ParseFailure, Rule, adjudicate, analyze,
+    apply_move, auto_play, compute_conclusions, corpus, game,
+    initial_state, legal_move, lit, open_game, parse_moves, parse_theory,
+    run_game, termination_status,
 )
 
 
@@ -55,7 +56,6 @@ class TestOpening:
 
 
 def _rule(rid, ant, head, mode):
-    from trialogic import Antecedent, Rule
     return Rule(rid, (Antecedent(EVIDENTIAL, lit(ant)),), mode, lit(head))
 
 
@@ -266,23 +266,24 @@ class TestMovesParsing:
         assert moves[1].targets == {(EVIDENTIAL, lit("b"))}
 
 
+@pytest.fixture
+def computed(monkeypatch):
+    """Every table computed, as (theory, extras, grown, table)."""
+    runs = []
+    compute = game.compute_conclusions
+
+    def recording(theory, extras=(), parent=None, added=None):
+        table = compute(theory, extras, parent=parent, added=added)
+        runs.append((theory, tuple(extras), parent is not None, table))
+        return table
+
+    monkeypatch.setattr(game, "compute_conclusions", recording)
+    return runs
+
+
 class TestIncrementalTables:
     """A table grown from its one-rule-smaller parent equals the table
     computed in full."""
-
-    @pytest.fixture
-    def computed(self, monkeypatch):
-        """Every table computed, as (theory, extras, grown, table)."""
-        runs = []
-        compute = game.compute_conclusions
-
-        def recording(theory, extras=(), parent=None, added=None):
-            table = compute(theory, extras, parent=parent, added=added)
-            runs.append((theory, tuple(extras), parent is not None, table))
-            return table
-
-        monkeypatch.setattr(game, "compute_conclusions", recording)
-        return runs
 
     def test_requested_tables_equal_full_computation(self, computed, s1, s2,
                                                      s3):
@@ -299,7 +300,7 @@ class TestIncrementalTables:
 
     def test_analyze_grows_all_but_the_first_table(self, computed, s1):
         for setup, grown in ((s1, 50),
-                             (corpus.random_setup(9, max_rules=20), 511)):
+                             (corpus.random_setup(273, max_rules=20), 1023)):
             computed.clear()
             analyze(setup)
             assert [run[2] for run in computed] == [False] + [True] * grown
@@ -329,3 +330,94 @@ class TestIncrementalTables:
                 setup.theory_for(state.common_ids | disclosed),
                 state.tables.claim_literals)
             assert state.table_after(disclosed) == full
+
+
+def _chain_setup(owners, strays, obliged):
+    """A claim ``x<n>`` at the end of a chain ``x0 => x1 => ... => x<n>``
+    from the fact ``x0``, each link owned by common, pr or def.  Stray
+    rules read a chain atom and head a chain atom or one of ``y0``,
+    ``y1`` outside it, in either mode and polarity; when ``obliged`` a
+    common rule obliges ``~x<n>``."""
+    pools = {"common": [], PR: [], DEF: []}
+
+    def add(owner, rid, source, mode, head):
+        pools[owner].append(Rule(
+            rid, (Antecedent(EVIDENTIAL, lit(f"x{source}")),), mode, head))
+
+    for i, owner in enumerate(owners, start=1):
+        add(owner, f"r{i}", i - 1, EVIDENTIAL, lit(f"x{i}"))
+    for i, (owner, source, target, mode, positive) in enumerate(strays):
+        atom = f"x{target}" if target <= len(owners) else f"y{target % 2}"
+        add(owner, f"s{i}", min(source, len(owners)), mode,
+            Literal(atom, positive))
+    claim = lit(f"x{len(owners)}")
+    if obliged:
+        add("common", "ob", 0, OBLIGATION, claim.complement())
+    return GameSetup(
+        facts=frozenset({(EVIDENTIAL, lit("x0"))}),
+        common_rules=tuple(pools["common"]), pr_rules=tuple(pools[PR]),
+        def_rules=tuple(pools[DEF]), claim=Claim((claim,)))
+
+
+_OWNERS = st.sampled_from(["common", PR, DEF])
+chain_setups = st.builds(
+    _chain_setup,
+    st.lists(_OWNERS, min_size=1, max_size=5),
+    st.lists(st.tuples(_OWNERS, st.integers(0, 5), st.integers(0, 7),
+                       st.sampled_from([EVIDENTIAL, OBLIGATION]),
+                       st.booleans()),
+             max_size=4),
+    st.booleans())
+corpus_setups = st.builds(
+    lambda seed, annotated: corpus.random_setup(
+        seed, max_rules=12, allow_annotations=annotated),
+    st.integers(min_value=0, max_value=10**6), st.booleans())
+
+
+class TestClaimSlicing:
+    """Claim questions read the table of a key restricted to the common
+    rules and the claim's backward cone."""
+
+    def test_cone_follows_the_antecedents_of_common_rules(self):
+        # c1 is common and heads the claim; only its antecedent a leads
+        # to the private p1, so the cone must be closed through c1
+        setup = parse_theory(
+            "fact f.\n"
+            "rule r0: f =>O ~b.\n"
+            "rule c1: a => b.\n"
+            "rule p1: f => a.\n"
+            "claim: b.\n"
+            "game pr: p1.\n")
+        assert "p1" in initial_state(setup).tables.keep
+        result = analyze(setup)
+        assert result.winner == PR
+        assert result.minimal_opening == ("p1",)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(chain_setups, corpus_setups),
+           st.randoms(use_true_random=False))
+    def test_sliced_key_settles_the_claim_alike(self, setup, rng):
+        if setup.claim is None:
+            return
+        state = initial_state(setup)
+        private = state.pr_ids | state.def_ids
+        if len(private) > 5:
+            keys = [frozenset(rng.sample(sorted(private),
+                                         rng.randint(0, len(private))))
+                    for _ in range(12)]
+        else:
+            keys = game.subsets(private)
+        for disclosed in keys:
+            full = state.table_after(disclosed)
+            sliced = state.claim_table_after(disclosed)
+            assert game.claim_established(full, setup) == \
+                game.claim_established(sliced, setup)
+            assert game.claim_refuted(full, setup) == \
+                game.claim_refuted(sliced, setup)
+
+    @pytest.mark.parametrize("seed", [9, 199])
+    def test_analyze_needs_one_table_without_relevant_rules(self, computed,
+                                                            seed):
+        # seed 273 is pinned at 1024 tables by TestIncrementalTables
+        analyze(corpus.random_setup(seed, max_rules=20))
+        assert len(computed) == 1

@@ -4,9 +4,9 @@ import pytest
 
 from trialogic import (
     DEF, DEF_SUCCEEDS, EVIDENTIAL, FULL_DISCLOSURE, GREEDY_MINIMAL,
-    OBLIGATION, POLICIES, PR, PR_SUCCEEDS, WINNER_FOR_OUTCOME, Antecedent,
-    BoundExceeded, Claim, GameSetup, Rule, analyze, auto_play, corpus,
-    exhaustive_winner, game, lit, minimal_winning_opening,
+    OBLIGATION, POLICIES, PR, PR_SUCCEEDS, SIGMA_MINUS, WINNER_FOR_OUTCOME,
+    Antecedent, BoundExceeded, Claim, GameSetup, Rule, analyze, auto_play,
+    corpus, exhaustive_winner, game, lit, minimal_winning_opening,
     opening_is_winning, parse_moves, run_game, with_standards,
 )
 
@@ -28,6 +28,21 @@ class TestRobustOpenings:
 
     def test_overshared_opening_is_fragile(self, s1):
         assert not opening_is_winning(s1, {"r1", "r2", "r3", "r4"})
+
+    def test_rebuttal_outside_the_claim_cone_still_counts(self):
+        # at scintilla b and ~b are both proved, so the opening both
+        # establishes and refutes the claim; d1 cannot touch the claim,
+        # but disclosing it is a rebuttal that leaves the claim refuted
+        setup = GameSetup(
+            facts=frozenset({(EVIDENTIAL, lit("a"))}),
+            common_rules=(_rule("c1", "a", "b"), _rule("c2", "a", "~b")),
+            pr_rules=(_rule("p1", "a", "~b", OBLIGATION),),
+            def_rules=(_rule("d1", "a", "z"),),
+            claim=Claim((lit("b"),)), evidential_standard=SIGMA_MINUS)
+        assert game.claim_established(
+            game.open_game(setup, {"p1"}).conclusions, setup)
+        assert not opening_is_winning(setup, {"p1"})
+        assert minimal_winning_opening(setup) is None
 
     def test_none_when_no_robust_opening(self, s3):
         assert minimal_winning_opening(s3) is None
@@ -74,6 +89,17 @@ class TestExhaustive:
         with pytest.raises(BoundExceeded):
             exhaustive_winner(s1, bound=3)
         assert exhaustive_winner(s1, bound=7) == PR
+
+    def test_refused_search_computes_no_table(self, s1, s4, monkeypatch):
+        tables = []
+        monkeypatch.setattr(game, "compute_conclusions",
+                            lambda *args, **kwargs: tables.append(args))
+        for search in (analyze, exhaustive_winner):
+            with pytest.raises(BoundExceeded):
+                search(s1, bound=3)
+            with pytest.raises(ValueError, match="no claim"):
+                search(s4)
+        assert tables == []
 
     def test_deterministic(self, s2):
         assert analyze(s2) == analyze(s2)
