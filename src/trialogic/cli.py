@@ -7,6 +7,11 @@ about the theory, not about what a player would reveal.
 
 Exit codes: 0 success, 1 parse or validation failure, 2 rejected
 opening or illegal move, 3 exhaustive search bound exceeded.
+
+Each handler imports the modules it runs, and maps the refusals they
+raise to exit codes 2 and 3 itself, so a process loads only what its
+subcommand needs: ``check`` never loads the engine, and only the game
+subcommands load ``game`` and ``strategy``.
 """
 
 from __future__ import annotations
@@ -15,22 +20,19 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .dsl import ParseFailure, parse_moves, parse_query, parse_theory
-from .engine import compute_conclusions, standards_met
-from .game import IllegalMove, OpeningRejected, GameTrace, run_game
 from .model import (
     EVIDENTIAL, GLYPH_FOR_TAG, OBLIGATION, TAG_FOR_TOKEN, GameSetup, lit,
     validate_setup, with_standards,
 )
-from .permission import weakly_permitted
-from .strategy import (
-    BoundExceeded, DEFAULT_BOUND, FULL_DISCLOSURE, GREEDY_MINIMAL, analyze,
-    auto_play,
-)
 
-_POLICY_FOR_NAME = {"greedy": GREEDY_MINIMAL, "full": FULL_DISCLOSURE}
+if TYPE_CHECKING:
+    from .game import GameTrace
+
+# The ``--policy`` names of ``strategy.POLICIES``, in the same order.
+_POLICY_NAMES = ("greedy", "full")
 
 
 class _ValidationFailed(Exception):
@@ -97,6 +99,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_prove(args) -> int:
+    from .engine import compute_conclusions
+
     setup = _load_setup(args)
     theory = setup.union_theory()
     if args.query is None and not args.all:
@@ -126,6 +130,8 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_standards(args) -> int:
+    from .engine import standards_met
+
     setup = _load_setup(args)
     report = standards_met(
         setup.union_theory(), lit(args.literal), args.mode)
@@ -144,6 +150,8 @@ def _cmd_standards(args) -> int:
 
 
 def _cmd_permission(args) -> int:
+    from .permission import weakly_permitted
+
     setup = _load_setup(args)
     tag = TAG_FOR_TOKEN[args.tag]
     result = weakly_permitted(setup.union_theory(), lit(args.literal), tag)
@@ -194,23 +202,38 @@ def _render_trace(args, trace: GameTrace) -> None:
 
 
 def _cmd_game_run(args) -> int:
+    from .game import IllegalMove, OpeningRejected, run_game
+
     setup = _load_setup(args)
     moves = parse_moves(Path(args.moves).read_text(encoding="utf-8"))
-    trace = run_game(setup, moves)
+    try:
+        trace = run_game(setup, moves)
+    except (OpeningRejected, IllegalMove) as exc:
+        print(exc, file=sys.stderr)
+        return 2
     _render_trace(args, trace)
     return 0
 
 
 def _cmd_game_auto(args) -> int:
+    from .strategy import POLICIES, auto_play
+
     setup = _load_setup(args)
-    trace = auto_play(setup, _POLICY_FOR_NAME[args.policy])
+    trace = auto_play(setup, POLICIES[_POLICY_NAMES.index(args.policy)])
     _render_trace(args, trace)
     return 0
 
 
 def _cmd_game_analyze(args) -> int:
+    from .strategy import DEFAULT_BOUND, BoundExceeded, analyze
+
     setup = _load_setup(args)
-    result = analyze(setup, args.bound)
+    try:
+        result = analyze(
+            setup, DEFAULT_BOUND if args.bound is None else args.bound)
+    except BoundExceeded as exc:
+        print(exc, file=sys.stderr)
+        return 3
     if args.json:
         minimal: Optional[list[str]] = (
             list(result.minimal_opening)
@@ -283,14 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     auto = game_commands.add_parser(
         "auto", parents=[shared], help="let both sides play a policy")
-    auto.add_argument("--policy", choices=["greedy", "full"],
-                      default="greedy")
+    auto.add_argument("--policy", choices=_POLICY_NAMES,
+                      default=_POLICY_NAMES[0])
     auto.set_defaults(func=_cmd_game_auto)
 
     analyze_parser = game_commands.add_parser(
         "analyze", parents=[shared],
         help="exhaustive winner and minimal winning opening")
-    analyze_parser.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+    analyze_parser.add_argument("--bound", type=int,
                                 help="private-rule limit for the search")
     analyze_parser.set_defaults(func=_cmd_game_analyze)
 
@@ -313,12 +336,6 @@ def run(argv) -> int:
     except (OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (OpeningRejected, IllegalMove) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except BoundExceeded as exc:
-        print(exc, file=sys.stderr)
-        return 3
 
 
 def main() -> None:

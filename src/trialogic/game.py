@@ -166,10 +166,11 @@ class GameTrace:
 class _Tables(dict):
     """The table cache of one game, keyed by rule-id set, with the
     setup's rules by id for finding the rule a parent table lacks, the
-    claim literals every table has rows for, and the ids of the rules
-    claim questions keep: the common rules and the claim's cone."""
+    claim literals every table has rows for, the ids of the rules
+    claim questions keep (the common rules and the claim's cone), and
+    whether the claim is established, by sliced key, for openings."""
 
-    __slots__ = ("rules", "claim_literals", "keep")
+    __slots__ = ("rules", "claim_literals", "keep", "established")
 
     def __init__(self, setup: GameSetup):
         super().__init__()
@@ -177,6 +178,7 @@ class _Tables(dict):
         self.claim_literals = setup.claim.literals if setup.claim else ()
         self.keep = _claim_cone(self.rules.values(), self.claim_literals) \
             | {r.id for r in setup.common_rules}
+        self.established: dict[frozenset[str], bool] = {}
 
 
 def _claim_cone(rules: Iterable[Rule], claim_literals: Iterable[Literal]
@@ -338,9 +340,17 @@ def _open(state: GameState, opening: frozenset[str]) -> GameState:
 def accepted_openings(start: GameState
                       ) -> Iterator[tuple[frozenset[str], GameState]]:
     """Every opening from ``start`` that establishes the claim, smallest
-    first, with the state it opens."""
+    first, with the state it opens.  Openings that agree on the claim's
+    cone share a sliced key, and the claim is tested once per key and
+    game."""
+    tables = start.tables
     for opening in subsets(start.pr_ids):
-        if claim_established(start.claim_table_after(opening), start.setup):
+        key = (start.common_ids | opening) & tables.keep
+        accepted = tables.established.get(key)
+        if accepted is None:
+            accepted = tables.established[key] = claim_established(
+                conclusions_for(start.setup, key, tables), start.setup)
+        if accepted:
             yield opening, _open(start, opening)
 
 

@@ -14,14 +14,16 @@ off the terminal conclusion table, and only for claim literals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .engine import compute_conclusions
-from .game import ONGOING, GameTrace
 from .model import (
     DELTA, MINUS, OBLIGATION, PARTIAL, PLUS, PROVED, REFUTED, UNDETERMINED,
     DefeasibleTheory, Literal, TaggedLiteral,
 )
+
+if TYPE_CHECKING:
+    from .game import GameTrace
 
 WEAKLY_PERMITTED = "weakly_permitted"
 NOT_PERMITTED = "not_permitted"
@@ -62,6 +64,8 @@ def game_weakly_permitted(trace: GameTrace, literal: Literal,
     """Permission as settled by a finished game, on the disclosed
     theory.  Errors on unfinished traces and on literals outside the
     claim: the court only rules on what was actually at issue."""
+    from .game import ONGOING
+
     if trace.outcome == ONGOING:
         raise ValueError("the game is still ongoing; permission is only "
                          "settled by a terminal state")

@@ -304,6 +304,77 @@ class TestModuleEntryPoint:
         assert result.returncode == 1
         assert result.stdout == b""
 
+    # A fresh process loads only the subcommand's modules, so these check
+    # that each refusal still maps to its exit code there.
+    @pytest.mark.parametrize("moves, stderr", [
+        ("pr: r2.\n",
+         b"opening rejected: claim literal b is not proved evidentially; "
+         b"obligation of ~b is not proved\n"),
+        ("pr: r1, r4.\ndef: r6 targets E b.\n",
+         b"illegal move at turn 1 (def): target postcondition: the move "
+         b"determines nothing new about b in mode E\n"),
+    ])
+    def test_refused_game_exits_2(self, s1_path, tmp_path, moves, stderr):
+        path = tmp_path / "refused.moves"
+        path.write_text(moves)
+        result = subprocess.run(
+            [sys.executable, "-m", "trialogic", "game", "run", str(s1_path),
+             "--moves", str(path)], capture_output=True)
+        assert (result.returncode, result.stdout, result.stderr) == \
+            (2, b"", stderr)
+
+    def test_bound_exceeded_exits_3(self, s1_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "trialogic", "game", "analyze",
+             str(s1_path), "--bound", "3"], capture_output=True)
+        assert (result.returncode, result.stdout, result.stderr) == \
+            (3, b"", b"7 private rules exceed the exhaustive search bound "
+                     b"of 3\n")
+
+
+# Runs ``python -m trialogic`` with the given arguments and prints the
+# loaded ``trialogic`` modules as the last line of stdout.
+_LOADED_MODULES = """
+import json, runpy, sys
+sys.argv[0] = "trialogic"
+try:
+    runpy.run_module("trialogic", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    assert done.code == 0, done.code
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.split(".")[0] == "trialogic")))
+"""
+
+
+class TestModulesLoaded:
+    @pytest.mark.parametrize("argv, modules", [
+        (["check", "s1.ddt"], {"dsl", "model"}),
+        (["prove", "s1.ddt", "--all"], {"dsl", "model", "engine"}),
+        (["standards", "s1.ddt", "--literal", "b"],
+         {"dsl", "model", "engine"}),
+        (["permission", "s1.ddt", "--literal", "b"],
+         {"dsl", "model", "engine", "permission"}),
+        (["game", "run", "s1.ddt", "--moves", "s1_play_b.moves"],
+         {"dsl", "model", "engine", "game"}),
+        (["game", "auto", "s1.ddt"],
+         {"dsl", "model", "engine", "game", "strategy"}),
+        (["game", "analyze", "s1.ddt"],
+         {"dsl", "model", "engine", "game", "strategy"}),
+    ], ids=["check", "prove", "standards", "permission", "game-run",
+            "game-auto", "game-analyze"])
+    def test_subcommand_loads_only_its_modules(self, fixtures_dir, argv,
+                                               modules):
+        argv = [str(fixtures_dir / arg) if arg.endswith((".ddt", ".moves"))
+                else arg for arg in argv]
+        result = subprocess.run(
+            [sys.executable, "-c", _LOADED_MODULES, *argv],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        loaded = json.loads(result.stdout.splitlines()[-1])
+        assert loaded == sorted(
+            ["trialogic", "trialogic.cli"]
+            + [f"trialogic.{module}" for module in modules])
+
 
 # Inputs of each kind: well formed, near misses, or arbitrary text.
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -421,3 +423,21 @@ class TestClaimSlicing:
         # seed 273 is pinned at 1024 tables by TestIncrementalTables
         analyze(corpus.random_setup(seed, max_rules=20))
         assert len(computed) == 1
+
+    @pytest.mark.parametrize("seed, keys", [(9, 1), (199, 1), (273, 1024)])
+    def test_accepted_openings_test_each_sliced_key_once(self, monkeypatch,
+                                                         seed, keys):
+        # 2^9, 2^10 and 2^11 openings, walked twice by analyze: once
+        # for the game tree and once for the minimal opening
+        tested = []
+        established = game.claim_established
+
+        def recording(table, setup):
+            if sys._getframe(1).f_code.co_name == "accepted_openings":
+                tested.append(table)
+            return established(table, setup)
+
+        monkeypatch.setattr(game, "claim_established", recording)
+        analyze(corpus.random_setup(seed, max_rules=20))
+        assert len(tested) == keys
+        assert len(set(map(id, tested))) == keys
