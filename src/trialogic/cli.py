@@ -41,7 +41,7 @@ class _ValidationFailed(Exception):
         super().__init__("; ".join(self.errors))
 
 
-def _emit(args, payload) -> None:
+def _emit(payload) -> None:
     print(json.dumps(payload, separators=(",", ":")))
 
 
@@ -70,7 +70,7 @@ def _cmd_check(args) -> int:
         setup = parse_theory(text)
     except ParseFailure as failure:
         if args.json:
-            _emit(args, {
+            _emit({
                 "ok": False,
                 "errors": [error.render() for error in failure.errors],
                 "warnings": [],
@@ -81,7 +81,7 @@ def _cmd_check(args) -> int:
         return 1
     report = validate_setup(setup)
     if args.json:
-        _emit(args, {
+        _emit({
             "ok": report.ok,
             "errors": list(report.errors),
             "warnings": list(report.warnings),
@@ -110,7 +110,7 @@ def _cmd_prove(args) -> int:
         table = compute_conclusions(theory)
         rows = table.rows()
         if args.json:
-            _emit(args, [
+            _emit([
                 {"literal": str(literal), "mode": mode, "tag": tag,
                  "status": status}
                 for literal, mode, tag, status in rows
@@ -123,7 +123,7 @@ def _cmd_prove(args) -> int:
     table = compute_conclusions(theory, [query.literal])
     status = table.query(query)
     if args.json:
-        _emit(args, {"query": query.render(), "status": status})
+        _emit({"query": query.render(), "status": status})
     else:
         print(f"{query.render_glyph()}: {status}")
     return 0
@@ -136,7 +136,7 @@ def _cmd_standards(args) -> int:
     report = standards_met(
         setup.union_theory(), lit(args.literal), args.mode)
     if args.json:
-        _emit(args, {
+        _emit({
             "literal": str(report.literal),
             "mode": report.mode,
             "met": list(report.met),
@@ -156,7 +156,7 @@ def _cmd_permission(args) -> int:
     tag = TAG_FOR_TOKEN[args.tag]
     result = weakly_permitted(setup.union_theory(), lit(args.literal), tag)
     if args.json:
-        _emit(args, {
+        _emit({
             "literal": str(result.literal),
             "tag": result.tag,
             "status": result.status,
@@ -170,7 +170,7 @@ def _cmd_permission(args) -> int:
 
 def _render_trace(args, trace: GameTrace) -> None:
     if args.json:
-        _emit(args, {
+        _emit({
             "turns": [
                 {
                     "player": record.player,
@@ -238,7 +238,7 @@ def _cmd_game_analyze(args) -> int:
         minimal: Optional[list[str]] = (
             list(result.minimal_opening)
             if result.minimal_opening is not None else None)
-        _emit(args, {
+        _emit({
             "winner": result.winner,
             "minimal_opening": minimal,
             "states_explored": result.states_explored,

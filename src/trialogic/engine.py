@@ -12,14 +12,17 @@ matching negative tags:
 * sigma_minus: supported by a chain of applicable rules, conflicts and
   superiority ignored.
 
-Each negative tag is the strong negation of its positive condition:
-the same condition with "applicable" read as "no antecedent has failed"
-and "discarded" as "some antecedent is not yet satisfied", negated.
-That substituted condition can only turn false as statuses are added,
-so its negation is monotone like every positive condition.  Negative
-tags are thus derived in the same fixpoint rather than by failure, and
-a query can come back undetermined: circular support such as ``p => p``
-settles neither ``+partial p`` nor ``-partial p``.
+A rule's state at a tag is 1 once every antecedent holds, -1 once one
+has failed, and 0 while it is open.  A positive condition counts a
+rule applicable at state 1 and discarded at state -1.  Each negative
+tag is the strong negation of its positive condition: the same
+condition with an open rule counted as both applicable and discarded,
+negated.  A rule's state only leaves 0 as statuses are added, so that
+reading can only turn false, and its negation is monotone like every
+positive condition.  Negative tags are thus derived in the same
+fixpoint rather than by failure, and a query can come back
+undetermined: circular support such as ``p => p`` settles neither
+``+partial p`` nor ``-partial p``.
 
 The table is built by an agenda over cells, a cell being one moded
 literal with its four tags.  A cell is evaluated again only after a
@@ -53,9 +56,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .model import (
-    DELTA, EVIDENTIAL, MINUS, MODES, OBLIGATION, PARTIAL, PLUS, PROVED,
-    REFUTED, SIGMA, SIGMA_MINUS, TAGS, UNDETERMINED, Antecedent,
-    DefeasibleTheory, Literal, Rule, TaggedLiteral, literal_sort_key,
+    DELTA, EVIDENTIAL, MINUS, MODES, PARTIAL, PLUS, PROVED, REFUTED, SIGMA,
+    SIGMA_MINUS, TAGS, UNDETERMINED, DefeasibleTheory, Literal, Rule,
+    TaggedLiteral, literal_sort_key,
 )
 
 # Proof standard names.
@@ -77,8 +80,6 @@ STANDARD_TAG = {
 
 _TAG_INDEX = {tag: i for i, tag in enumerate(TAGS)}
 _MODE_INDEX = {mode: i for i, mode in enumerate(MODES)}
-_POS_RANK = {DELTA: 0, PARTIAL: 1, SIGMA: 2, SIGMA_MINUS: 3}
-_NEG_RANK = {SIGMA_MINUS: 0, SIGMA: 1, PARTIAL: 2, DELTA: 3}
 
 
 class CoherenceError(RuntimeError):
@@ -175,9 +176,10 @@ class _Fixpoint:
     ``readers`` lists exactly the cells to queue again; a cell already
     waiting is not queued twice.
 
-    Why the order cannot matter: statuses are only ever added.  A
-    positive condition is monotone in them; a negative one negates
-    ``_condition`` over ``_undiscarded`` and ``_unapplied``, which is
+    Why the order cannot matter: statuses are only ever added, and a
+    rule's ``_state`` only ever leaves 0.  A positive condition is
+    monotone in them; a negative one negates ``_condition`` with open
+    rules counted as both applicable and discarded, which is
     anti-monotone, so it is monotone too.  Let L be the least set of
     signed conclusions closed under the conditions; the coherence check says
     L never holds both signs of a key.  Every status the agenda writes
@@ -246,8 +248,6 @@ class _Fixpoint:
         queued = set(agenda)
         status, facts, heads = self.status, self.facts, self.heads
         condition = self._condition
-        app, disc = self._app, self._disc
-        undiscarded, unapplied = self._undiscarded, self._unapplied
         while agenda:
             cell = agenda.popleft()
             queued.discard(cell)
@@ -260,8 +260,8 @@ class _Fixpoint:
                 key = (tag, mode, literal)
                 if key in status:
                     continue
-                pos = condition(tag, inputs, app, disc)
-                neg = not condition(tag, inputs, undiscarded, unapplied)
+                pos = condition(tag, inputs, 1)
+                neg = not condition(tag, inputs, 0)
                 if pos and neg:
                     raise CoherenceError(f"incoherent conclusion for {key}")
                 if pos:
@@ -294,56 +294,45 @@ class _Fixpoint:
                     stack.append(reader)
         return cone
 
-    # Antecedent satisfaction against the statuses derived so far.
+    def _state(self, rule: Rule, ambient: str) -> int:
+        """1 once every antecedent of ``rule`` holds at the statuses
+        derived so far, -1 once one has failed, 0 otherwise.  A plain
+        antecedent reads the ambient tag; an annotated one reads its
+        own tag and fails only on the opposite sign."""
+        status = self.status
+        state = 1
+        for ant in rule.antecedents:
+            if ant.tag is None:
+                key, want = (ambient, ant.mode, ant.literal), PROVED
+            else:
+                key = (ant.tag, ant.mode, ant.literal)
+                want = PROVED if ant.sign == PLUS else REFUTED
+            got = status.get(key)
+            if got is None:
+                state = 0
+            elif got != want:
+                return -1
+        return state
 
-    def _sat(self, ant: Antecedent, ambient: str) -> bool:
-        if ant.tag is None:
-            want = PROVED
-            key = (ambient, ant.mode, ant.literal)
-        else:
-            want = PROVED if ant.sign == PLUS else REFUTED
-            key = (ant.tag, ant.mode, ant.literal)
-        return self.status.get(key) == want
-
-    def _fails(self, ant: Antecedent, ambient: str) -> bool:
-        if ant.tag is None:
-            want = REFUTED
-            key = (ambient, ant.mode, ant.literal)
-        else:
-            want = REFUTED if ant.sign == PLUS else PROVED
-            key = (ant.tag, ant.mode, ant.literal)
-        return self.status.get(key) == want
-
-    def _app(self, rule, ambient: str) -> bool:
-        return all(self._sat(a, ambient) for a in rule.antecedents)
-
-    def _disc(self, rule, ambient: str) -> bool:
-        return any(self._fails(a, ambient) for a in rule.antecedents)
-
-    # The strong negations of _disc and _app, for the negative conditions.
-
-    def _undiscarded(self, rule, ambient: str) -> bool:
-        return not any(self._fails(a, ambient) for a in rule.antecedents)
-
-    def _unapplied(self, rule, ambient: str) -> bool:
-        return not all(self._sat(a, ambient) for a in rule.antecedents)
-
-    def _condition(self, tag: str, inputs: tuple, app, disc) -> bool:
+    def _condition(self, tag: str, inputs: tuple, need: int) -> bool:
         """The condition of ``+tag`` on a cell whose inputs are (is a
-        fact, opposite is a fact, supporting rules, attacking rules).
+        fact, opposite is a fact, supporting rules, attacking rules),
+        counting a rule applicable when its state is at least ``need``
+        and discarded when it is at most ``-need``.
 
-        With ``_app`` and ``_disc`` this is ``+tag`` itself.  With
-        ``_undiscarded`` and ``_unapplied`` its negation is ``-tag``."""
+        With ``need`` 1 this is ``+tag`` itself.  With ``need`` 0 an
+        open rule counts as both, and the negation is ``-tag``."""
         fact, opposed_fact, supporters, attackers = inputs
         if fact:
             return True
+        state = self._state
         if tag == SIGMA_MINUS:
-            return any(app(r, SIGMA_MINUS) for r in supporters)
+            return any(state(r, SIGMA_MINUS) >= need for r in supporters)
         sup = self.sup
         if tag == SIGMA:
             return any(
-                app(r, SIGMA) and all(
-                    disc(s, DELTA)
+                state(r, SIGMA) >= need and all(
+                    state(s, DELTA) <= -need
                     for s in attackers if (s.id, r.id) in sup)
                 for r in supporters)
         if opposed_fact:
@@ -353,9 +342,9 @@ class _Fixpoint:
         else:
             ambient, guard = DELTA, SIGMA
         return any(
-            app(r, ambient) and all(
-                disc(s, guard) or any(
-                    app(t, ambient) and (t.id, s.id) in sup
+            state(r, ambient) >= need and all(
+                state(s, guard) <= -need or any(
+                    state(t, ambient) >= need and (t.id, s.id) in sup
                     for t in supporters)
                 for s in attackers)
             for r in supporters)
@@ -428,5 +417,7 @@ def strength_order(a: tuple[str, str], b: tuple[str, str]) -> int:
             raise ValueError(f"bad tag {tag!r}")
     if sign_a != sign_b:
         raise ValueError("conclusions with different signs are not comparable")
-    rank = _POS_RANK if sign_a == PLUS else _NEG_RANK
-    return (rank[tag_a] > rank[tag_b]) - (rank[tag_a] < rank[tag_b])
+    rank_a, rank_b = _TAG_INDEX[tag_a], _TAG_INDEX[tag_b]
+    if sign_a == MINUS:
+        rank_a, rank_b = rank_b, rank_a
+    return (rank_a > rank_b) - (rank_a < rank_b)

@@ -20,14 +20,15 @@ settles games that the strict conditions leave open.
 
 Every position is reached through ``step``, which discloses a set of
 rule ids (none for a pass) and reports the targets that disclosure
-could declare, and every position is scored by ``settle``.  Legality
-checks, scripted games, automatic play and exhaustive search all drive
-these two.  ``initial_state`` creates the table cache of one game: every
-state reached from it carries the same cache, so a theory that several
-moves, checks or searches reach is computed once.  Tables grow from
-their parent: a table missing from the cache is derived from the cached
-table with one rule fewer, re-evaluating only the cells that rule can
-reach, and is computed in full only when no such parent is cached.
+could legally declare, and every position is scored by ``settle``.
+Legality checks, scripted games, automatic play and exhaustive search
+all drive these two.  ``initial_state`` creates the table cache of one
+game: every state reached from it carries the same cache, so a theory
+that several moves, checks or searches reach is computed once.  Tables
+grow from their parent: a table missing from the cache is derived from
+the cached table with one rule fewer, re-evaluating only the cells that
+rule can reach, and is computed in full only when no such parent is
+cached.
 
 Claim questions are answered on sliced tables.  Accepted openings,
 robustness and adjudication ask only whether the claim is established
@@ -83,6 +84,8 @@ class GameState:
 
     ``tables`` is the conclusion-table cache of the game, shared by
     every state reached from the same ``initial_state``.
+    ``newly_determined`` holds the conclusions the move into this state
+    determined (none after a pass and at the start).
     """
 
     setup: GameSetup
@@ -93,6 +96,7 @@ class GameState:
     consecutive_passes: int
     conclusions: ConclusionTable
     tables: dict = field(repr=False)
+    newly_determined: tuple[TaggedLiteral, ...] = ()
 
     @property
     def mover(self) -> str:
@@ -304,21 +308,25 @@ def step(state: GameState, disclosed: frozenset[str]
          ) -> tuple[GameState, frozenset[tuple[str, Literal]]]:
     """The state after the mover discloses ``disclosed`` (nothing: a
     pass), and the targets that move could legally declare: every
-    (mode, literal) whose status changed and which was already
-    determined beforehand.  Ownership is the caller's to check."""
+    (mode, literal) that had some determined status before the move
+    and of which ``(mode, literal)`` or ``(mode, ~literal)`` gains a
+    newly determined status.  Ownership is the caller's to check."""
     if not disclosed:
         return replace(state, turn=state.turn + 1,
-                       consecutive_passes=state.consecutive_passes + 1), \
-            frozenset()
+                       consecutive_passes=state.consecutive_passes + 1,
+                       newly_determined=()), frozenset()
     old = state.conclusions
     new = state.table_after(disclosed)
+    newly = new.newly_determined(old)
     nxt = replace(
         state, turn=state.turn + 1, common_ids=state.common_ids | disclosed,
         pr_ids=state.pr_ids - disclosed, def_ids=state.def_ids - disclosed,
-        consecutive_passes=0, conclusions=new)
+        consecutive_passes=0, conclusions=new, newly_determined=newly)
+    changed = {(entry.mode, entry.literal) for entry in newly}
     return nxt, frozenset(
-        (entry.mode, entry.literal) for entry in new.newly_determined(old)
-        if old.is_determined(entry.literal))
+        (mode, target) for mode, literal in changed
+        for target in (literal, literal.complement())
+        if old.is_determined(target))
 
 
 def _open(state: GameState, opening: frozenset[str]) -> GameState:
@@ -385,17 +393,13 @@ def _attempt(state: GameState, move: Move):
         return LegalityReport(
             False, ("a non-pass move must declare at least one target",)), None
 
-    nxt, _ = step(state, move.rule_ids)
-    old = state.conclusions
-    newly = nxt.conclusions.newly_determined(old)
-    changed = {(entry.mode, entry.literal) for entry in newly}
+    nxt, legal = step(state, move.rule_ids)
     for mode, literal in _sorted_targets(move.targets):
-        if not old.is_determined(literal):
+        if not state.conclusions.is_determined(literal):
             reasons.append(
                 f"target precondition: {literal} has no determined status "
                 "in the current theory")
-        elif not ((mode, literal) in changed
-                  or (mode, literal.complement()) in changed):
+        elif (mode, literal) not in legal:
             reasons.append(
                 f"target postcondition: the move determines nothing new "
                 f"about {literal} in mode {mode}")
@@ -502,7 +506,7 @@ def play_move(trace: GameTrace, state: GameState, move: Move) -> GameState:
         targets = move.targets
     trace.records.append(TurnRecord(
         move.player, tuple(sorted(move.rule_ids)), _sorted_targets(targets),
-        nxt.conclusions.newly_determined(state.conclusions), nxt.conclusions))
+        nxt.newly_determined, nxt.conclusions))
     trace.outcome = settle(nxt)
     return nxt
 

@@ -188,7 +188,10 @@ def _policy_move(state: GameState, policy: str) -> Move:
                 and _coverage(nxt.conclusions, state.setup, mover)
                 <= baseline):
             continue
-        return Move(mover, disclosed, targets)
+        # the cells the move decided itself, else every legal target
+        own = targets & {(entry.mode, entry.literal)
+                         for entry in nxt.newly_determined}
+        return Move(mover, disclosed, own or targets)
     return Move(mover, frozenset())
 
 

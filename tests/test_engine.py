@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trialogic import (
-    BRD, DELTA, DIALECTICAL_VALIDITY, EVIDENTIAL, MODES, OBLIGATION,
-    PARTIAL, PREPONDERANCE, PROVED, REFUTED, SCINTILLA, SIGMA, SIGMA_MINUS,
-    SUBSTANTIAL, TAGS, UNDETERMINED, Antecedent, DefeasibleTheory, Literal,
-    Rule, compute_conclusions, holds, lit, parse_query, standards_met,
-    strength_order,
+    BRD, DELTA, DIALECTICAL_VALIDITY, EVIDENTIAL, MINUS, MODES, OBLIGATION,
+    PARTIAL, PLUS, PREPONDERANCE, PROVED, REFUTED, SCINTILLA, SIGMA,
+    SIGMA_MINUS, SUBSTANTIAL, TAGS, UNDETERMINED, Antecedent,
+    DefeasibleTheory, Literal, Rule, compute_conclusions, holds, lit,
+    parse_query, standards_met, strength_order,
 )
 from trialogic import engine
 from trialogic.corpus import ATOM_POOL, random_theory
@@ -127,6 +127,72 @@ class TestCycles:
             (Rule("loop", (Antecedent(EVIDENTIAL, lit("p")),),
                   EVIDENTIAL, lit("p")),))
         assert probe(theory, "+d p") == PROVED
+
+
+def _other(tag):
+    """A tag other than ``tag``."""
+    return TAGS[(TAGS.index(tag) + 1) % len(TAGS)]
+
+
+# (sign, tag) of one antecedent on c, ambient tag, status of the key the
+# antecedent reads (None: missing), and the rule's expected state.
+_STATE_CASES = [
+    ((None, None), ambient, status, state)
+    for ambient in TAGS
+    for status, state in ((None, 0), (PROVED, 1), (REFUTED, -1))
+] + [
+    ((sign, tag), _other(tag), status, state)
+    for sign, outcomes in ((PLUS, (0, 1, -1)), (MINUS, (0, -1, 1)))
+    for tag in TAGS
+    for status, state in zip((None, PROVED, REFUTED), outcomes)
+]
+
+
+def _fixpoint(*rules):
+    return engine._Fixpoint(DefeasibleTheory(frozenset(), rules), ())
+
+
+class TestRuleState:
+    @pytest.mark.parametrize("annotation, ambient, status, expected",
+                             _STATE_CASES)
+    def test_one_antecedent(self, annotation, ambient, status, expected):
+        sign, tag = annotation
+        c = lit("c")
+        rule = Rule("r", (Antecedent(EVIDENTIAL, c, sign, tag),),
+                    EVIDENTIAL, lit("h"))
+        fixpoint = _fixpoint(rule)
+        if tag is not None:
+            # an annotated antecedent ignores the ambient tag
+            fixpoint.status[(ambient, EVIDENTIAL, c)] = REFUTED
+        if status is not None:
+            fixpoint.status[(tag or ambient, EVIDENTIAL, c)] = status
+        assert fixpoint._state(rule, ambient) == expected
+
+    @pytest.mark.parametrize("statuses, expected", [
+        ((PROVED, PROVED), 1),
+        ((PROVED, None), 0),
+        ((None, REFUTED), -1),
+        ((REFUTED, PROVED), -1),
+    ])
+    def test_failure_outweighs_open(self, statuses, expected):
+        atoms = [lit(f"a{i}") for i in range(len(statuses))]
+        rule = Rule("r", tuple(Antecedent(EVIDENTIAL, a) for a in atoms),
+                    EVIDENTIAL, lit("h"))
+        fixpoint = _fixpoint(rule)
+        for atom, status in zip(atoms, statuses):
+            if status is not None:
+                fixpoint.status[(DELTA, EVIDENTIAL, atom)] = status
+        assert fixpoint._state(rule, DELTA) == expected
+
+    def test_open_sole_supporter_settles_neither_sign(self):
+        # p's only supporter waits on p itself, so it stays open: that
+        # is neither applicable for +sigma_minus nor discarded for
+        # -sigma_minus
+        loop = Rule("loop", (Antecedent(EVIDENTIAL, lit("p")),),
+                    EVIDENTIAL, lit("p"))
+        table = compute_conclusions(DefeasibleTheory(frozenset(), (loop,)))
+        assert table.status(SIGMA_MINUS, EVIDENTIAL, lit("p")) == \
+            UNDETERMINED
 
 
 class TestAnnotatedAntecedents:

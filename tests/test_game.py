@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from trialogic import (
     DEF, DEF_SUCCEEDS, EVIDENTIAL, OBLIGATION, ONGOING, POLICIES, PR,
-    PR_SUCCEEDS, STALLED, Antecedent, Claim, GameSetup, IllegalMove,
-    Literal, Move, OpeningRejected, ParseFailure, Rule, adjudicate, analyze,
-    apply_move, auto_play, compute_conclusions, corpus, game,
-    initial_state, legal_move, lit, open_game, parse_moves, parse_theory,
-    run_game, termination_status,
+    PR_SUCCEEDS, STALLED, Antecedent, Claim, ConclusionTable, GameSetup,
+    IllegalMove, Literal, Move, OpeningRejected, ParseFailure, Rule,
+    adjudicate, analyze, apply_move, auto_play, compute_conclusions, corpus,
+    game, initial_state, legal_move, lit, open_game, parse_moves,
+    parse_theory, run_game, termination_status,
 )
 
 
@@ -231,6 +231,23 @@ class TestRunGame:
         assert again.outcome == trace.outcome
         assert [r.rule_ids for r in again.records] == \
             [r.rule_ids for r in trace.records]
+
+
+    def test_each_move_diffs_its_tables_once(self, s1, fixtures_dir,
+                                             monkeypatch):
+        moves = parse_moves(
+            (fixtures_dir / "s1_play_b.moves").read_text(encoding="utf-8"))
+        calls = [0]
+        original = ConclusionTable.newly_determined
+
+        def counting(self, old):
+            calls[0] += 1
+            return original(self, old)
+
+        monkeypatch.setattr(ConclusionTable, "newly_determined", counting)
+        run_game(s1, moves)
+        # the opening and the defence's move; the two passes need none
+        assert calls[0] == 2
 
 
 class TestMovesParsing:

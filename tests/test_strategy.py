@@ -7,7 +7,7 @@ from trialogic import (
     OBLIGATION, POLICIES, PR, PR_SUCCEEDS, SIGMA_MINUS, WINNER_FOR_OUTCOME,
     Antecedent, BoundExceeded, Claim, GameSetup, Rule, analyze, auto_play,
     corpus, exhaustive_winner, game, lit, minimal_winning_opening,
-    opening_is_winning, parse_moves, run_game, with_standards,
+    opening_is_winning, parse_moves, parse_theory, run_game, with_standards,
 )
 
 
@@ -144,6 +144,24 @@ class TestFullDisclosurePolicy:
         trace = auto_play(setup, FULL_DISCLOSURE)
         assert trace.records[0].rule_ids == ("r1", "rd")
         assert trace.outcome == PR_SUCCEEDS
+
+    def test_move_may_target_only_complements(self):
+        # r3 decides x, which had no status before, so only ~x can be
+        # named; the move is still legal and the policy plays it
+        setup = parse_theory(
+            "fact f.\nfact c.\n"
+            "rule r: x => x.\nrule r2: x =>O x.\n"
+            "rule r0: c => k.\nrule r0o: c =>O ~k.\nrule r3: f => x.\n"
+            "claim: k.\n"
+            "game common: r, r2.\ngame pr: r0, r0o.\ngame def: r3.\n")
+        trace = auto_play(setup, FULL_DISCLOSURE)
+        assert trace.records[1].rule_ids == ("r3",)
+        assert trace.records[1].targets == (
+            (EVIDENTIAL, lit("~x")), (OBLIGATION, lit("~x")))
+        replay = run_game(setup, trace.moves())
+        assert replay.outcome == trace.outcome
+        assert [_record_fields(r) for r in replay.records] == \
+            [_record_fields(r) for r in trace.records]
 
     def test_unknown_policy(self, s1):
         with pytest.raises(ValueError, match="unknown policy"):
