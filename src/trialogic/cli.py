@@ -6,7 +6,8 @@ union of every rule in the file regardless of pools, since they ask
 about the theory, not about what a player would reveal.
 
 Exit codes: 0 success, 1 parse or validation failure, 2 rejected
-opening or illegal move, 3 exhaustive search bound exceeded.
+opening, illegal move or usage error (argparse's own exit), 3
+exhaustive search bound exceeded.
 
 Each handler imports the modules it runs, and maps the refusals they
 raise to exit codes 2 and 3 itself, so a process loads only what its
@@ -99,7 +100,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_prove(args) -> int:
-    from .engine import compute_conclusions
+    from .engine import compute_conclusions, holds
 
     setup = _load_setup(args)
     theory = setup.union_theory()
@@ -120,8 +121,7 @@ def _cmd_prove(args) -> int:
                 print(f"{_glyph_key(tag, mode, literal)}: {status}")
         return 0
     query = parse_query(args.query)
-    table = compute_conclusions(theory, [query.literal])
-    status = table.query(query)
+    status = holds(theory, query)
     if args.json:
         _emit({"query": query.render(), "status": status})
     else:

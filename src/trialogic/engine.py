@@ -24,23 +24,24 @@ fixpoint rather than by failure, and a query can come back
 undetermined: circular support such as ``p => p`` settles neither
 ``+partial p`` nor ``-partial p``.
 
-The table is built by an agenda over cells, a cell being one moded
-literal with its four tags.  A cell is evaluated again only after a
-cell that one of its supporting or attacking rules reads has settled
-a tag, so a chain of rules costs time linear in its length whatever
-order its literals sort in.  Every condition is monotone in the
+The table holds one row of four statuses per cell, a cell being one
+moded literal; a literal that no fact or rule mentions has no row and
+is refuted.  An agenda over cells builds it.  A cell is evaluated
+again only after a cell that one of its supporting or attacking rules
+reads has settled a tag, so a chain of rules costs time linear in its
+length whatever order its literals sort in.  Every condition is monotone in the
 statuses derived so far, hence the table is the single least fixpoint
 of those conditions and does not depend on evaluation order.
 
 A table can also grow from the table of the same theory without one
 rule r.  Only the affected cone can change: the cells that reach r's
 head cells ``(mode, head)`` and ``(mode, ~head)`` through the readers
-of the agenda, plus the cells of literals new to the universe.  Every
+of the agenda, plus the cells the smaller table has no row for.  Every
 other cell reads only unaffected cells, keeps the same supporting and
 attacking rules and, since superiority acts only between the rules of
 one head cell pair, the same superiority pairs; its conditions are
 those of the smaller theory over the same inputs, so it has the same
-least fixpoint and its statuses are copied.  Only the cone is queued.
+least fixpoint and its row is copied.  Only the cone is queued.
 
 Proof standards map onto the tags: scintilla of evidence is
 sigma_minus, substantial evidence (clear and convincing) is sigma,
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .model import (
     DELTA, EVIDENTIAL, MINUS, MODES, PARTIAL, PLUS, PROVED, REFUTED, SIGMA,
@@ -80,6 +81,8 @@ STANDARD_TAG = {
 
 _TAG_INDEX = {tag: i for i, tag in enumerate(TAGS)}
 _MODE_INDEX = {mode: i for i, mode in enumerate(MODES)}
+# How a cell without a row answers in a table, and in a running fixpoint.
+_REFUTED_ROW, _OPEN_ROW = (REFUTED,) * len(TAGS), (None,) * len(TAGS)
 
 
 class CoherenceError(RuntimeError):
@@ -93,20 +96,27 @@ class CoherenceError(RuntimeError):
 class ConclusionTable:
     """Status of every tagged, moded literal of a theory.
 
-    Literals outside the table's universe answer as refuted: a literal
-    no rule or fact mentions has every negative tag vacuously derivable.
+    Each cell ``(mode, literal)`` of the table's literals has a row of
+    its four statuses in ``TAGS`` order, ``None`` while undetermined.
+    A cell without a row answers as refuted: a literal no rule or fact
+    mentions has every negative tag vacuously derivable.  Rows are not
+    written once built, so a grown table shares the rows it keeps.
     """
 
-    __slots__ = ("_statuses", "literals")
+    __slots__ = ("_rows",)
 
-    def __init__(self, statuses: dict, literals: frozenset[Literal]):
-        self._statuses = statuses
-        self.literals = literals
+    def __init__(self, rows: dict[tuple[str, Literal], list]):
+        self._rows = rows
+
+    @property
+    def literals(self) -> frozenset[Literal]:
+        return frozenset(literal for _, literal in self._rows)
 
     def status(self, tag: str, mode: str, literal: Literal) -> str:
-        if literal not in self.literals:
+        row = self._rows.get((mode, literal))
+        if row is None:
             return REFUTED
-        return self._statuses.get((tag, mode, literal), UNDETERMINED)
+        return row[_TAG_INDEX[tag]] or UNDETERMINED
 
     def derived(self, sign: str, tag: str, mode: str, literal: Literal) -> bool:
         wanted = PROVED if sign == PLUS else REFUTED
@@ -124,20 +134,14 @@ class ConclusionTable:
 
     def is_determined(self, literal: Literal) -> bool:
         """Whether the literal has any determined status in any mode."""
-        if literal not in self.literals:
-            return True
-        return any(
-            (tag, mode, literal) in self._statuses
-            for tag in TAGS for mode in MODES)
+        return any(row is None or any(row) for row in (
+            self._rows.get((mode, literal)) for mode in MODES))
 
     def rows(self) -> list[tuple[Literal, str, str, str]]:
-        out = []
-        for literal in sorted(self.literals, key=literal_sort_key):
-            for mode in MODES:
-                for tag in TAGS:
-                    out.append((literal, mode, tag,
-                                self.status(tag, mode, literal)))
-        return out
+        return [(literal, mode, tag, status or UNDETERMINED)
+                for literal in sorted(self.literals, key=literal_sort_key)
+                for mode in MODES
+                for tag, status in zip(TAGS, self._rows[mode, literal])]
 
     def newly_determined(self, old: "ConclusionTable") -> tuple[TaggedLiteral, ...]:
         """Signed conclusions determined here but not in ``old``.
@@ -145,11 +149,15 @@ class ConclusionTable:
         Flips count as well: a status that changed from proved to
         refuted yields the newly derived negative conclusion.
         """
-        before = old._statuses.get  # equal only where old.status is too
-        fresh = [
-            TaggedLiteral(PLUS if status == PROVED else MINUS, *key)
-            for key, status in self._statuses.items()
-            if before(key) != status and old.status(*key) != status]
+        fresh = []
+        for cell, row in self._rows.items():
+            before = old._rows.get(cell, _REFUTED_ROW)
+            if before is row:  # a row grown tables share is unchanged
+                continue
+            fresh += [
+                TaggedLiteral(PLUS if status == PROVED else MINUS, tag, *cell)
+                for tag, status, was in zip(TAGS, row, before)
+                if status is not None and status != was]
         fresh.sort(key=lambda t: (literal_sort_key(t.literal),
                                   _MODE_INDEX[t.mode], _TAG_INDEX[t.tag]))
         return tuple(fresh)
@@ -157,20 +165,21 @@ class ConclusionTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConclusionTable):
             return NotImplemented
-        return (self.literals == other.literals
-                and self._statuses == other._statuses)
+        return self._rows == other._rows
 
     def __repr__(self) -> str:
-        determined = len(self._statuses)
-        return f"<ConclusionTable {determined} determined over {len(self.literals)} literals>"
+        determined = sum(len(TAGS) - row.count(None)
+                         for row in self._rows.values())
+        return (f"<ConclusionTable {determined} determined over "
+                f"{len(self.literals)} literals>")
 
 
 class _Fixpoint:
     """One table computation: a FIFO agenda of cells ``(mode, literal)``.
 
     The agenda starts with every cell in ``literal_sort_key`` order.
-    Popping a cell reads its facts and rules once, then evaluates each
-    of its unsettled tags.  The conditions of ``(mode, l)`` read only
+    A cell's first pop creates its row.  Popping a cell reads its facts
+    and rules once, then evaluates each of its unsettled tags.  The conditions of ``(mode, l)`` read only
     facts and the cells named by antecedents of rules with head
     ``(mode, l)`` or ``(mode, ~l)``, so when a tag of a cell settles,
     ``readers`` lists exactly the cells to queue again; a cell already
@@ -189,17 +198,16 @@ class _Fixpoint:
     opposite sign would contradict coherence).  The written statuses
     are therefore closed, contain L, and equal it.
 
-    Given the table of this theory without one rule, the agenda starts
-    from that table's statuses instead, minus the affected cone (see
-    ``_cone``), and holds only the cone's cells, in the same order.
-    The statuses kept are those of cells outside the cone; such a cell
+    Given the table of this theory without one rule, the run starts
+    from that table's rows instead, less those of the affected cone
+    (see ``_cone``), and the agenda holds only the cone's cells, in the
+    same order.  A row kept belongs to a cell outside the cone, which
     reads only cells outside the cone through unchanged rules, so the
-    smaller theory's least fixpoint already closes them, and the
-    argument above then applies to the cone alone.
+    smaller theory's least fixpoint already closes it, and the argument
+    above then applies to the cone alone.
     """
 
-    def __init__(self, theory: DefeasibleTheory,
-                 extra_literals: Iterable[Literal]):
+    def __init__(self, theory: DefeasibleTheory):
         literals: set[Literal] = set()
         for _, fact_lit in theory.facts:
             literals.add(fact_lit)
@@ -207,7 +215,6 @@ class _Fixpoint:
             literals.add(rule.head)
             for ant in rule.antecedents:
                 literals.add(ant.literal)
-        literals.update(extra_literals)
         literals.update([l.complement() for l in literals])
         self.literals = frozenset(literals)
 
@@ -225,10 +232,8 @@ class _Fixpoint:
                     {head: None, opposed: None})
         self.heads = heads
         self.readers = readers
-        present = theory.rule_ids()
-        self.sup = frozenset(p for p in theory.superiority
-                             if p[0] in present and p[1] in present)
-        self.status: dict[tuple[str, str, Literal], str] = {}
+        self.sup = theory.superiority
+        self.rows: dict[tuple[str, Literal], list] = {}
 
     def run(self, parent: Optional[ConclusionTable] = None,
             added: Optional[Rule] = None) -> ConclusionTable:
@@ -241,50 +246,50 @@ class _Fixpoint:
             cone = self._cone(parent, added)
             agenda = deque(sorted(cone, key=lambda cell: (
                 literal_sort_key(cell[1]), _MODE_INDEX[cell[0]])))
-            self.status = dict(parent._statuses)
-            for mode, literal in cone:
-                for tag in TAGS:
-                    self.status.pop((tag, mode, literal), None)
+            self.rows = dict(parent._rows)
+            for cell in cone:
+                self.rows.pop(cell, None)
         queued = set(agenda)
-        status, facts, heads = self.status, self.facts, self.heads
+        rows, facts, heads = self.rows, self.facts, self.heads
         condition = self._condition
         while agenda:
             cell = agenda.popleft()
             queued.discard(cell)
+            row = rows.setdefault(cell, [None] * len(TAGS))
             mode, literal = cell
             opposed = (mode, literal.complement())
             inputs = (cell in facts, opposed in facts,
                       heads.get(cell, ()), heads.get(opposed, ()))
             settled = False
-            for tag in TAGS:
-                key = (tag, mode, literal)
-                if key in status:
+            for index, tag in enumerate(TAGS):
+                if row[index] is not None:
                     continue
                 pos = condition(tag, inputs, 1)
                 neg = not condition(tag, inputs, 0)
                 if pos and neg:
-                    raise CoherenceError(f"incoherent conclusion for {key}")
+                    raise CoherenceError(
+                        f"incoherent conclusion for {(tag, mode, literal)}")
                 if pos:
-                    status[key] = PROVED
+                    row[index] = PROVED
                     settled = True
                 elif neg:
-                    status[key] = REFUTED
+                    row[index] = REFUTED
                     settled = True
             if settled:
                 for reader in self.readers.get(cell, ()):
                     if reader not in queued:
                         queued.add(reader)
                         agenda.append(reader)
-        return ConclusionTable(status, self.literals)
+        return ConclusionTable(rows)
 
     def _cone(self, parent: ConclusionTable, added: Rule) -> set:
         """The cells whose status may differ from ``parent``'s: every
-        cell of a literal ``parent`` lacks, ``added``'s two head cells,
-        and every cell that reaches those through ``readers``."""
+        cell ``parent`` has no row for, ``added``'s two head cells, and
+        every cell that reaches those through ``readers``."""
         cone = {(added.head_mode, added.head),
                 (added.head_mode, added.head.complement())}
         cone.update((mode, literal) for literal in self.literals
-                    if literal not in parent.literals for mode in MODES)
+                    for mode in MODES if (mode, literal) not in parent._rows)
         stack = list(cone)
         readers = self.readers
         while stack:
@@ -298,16 +303,17 @@ class _Fixpoint:
         """1 once every antecedent of ``rule`` holds at the statuses
         derived so far, -1 once one has failed, 0 otherwise.  A plain
         antecedent reads the ambient tag; an annotated one reads its
-        own tag and fails only on the opposite sign."""
-        status = self.status
+        own tag and fails only on the opposite sign.  A cell not yet
+        evaluated has no row, and its antecedents are open."""
+        rows = self.rows
         state = 1
         for ant in rule.antecedents:
+            row = rows.get((ant.mode, ant.literal), _OPEN_ROW)
             if ant.tag is None:
-                key, want = (ambient, ant.mode, ant.literal), PROVED
+                got, want = row[_TAG_INDEX[ambient]], PROVED
             else:
-                key = (ant.tag, ant.mode, ant.literal)
+                got = row[_TAG_INDEX[ant.tag]]
                 want = PROVED if ant.sign == PLUS else REFUTED
-            got = status.get(key)
             if got is None:
                 state = 0
             elif got != want:
@@ -350,26 +356,21 @@ class _Fixpoint:
             for r in supporters)
 
 
-def compute_conclusions(theory: DefeasibleTheory,
-                        extra_literals: Iterable[Literal] = (),
+def compute_conclusions(theory: DefeasibleTheory, *,
                         parent: Optional[ConclusionTable] = None,
                         added: Optional[Rule] = None) -> ConclusionTable:
     """Derive the full tagged-conclusion table of a theory.
 
-    ``extra_literals`` widens the universe so that literals the theory
-    never mentions (claim elements, ad hoc queries) still get a row.
     ``parent``, when given, must be the table of ``theory`` without the
-    rule ``added`` (and without the superiority pairs naming it), over
-    the same extra literals; only the cells that rule can affect are
-    then evaluated again.
+    rule ``added`` (and without the superiority pairs naming it); only
+    the cells that rule can affect are then evaluated again.
     """
-    return _Fixpoint(theory, extra_literals).run(parent, added)
+    return _Fixpoint(theory).run(parent, added)
 
 
 def holds(theory: DefeasibleTheory, query: TaggedLiteral) -> str:
     """Status of one signed tagged query against a theory."""
-    table = compute_conclusions(theory, [query.literal])
-    return table.query(query)
+    return compute_conclusions(theory).query(query)
 
 
 @dataclass(frozen=True)
@@ -387,14 +388,14 @@ def standards_met(theory: DefeasibleTheory, literal: Literal,
     superiority relation removed; without superiority that is the
     theory itself, so its table is reused.
     """
-    table = compute_conclusions(theory, [literal])
+    table = compute_conclusions(theory)
     met = [
         standard for standard in (SCINTILLA, SUBSTANTIAL, PREPONDERANCE, BRD)
         if table.status(STANDARD_TAG[standard], mode, literal) == PROVED
     ]
     if theory.superiority:
         stripped = DefeasibleTheory(theory.facts, theory.rules, frozenset())
-        table = compute_conclusions(stripped, [literal])
+        table = compute_conclusions(stripped)
     if table.status(DELTA, mode, literal) == PROVED:
         met.append(DIALECTICAL_VALIDITY)
     return StandardsReport(literal, mode, tuple(met))

@@ -46,10 +46,9 @@ cells therefore read only cone cells, through the same rules and pairs
 in both theories, and the least fixpoint restricted to them is the
 same.  A cone cell that no fact and no rule of the smaller theory
 mentions has no row there and answers as refuted; in the larger theory
-no fact or rule heads it either, so it derives every negative tag.
-Claim literals always have rows.  So any
-question over the subsets of a pool equals the same question over the
-subsets of its kept part.  This is the backward twin of the forward
+no fact or rule heads it either, so it derives every negative tag.  So
+any question over the subsets of a pool equals the same question over
+the subsets of its kept part.  This is the backward twin of the forward
 cone ``engine`` re-evaluates when a table grows.  Moves, their targets
 and the end-of-game test read full tables, since a rule outside the
 cone still changes statuses and still empties a pool.
@@ -170,17 +169,17 @@ class GameTrace:
 class _Tables(dict):
     """The table cache of one game, keyed by rule-id set, with the
     setup's rules by id for finding the rule a parent table lacks, the
-    claim literals every table has rows for, the ids of the rules
-    claim questions keep (the common rules and the claim's cone), and
-    whether the claim is established, by sliced key, for openings."""
+    ids of the rules claim questions keep (the common rules and the
+    claim's cone), and whether the claim is established, by sliced key,
+    for openings."""
 
-    __slots__ = ("rules", "claim_literals", "keep", "established")
+    __slots__ = ("rules", "keep", "established")
 
     def __init__(self, setup: GameSetup):
         super().__init__()
         self.rules = setup.rule_by_id()
-        self.claim_literals = setup.claim.literals if setup.claim else ()
-        self.keep = _claim_cone(self.rules.values(), self.claim_literals) \
+        claim = setup.claim.literals if setup.claim else ()
+        self.keep = _claim_cone(self.rules.values(), claim) \
             | {r.id for r in setup.common_rules}
         self.established: dict[frozenset[str], bool] = {}
 
@@ -210,7 +209,7 @@ def _claim_cone(rules: Iterable[Rule], claim_literals: Iterable[Literal]
 def conclusions_for(setup: GameSetup, rule_ids: Iterable[str],
                     cache: _Tables) -> ConclusionTable:
     """Conclusion table of the theory induced by a set of rule ids,
-    widened so claim literals always have rows, memoised in ``cache``.
+    memoised in ``cache``.
 
     A missing table grows from a cached parent: the table of the same
     ids less one rule of the setup, the first such id in id order.
@@ -225,8 +224,7 @@ def conclusions_for(setup: GameSetup, rule_ids: Iterable[str],
                 added = cache.rules[rule_id]
                 break
         table = cache[key] = compute_conclusions(
-            setup.theory_for(key), cache.claim_literals,
-            parent=parent, added=added)
+            setup.theory_for(key), parent=parent, added=added)
     return table
 
 

@@ -55,8 +55,7 @@ def _permission_from_table(table, literal: Literal,
 
 def weakly_permitted(theory: DefeasibleTheory, literal: Literal,
                      tag: str = PARTIAL) -> PermissionStatus:
-    table = compute_conclusions(theory, [literal, literal.complement()])
-    return _permission_from_table(table, literal, tag)
+    return _permission_from_table(compute_conclusions(theory), literal, tag)
 
 
 def game_weakly_permitted(trace: GameTrace, literal: Literal,

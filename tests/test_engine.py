@@ -5,8 +5,9 @@ from trialogic import (
     BRD, DELTA, DIALECTICAL_VALIDITY, EVIDENTIAL, MINUS, MODES, OBLIGATION,
     PARTIAL, PLUS, PREPONDERANCE, PROVED, REFUTED, SCINTILLA, SIGMA,
     SIGMA_MINUS, SUBSTANTIAL, TAGS, UNDETERMINED, Antecedent,
-    DefeasibleTheory, Literal, Rule, compute_conclusions, holds, lit,
-    parse_query, standards_met, strength_order,
+    WEAKLY_PERMITTED, DefeasibleTheory, Literal, Rule, TaggedLiteral,
+    compute_conclusions, holds, lit, parse_query, standards_met,
+    strength_order, weakly_permitted,
 )
 from trialogic import engine
 from trialogic.corpus import ATOM_POOL, random_theory
@@ -55,6 +56,36 @@ class TestFactsAndVacuity:
         assert probe(theory, "-d ~a") == PROVED
         assert probe(theory, "-s ~a") == REFUTED
         assert probe(theory, "+d a") == PROVED
+
+
+class TestUnmentionedLiteral:
+    """A literal whose atom no fact or rule mentions has no row and
+    answers as refuted everywhere, as if it had an all-refuted row."""
+
+    @pytest.mark.parametrize("text", ["zz", "~zz"])
+    def test_every_answer(self, s3, text):
+        theory = s3.union_theory()
+        literal = lit(text)
+        table = compute_conclusions(theory)
+        assert literal.atom not in {l.atom for l in table.literals}
+        for mode in MODES:
+            for tag in TAGS:
+                for sign, status in ((PLUS, REFUTED), (MINUS, PROVED)):
+                    query = TaggedLiteral(sign, tag, mode, literal)
+                    assert holds(theory, query) == status
+            assert standards_met(theory, literal, mode).met == ()
+        for tag in (DELTA, PARTIAL):
+            result = weakly_permitted(theory, literal, tag)
+            assert result.status == WEAKLY_PERMITTED
+            assert result.witness == TaggedLiteral(
+                MINUS, tag, OBLIGATION, literal.complement())
+        assert table.is_determined(literal)
+
+    def test_parent_is_keyword_only(self, s1):
+        theory = s1.union_theory()
+        table = compute_conclusions(theory)
+        with pytest.raises(TypeError):
+            compute_conclusions(theory, (), table)
 
 
 class TestAmbiguity:
@@ -149,7 +180,13 @@ _STATE_CASES = [
 
 
 def _fixpoint(*rules):
-    return engine._Fixpoint(DefeasibleTheory(frozenset(), rules), ())
+    return engine._Fixpoint(DefeasibleTheory(frozenset(), rules))
+
+
+def _put(fixpoint, tag, literal, status):
+    """Write one evidential status into the fixpoint's row of ``literal``."""
+    row = fixpoint.rows.setdefault((EVIDENTIAL, literal), [None] * len(TAGS))
+    row[TAGS.index(tag)] = status
 
 
 class TestRuleState:
@@ -163,9 +200,9 @@ class TestRuleState:
         fixpoint = _fixpoint(rule)
         if tag is not None:
             # an annotated antecedent ignores the ambient tag
-            fixpoint.status[(ambient, EVIDENTIAL, c)] = REFUTED
+            _put(fixpoint, ambient, c, REFUTED)
         if status is not None:
-            fixpoint.status[(tag or ambient, EVIDENTIAL, c)] = status
+            _put(fixpoint, tag or ambient, c, status)
         assert fixpoint._state(rule, ambient) == expected
 
     @pytest.mark.parametrize("statuses, expected", [
@@ -181,7 +218,7 @@ class TestRuleState:
         fixpoint = _fixpoint(rule)
         for atom, status in zip(atoms, statuses):
             if status is not None:
-                fixpoint.status[(DELTA, EVIDENTIAL, atom)] = status
+                _put(fixpoint, DELTA, atom, status)
         assert fixpoint._state(rule, DELTA) == expected
 
     def test_open_sole_supporter_settles_neither_sign(self):
@@ -254,6 +291,14 @@ class TestSuperiority:
         table = compute_conclusions(random_theory(seed))
         for mode, text in cells:
             assert table.status(DELTA, mode, lit(text)) == REFUTED
+
+    @pytest.mark.parametrize("pair", [("r1", "zz"), ("zz", "r2"),
+                                      ("zz", "yy")])
+    def test_pair_naming_an_absent_rule_is_inert(self, s3, pair):
+        theory = s3.union_theory()
+        widened = DefeasibleTheory(theory.facts, theory.rules,
+                                   theory.superiority | {pair})
+        assert compute_conclusions(widened) == compute_conclusions(theory)
 
     def test_cross_mode_superiority_is_inert(self):
         base = [
@@ -459,5 +504,10 @@ class TestAgenda:
             frozenset((ids[a], ids[b]) for a, b in theory.superiority))
         assert [(r.antecedents, r.head) for r in permuted.rules] == \
             [(r.antecedents, r.head) for r in order]
-        assert compute_conclusions(permuted, extra) == \
-            compute_conclusions(theory, extra)
+        table = compute_conclusions(theory)
+        assert compute_conclusions(permuted) == table
+        for literal in extra:
+            assert [compute_conclusions(permuted).status(tag, mode, literal)
+                    for mode in MODES for tag in TAGS] == \
+                [table.status(tag, mode, literal)
+                 for mode in MODES for tag in TAGS]

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trialogic import (
-    DEF, DEF_SUCCEEDS, EVIDENTIAL, OBLIGATION, ONGOING, POLICIES, PR,
-    PR_SUCCEEDS, STALLED, Antecedent, Claim, ConclusionTable, GameSetup,
+    DEF, DEF_SUCCEEDS, EVIDENTIAL, MODES, OBLIGATION, ONGOING, POLICIES, PR,
+    PR_SUCCEEDS, STALLED, TAGS, Antecedent, Claim, ConclusionTable, GameSetup,
     IllegalMove, Literal, Move, OpeningRejected, ParseFailure, Rule,
     adjudicate, analyze, apply_move, auto_play, compute_conclusions, corpus,
     game, initial_state, legal_move, lit, open_game, parse_moves,
@@ -285,15 +285,20 @@ class TestMovesParsing:
         assert moves[1].targets == {(EVIDENTIAL, lit("b"))}
 
 
+def _statuses(table, literals):
+    return [table.status(tag, mode, literal) for literal in sorted(literals)
+            for mode in MODES for tag in TAGS]
+
+
 @pytest.fixture
 def computed(monkeypatch):
-    """Every table computed, as (theory, extras, grown, table)."""
+    """Every table computed, as (theory, grown, table)."""
     runs = []
     compute = game.compute_conclusions
 
-    def recording(theory, extras=(), parent=None, added=None):
-        table = compute(theory, extras, parent=parent, added=added)
-        runs.append((theory, tuple(extras), parent is not None, table))
+    def recording(theory, parent=None, added=None):
+        table = compute(theory, parent=parent, added=added)
+        runs.append((theory, parent is not None, table))
         return table
 
     monkeypatch.setattr(game, "compute_conclusions", recording)
@@ -312,22 +317,26 @@ class TestIncrementalTables:
             analyze(setup)
             for policy in POLICIES:
                 auto_play(setup, policy)
-        grown = [run for run in computed if run[2]]
+        grown = [run for run in computed if run[1]]
         assert len(grown) > len(computed) // 2
-        for theory, extras, _, table in grown:
-            assert table == compute_conclusions(theory, extras)
+        claims = {literal for setup in [s1, s2, s3] + claimed
+                  for literal in setup.claim.literals}
+        for theory, _, table in grown:
+            full = compute_conclusions(theory)
+            assert table == full
+            assert _statuses(table, claims) == _statuses(full, claims)
 
     def test_analyze_grows_all_but_the_first_table(self, computed, s1):
         for setup, grown in ((s1, 50),
                              (corpus.random_setup(273, max_rules=20), 1023)):
             computed.clear()
             analyze(setup)
-            assert [run[2] for run in computed] == [False] + [True] * grown
+            assert [run[1] for run in computed] == [False] + [True] * grown
 
     def test_unknown_rule_id_is_no_parent(self, computed, s1):
         state = initial_state(s1)
         table = state.table_after(frozenset({"nosuchrule"}))
-        assert [run[2] for run in computed] == [False, False]
+        assert [run[1] for run in computed] == [False, False]
         assert table == state.conclusions
 
     @settings(max_examples=40, deadline=None)
@@ -344,11 +353,13 @@ class TestIncrementalTables:
         requests += [
             frozenset(rng.sample(private, rng.randint(0, len(private))))
             for _ in range(4)]
+        claim = setup.claim.literals if setup.claim else ()
         for disclosed in requests:
             full = compute_conclusions(
-                setup.theory_for(state.common_ids | disclosed),
-                state.tables.claim_literals)
-            assert state.table_after(disclosed) == full
+                setup.theory_for(state.common_ids | disclosed))
+            grown = state.table_after(disclosed)
+            assert grown == full
+            assert _statuses(grown, claim) == _statuses(full, claim)
 
 
 def _chain_setup(owners, strays, obliged):

@@ -225,9 +225,9 @@ class TestOneCachePerCall:
         keys = []
         compute = game.compute_conclusions
 
-        def recording(theory, extras=(), **parent):
+        def recording(theory, **parent):
             keys.append(frozenset(rule.id for rule in theory.rules))
-            return compute(theory, extras, **parent)
+            return compute(theory, **parent)
 
         monkeypatch.setattr(game, "compute_conclusions", recording)
         return keys
