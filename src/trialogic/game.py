@@ -53,6 +53,27 @@ cone ``engine`` re-evaluates when a table grows.  Moves, their targets
 and the end-of-game test read full tables, since a rule outside the
 cone still changes statuses and still empties a pool.
 
+A support bound answers the prosecutor's subset searches when none can
+succeed.  Take the Horn closure of cells ``(mode, literal)``: it starts
+from the facts, and each kept common or pr rule adds its head cell once
+each antecedent cell is in, counting a ``-t`` antecedent as met.  It
+holds every cell proved at sigma_minus in the table of any subset of
+those rules.  ``+sigma_minus`` of a cell needs a fact or a
+supporting rule whose antecedents hold at sigma_minus
+(``engine._condition``): a plain antecedent by ``+sigma_minus`` of its
+cell, and a ``+t`` one by ``+t``, which implies ``+sigma_minus`` by
+the inclusion ladder (a3).  So by induction over the order in which the
+fixpoint derives statuses, each such cell is in the closure of that
+subset, and the closure only grows with the rules.  Every positive tag
+implies ``+sigma_minus`` (a3 again), so when a pr claim condition's
+cell, ``(E, l)`` or ``(O, ~l)``, is outside the closure of the common
+rules and the whole pr pool, no subset establishes the claim in its
+sliced table, nor so in its full one (see above):
+``accepted_openings`` yields nothing and adjudication finds pr defeated
+without a table per subset.  There is no such bound for the defence.
+Its goal includes negative tags, which a rule added can take away as
+well as give, so no closure that only grows with the rules bounds it.
+
 This module reads no text: ``dsl.parse_moves`` turns a moves file into
 the ``Move`` list that ``run_game`` plays.
 """
@@ -61,7 +82,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dsl import parse_moves  # noqa: F401  (moves files are read in dsl)
 from .engine import ConclusionTable, compute_conclusions
@@ -275,6 +296,28 @@ def claim_refuted(table: ConclusionTable, setup: GameSetup) -> bool:
                for condition in claim_conditions(setup, DEF))
 
 
+def _supportable(setup: GameSetup, tables: _Tables,
+                 rule_ids: frozenset[str]) -> bool:
+    """The support bound: whether every cell a pr claim condition reads
+    is in the Horn closure of the facts under the kept rules of
+    ``rule_ids``.  False means no subset of them establishes the
+    claim."""
+    cells = set(setup.facts)
+    pending = [tables.rules[rule_id] for rule_id in rule_ids & tables.keep]
+    grew = True
+    while grew:
+        grew = False
+        for rule in pending:
+            head = (rule.head_mode, rule.head)
+            if head not in cells and all(
+                    ant.sign == MINUS or (ant.mode, ant.literal) in cells
+                    for ant in rule.antecedents):
+                cells.add(head)
+                grew = True
+    return all((mode, literal) in cells
+               for _, _, mode, literal in claim_conditions(setup, PR))
+
+
 _GAP_FOR_MODE = {
     EVIDENTIAL: "claim literal {} is not proved evidentially",
     OBLIGATION: "obligation of {} is not proved",
@@ -348,8 +391,10 @@ def accepted_openings(start: GameState
     """Every opening from ``start`` that establishes the claim, smallest
     first, with the state it opens.  Openings that agree on the claim's
     cone share a sliced key, and the claim is tested once per key and
-    game."""
+    game.  None is tried when the support bound rules them all out."""
     tables = start.tables
+    if not _supportable(start.setup, tables, start.common_ids | start.pr_ids):
+        return
     for opening in subsets(start.pr_ids):
         key = (start.common_ids | opening) & tables.keep
         accepted = tables.established.get(key)
@@ -437,19 +482,25 @@ def termination_status(state: GameState) -> str:
 
 def adjudicate_pools(setup: GameSetup, common_ids: frozenset[str],
                      pr_ids: frozenset[str], def_ids: frozenset[str],
-                     table_for: Callable[[frozenset], ConclusionTable]) -> str:
+                     tables: _Tables) -> str:
     """Settle a stalled exchange.
 
     A player is defeated when their goal fails in the current theory and
-    no subset of their remaining pool would achieve it.  If neither or
-    both are defeated the current claim status (defence first) decides.
+    no subset of their remaining pool would achieve it; pr is defeated
+    without a search when the support bound rules every subset out.  If
+    neither or both are defeated the current claim status (defence
+    first) decides.
     """
+    def table_for(ids: frozenset[str]) -> ConclusionTable:
+        return conclusions_for(setup, ids, tables)
+
     table = table_for(common_ids)
     good = claim_established(table, setup)
     bad = claim_refuted(table, setup)
-    pr_defeated = not good and not any(
-        claim_established(table_for(common_ids | subset), setup)
-        for subset in subsets(pr_ids))
+    pr_defeated = not good and not (
+        _supportable(setup, tables, common_ids | pr_ids) and any(
+            claim_established(table_for(common_ids | subset), setup)
+            for subset in subsets(pr_ids)))
     def_defeated = not bad and not any(
         claim_refuted(table_for(common_ids | subset), setup)
         for subset in subsets(def_ids))
@@ -470,8 +521,7 @@ def adjudicate(state: GameState) -> str:
     keep = state.tables.keep
     return adjudicate_pools(
         state.setup, state.common_ids & keep, state.pr_ids & keep,
-        state.def_ids & keep,
-        lambda ids: conclusions_for(state.setup, ids, state.tables))
+        state.def_ids & keep, state.tables)
 
 
 def settle(state: GameState) -> str:

@@ -22,6 +22,16 @@ Every search here moves through ``game.step`` and scores positions with
 public entry point starts from one ``game.initial_state`` and every
 state it reaches shares that state's table cache; ``analyze`` runs both
 of its searches from the same start.
+
+The exhaustive search cuts at the optimum.  At a position it plays the
+pass first, which needs no table, then the legal disclosures in
+``subsets`` order, and stops as soon as an outcome is the mover's best;
+at the root it stops at the first accepted opening that the prosecutor
+wins.  The memo stays exact: the game graph is acyclic (pools only
+shrink, and two passes end the game), so a position's value is fixed
+whatever order its children are evaluated in, and a cut drops only
+children that cannot beat an outcome already found.  Every memo entry
+is thus the true value of its position, not a bound on it.
 """
 
 from __future__ import annotations
@@ -61,7 +71,12 @@ WINNER_FOR_OUTCOME = {PR_SUCCEEDS: PR, DEF_SUCCEEDS: DEF, STALLED: STALLED}
 
 @dataclass(frozen=True)
 class Analysis:
-    """``winner`` is pr, def, or stalled."""
+    """``winner`` is pr, def, or stalled.  ``minimal_opening`` is the
+    smallest robust opening, or None.  ``states_explored`` counts the
+    work of the exhaustive search: each accepted opening it tried plus
+    each undecided position whose moves it evaluated, once per position
+    (a position is its two pools, the mover and the passes in a row).
+    Positions a cut skipped are not counted."""
 
     winner: str
     minimal_opening: Optional[tuple[str, ...]]
@@ -134,14 +149,15 @@ def _exhaustive(start: GameState) -> tuple[str, int]:
         if key in memo:
             return memo[key]
         explored += 1
+        preference = _PREFERENCE[state.mover]
+        best = outcome(step(state, frozenset())[0])
         pool = state.pr_ids if state.mover == PR else state.def_ids
-        outcomes = []
         for disclosed in subsets(pool, include_empty=False):
+            if not preference[best]:
+                break
             nxt, targets = step(state, disclosed)
             if targets:
-                outcomes.append(outcome(nxt))
-        outcomes.append(outcome(step(state, frozenset())[0]))
-        best = min(outcomes, key=_PREFERENCE[state.mover].get)
+                best = min(best, outcome(nxt), key=preference.get)
         memo[key] = best
         return best
 
@@ -149,6 +165,8 @@ def _exhaustive(start: GameState) -> tuple[str, int]:
     for _, opened in accepted_openings(start):
         explored += 1
         root_outcomes.append(outcome(opened))
+        if root_outcomes[-1] == PR_SUCCEEDS:
+            break
     if not root_outcomes:
         return adjudicate(start), explored
     return min(root_outcomes, key=_PREFERENCE[PR].get), explored

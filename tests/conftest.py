@@ -1,8 +1,13 @@
+import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from trialogic import parse_theory
+from trialogic import (
+    EVIDENTIAL, OBLIGATION, PROVED, Claim, compute_conclusions, corpus,
+    parse_theory,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -54,3 +59,20 @@ def cycle():
 @pytest.fixture(scope="session")
 def empty_deontic():
     return load("empty_deontic.ddt")
+
+
+def established_setup(seed: int, **kwargs):
+    """``random_setup(seed, **kwargs)`` with its claim replaced by a
+    literal the union theory establishes, picked as the benchmark's
+    ``established_claim`` picks one; None when there is none."""
+    setup = corpus.random_setup(seed, **kwargs)
+    table = compute_conclusions(setup.union_theory())
+    ev, de = setup.evidential_standard, setup.deontic_standard
+    candidates = [
+        literal for literal in sorted(table.literals)
+        if table.status(ev, EVIDENTIAL, literal) == PROVED
+        and table.status(de, OBLIGATION, literal.complement()) == PROVED]
+    if not candidates:
+        return None
+    claim = random.Random(seed).choice(candidates)
+    return replace(setup, claim=Claim((claim,)))

@@ -68,8 +68,8 @@ TABLE_CLASSES = {
 }
 TABLE_CLASSES["stratified"] = (
     dict(allow_superiority=False, stratified=True), ("sup",))
-# The replay checks one part in STRIDE: every STRIDE-th setup label and
-# the table seeds of residue 0.
+# The replay checks one part in STRIDE of the tables: the seeds of
+# residue 0.
 STRIDE = 4
 
 

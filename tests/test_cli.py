@@ -211,7 +211,7 @@ class TestGameAnalyze:
         code, out, _ = invoke(capsys, "game", "analyze", s1_path, "--json")
         assert code == 0
         assert out == '{"winner":"pr","minimal_opening":["r1","r4"],' \
-            '"states_explored":35}\n'
+            '"states_explored":3}\n'
 
     def test_whole_pool_needed(self, capsys, fixtures_dir):
         code, out, _ = invoke(
@@ -220,7 +220,7 @@ class TestGameAnalyze:
         assert json.loads(out) == {
             "winner": "pr",
             "minimal_opening": ["r1", "r4", "r7"],
-            "states_explored": 26,
+            "states_explored": 13,
         }
 
     def test_no_winning_opening_human(self, capsys, fixtures_dir):
@@ -295,7 +295,7 @@ class TestModuleEntryPoint:
         assert result.returncode == 0
         assert result.stdout == \
             b'{"winner":"pr","minimal_opening":["r1","r4"],' \
-            b'"states_explored":35}\n'
+            b'"states_explored":3}\n'
 
     def test_failure_exit_code_propagates(self):
         result = subprocess.run(

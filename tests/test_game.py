@@ -12,6 +12,13 @@ from trialogic import (
     parse_theory, run_game, termination_status,
 )
 
+from conftest import established_setup
+
+
+# Seeds whose ``established_setup(seed, max_rules=14, deontic_ratio=0.5)``
+# analysis and play grow most of their tables.
+GROWN_SEEDS = (24, 28, 82, 166)
+
 
 def move(player, ids, targets=()):
     return Move(player, frozenset(ids),
@@ -311,8 +318,13 @@ class TestIncrementalTables:
 
     def test_requested_tables_equal_full_computation(self, computed, s1, s2,
                                                      s3):
+        # most corpus claims no subset of the pr pool can support, so
+        # their searches stop at the first table; the established claims
+        # of GROWN_SEEDS keep the searches, and so most tables, growing
         claimed = [setup for setup in corpus.setups(25)
                    if setup.claim is not None]
+        claimed += [established_setup(seed, max_rules=14, deontic_ratio=0.5)
+                    for seed in GROWN_SEEDS]
         for setup in [s1, s2, s3] + claimed:
             analyze(setup)
             for policy in POLICIES:
@@ -327,11 +339,15 @@ class TestIncrementalTables:
             assert _statuses(table, claims) == _statuses(full, claims)
 
     def test_analyze_grows_all_but_the_first_table(self, computed, s1):
-        for setup, grown in ((s1, 50),
-                             (corpus.random_setup(273, max_rules=20), 1023)):
+        large = established_setup(71, max_rules=20, deontic_ratio=0.5)
+        for setup, grown in ((s1, 14), (large, 127)):
             computed.clear()
             analyze(setup)
             assert [run[1] for run in computed] == [False] + [True] * grown
+
+    def test_greedy_play_grows_all_but_the_first_table(self, computed):
+        auto_play(established_setup(71, max_rules=20, deontic_ratio=0.5))
+        assert [run[1] for run in computed] == [False] + [True] * 158
 
     def test_unknown_rule_id_is_no_parent(self, computed, s1):
         state = initial_state(s1)
@@ -448,15 +464,16 @@ class TestClaimSlicing:
     @pytest.mark.parametrize("seed", [9, 199])
     def test_analyze_needs_one_table_without_relevant_rules(self, computed,
                                                             seed):
-        # seed 273 is pinned at 1024 tables by TestIncrementalTables
         analyze(corpus.random_setup(seed, max_rules=20))
         assert len(computed) == 1
 
-    @pytest.mark.parametrize("seed, keys", [(9, 1), (199, 1), (273, 1024)])
-    def test_accepted_openings_test_each_sliced_key_once(self, monkeypatch,
-                                                         seed, keys):
-        # 2^9, 2^10 and 2^11 openings, walked twice by analyze: once
-        # for the game tree and once for the minimal opening
+    @pytest.mark.parametrize("seed, openings, keys",
+                             [(2372, 64, 1), (48, 32, 4), (1284, 128, 16)])
+    def test_accepted_openings_test_each_sliced_key_once(
+            self, monkeypatch, seed, openings, keys):
+        # walked twice from one start, as analyze walks it once for the
+        # game tree and once for the minimal opening; the claim is one
+        # the support bound lets through
         tested = []
         established = game.claim_established
 
@@ -466,6 +483,90 @@ class TestClaimSlicing:
             return established(table, setup)
 
         monkeypatch.setattr(game, "claim_established", recording)
-        analyze(corpus.random_setup(seed, max_rules=20))
+        start = initial_state(established_setup(seed, max_rules=20))
+        assert 2 ** len(start.pr_ids) == openings
+        for _ in range(2):
+            list(game.accepted_openings(start))
         assert len(tested) == keys
         assert len(set(map(id, tested))) == keys
+
+
+_ATOMS = ("a", "b", "c")
+_LITERALS = st.builds(Literal, st.sampled_from(_ATOMS), st.booleans())
+_CELLS = st.tuples(st.sampled_from([EVIDENTIAL, OBLIGATION]), _LITERALS)
+_ANTECEDENTS = st.builds(
+    lambda cell, note: Antecedent(*cell, *note), _CELLS,
+    st.one_of(st.just(()), st.tuples(st.sampled_from(["+", "-"]),
+                                      st.sampled_from(TAGS))))
+
+
+@st.composite
+def support_setups(draw):
+    """Small setups over three atoms: evidential and obligation facts,
+    annotated antecedents of either sign, rules of every owner and
+    superiority between conflicting rules."""
+    pools = {"common": [], PR: [], DEF: []}
+    rules = []
+    for index in range(draw(st.integers(1, 7))):
+        rule = Rule(f"r{index}",
+                    tuple(draw(st.lists(_ANTECEDENTS, min_size=1,
+                                        max_size=2))),
+                    *draw(_CELLS))
+        rules.append(rule)
+        pools[draw(st.sampled_from(list(pools)))].append(rule)
+    superiority = {
+        (first.id, second.id)
+        for first in rules for second in rules
+        if first.head_mode == second.head_mode
+        and first.head == second.head.complement()
+        and first.id < second.id and draw(st.booleans())}
+    return GameSetup(
+        facts=frozenset(draw(st.lists(_CELLS, max_size=3))),
+        common_rules=tuple(pools["common"]), pr_rules=tuple(pools[PR]),
+        def_rules=tuple(pools[DEF]), superiority=frozenset(superiority),
+        claim=Claim((draw(_LITERALS),)),
+        evidential_standard=draw(st.sampled_from(TAGS)),
+        deontic_standard=draw(st.sampled_from(TAGS[:2])))
+
+
+class TestSupportBound:
+    """When the kept rules of the common and pr pools cannot reach a pr
+    claim cell from the facts, no opening establishes the claim."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(support_setups(), corpus_setups))
+    def test_unsupportable_claim_has_no_accepted_opening(self, setup):
+        if setup.claim is None:
+            return
+        start = initial_state(setup)
+        if game._supportable(setup, start.tables,
+                             start.common_ids | start.pr_ids):
+            return
+        assert not any(
+            game.claim_established(start.table_after(opening), setup)
+            for opening in game.subsets(start.pr_ids))
+
+    def test_negative_antecedent_counts_as_supported(self):
+        # ~x has no support at all, so -delta E x holds and p1 applies
+        setup = parse_theory(
+            "fact f.\n"
+            "fact O ~b.\n"
+            "rule p1: f, -d x => b.\n"
+            "claim: b.\n"
+            "game pr: p1.\n")
+        start = initial_state(setup)
+        assert game._supportable(setup, start.tables, start.pr_ids)
+        assert [opening for opening, _ in game.accepted_openings(start)] \
+            == [frozenset({"p1"})]
+
+    def test_analyze_of_unsupportable_claim_computes_one_table(
+            self, computed):
+        # 2^11 openings, none of which the bound lets through
+        setup = corpus.random_setup(273, max_rules=20)
+        start = initial_state(setup)
+        assert len(start.pr_ids) == 11
+        assert not game._supportable(setup, start.tables,
+                                     start.common_ids | start.pr_ids)
+        computed.clear()
+        assert analyze(setup).minimal_opening is None
+        assert len(computed) == 1

@@ -1,14 +1,18 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from trialogic import (
     DEF, DEF_SUCCEEDS, EVIDENTIAL, FULL_DISCLOSURE, GREEDY_MINIMAL,
-    OBLIGATION, POLICIES, PR, PR_SUCCEEDS, SIGMA_MINUS, WINNER_FOR_OUTCOME,
-    Antecedent, BoundExceeded, Claim, GameSetup, Rule, analyze, auto_play,
-    corpus, exhaustive_winner, game, lit, minimal_winning_opening,
+    OBLIGATION, ONGOING, POLICIES, PR, PR_SUCCEEDS, SIGMA_MINUS, STALLED,
+    WINNER_FOR_OUTCOME, Analysis, Antecedent, BoundExceeded, Claim,
+    GameSetup, OpeningRejected, Rule, analyze, auto_play, corpus,
+    exhaustive_winner, game, lit, minimal_winning_opening,
     opening_is_winning, parse_moves, parse_theory, run_game, with_standards,
 )
+
+from conftest import established_setup
 
 
 def _rule(rid, ant, head, mode=EVIDENTIAL):
@@ -103,6 +107,118 @@ class TestExhaustive:
 
     def test_deterministic(self, s2):
         assert analyze(s2) == analyze(s2)
+
+    def test_cut_search_on_a_large_setup(self):
+        # 5 pr and 7 def rules; the uncut search expands 6,144 positions
+        setup = established_setup(71, max_rules=20, deontic_ratio=0.5)
+        assert analyze(setup) == Analysis(PR, (), 129)
+
+
+_RANKING = {PR: (PR_SUCCEEDS, STALLED, DEF_SUCCEEDS),
+            DEF: (DEF_SUCCEEDS, STALLED, PR_SUCCEEDS)}
+
+
+def _uncut_winner(setup):
+    """Backward induction over every legal move of every position, with
+    no cutoff, and over every opening the claim accepts."""
+    memo = {}
+
+    def outcome(state):
+        settled = game.settle(state)
+        if settled != ONGOING:
+            return settled
+        key = (state.pr_ids, state.def_ids, state.mover,
+               state.consecutive_passes)
+        if key not in memo:
+            pool = state.pr_ids if state.mover == PR else state.def_ids
+            outcomes = [outcome(game.step(state, frozenset())[0])]
+            for disclosed in game.subsets(pool, include_empty=False):
+                nxt, targets = game.step(state, disclosed)
+                if targets:
+                    outcomes.append(outcome(nxt))
+            memo[key] = min(outcomes, key=_RANKING[state.mover].index)
+        return memo[key]
+
+    start = game.initial_state(setup)
+    outcomes = []
+    for opening in game.subsets(start.pr_ids):
+        try:
+            outcomes.append(outcome(game._open(start, opening)))
+        except OpeningRejected:
+            pass
+    if not outcomes:
+        return WINNER_FOR_OUTCOME[game.adjudicate(start)]
+    return WINNER_FOR_OUTCOME[min(outcomes, key=_RANKING[PR].index)]
+
+
+def _small_setup(seed, annotated, established):
+    """A corpus setup or, when ``established`` and the seed has one, a
+    setup of the benchmark's game corpus whose claim the union theory
+    establishes."""
+    if established:
+        setup = established_setup(seed, max_rules=14, deontic_ratio=0.5,
+                                  allow_annotations=annotated)
+        if setup is not None:
+            return setup
+    return corpus.random_setup(seed, allow_annotations=annotated)
+
+
+class TestCutSearch:
+    """The cut search finds the game value the uncut one finds."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6), st.booleans(),
+           st.booleans())
+    def test_exhaustive_winner_equals_uncut_search(self, seed, annotated,
+                                                   established):
+        setup = _small_setup(seed, annotated, established)
+        assume(setup.claim is not None
+               and len(setup.pr_rules) + len(setup.def_rules) <= 8)
+        assert exhaustive_winner(setup) == _uncut_winner(setup)
+
+    def test_search_goes_past_a_losing_first_opening(self):
+        # the first accepted opening, h1 and h2, proves c, which is all
+        # d1 needs to beat both routes to b; r1 and r2 prove b without c
+        setup = parse_theory(
+            "fact a.\nfact d.\n"
+            "rule ob: a =>O ~b.\n"
+            "rule h1: d => c.\nrule h2: c => b.\n"
+            "rule r1: a => x.\nrule r2: x => b.\n"
+            "rule d1: c => ~b.\n"
+            "sup d1 > h2.\nsup d1 > r2.\n"
+            "claim: b.\n"
+            "game pr: h1, h2, r1, r2.\ngame def: d1.\n")
+        start = game.initial_state(setup)
+        first, opened = next(game.accepted_openings(start))
+        assert first == {"h1", "h2"}
+        assert game.step(opened, frozenset({"d1"}))[1]
+        assert exhaustive_winner(setup) == _uncut_winner(setup) == PR
+        assert analyze(setup).minimal_opening == ("r1", "r2")
+
+    def test_search_goes_past_a_stalled_outcome(self):
+        # x1 leaves b undetermined at delta (its premise c is only
+        # sigma_minus, since sc > rc and e is circular); after pr passes,
+        # a pass by def is adjudicated stalled, as r2 could still prove
+        # b and y1 could still refute it, while y1 itself wins for def
+        setup = parse_theory(
+            "fact a.\n"
+            "rule ob: a =>O ~b.\n"
+            "rule rc: a => c.\nrule sc: e => ~c.\nrule le: e => e.\n"
+            "sup sc > rc.\n"
+            "rule p1: a => b.\nrule r2: a => b.\n"
+            "rule x1: c => ~b.\nrule y1: a => ~b.\n"
+            "sup r2 > x1.\nsup y1 > r2.\nsup y1 > p1.\n"
+            "claim: b.\n"
+            "game pr: p1, r2.\ngame def: x1, y1.\n")
+        opened = game.open_game(setup, {"p1"})
+        doubted, _ = game.step(opened, frozenset({"x1"}))
+        passed, _ = game.step(doubted, frozenset())
+        assert game.settle(game.step(passed, frozenset())[0]) == STALLED
+        assert exhaustive_winner(setup) == _uncut_winner(setup) == DEF
+
+    def test_uncut_search_on_the_fixtures(self, s1, s2, s3):
+        for setup in (s1, s2, s3, with_standards(s2, evidential="delta")):
+            assert exhaustive_winner(setup) == _uncut_winner(setup)
 
 
 class TestGreedyPolicy:
