@@ -66,9 +66,18 @@ class ParseFailure(Exception):
 
 
 class _Token(NamedTuple):
+    """A token and where it starts: line and column from 1, and its
+    length.  Its ``SourceSpan`` is built only for an error."""
+
     kind: str
     value: str
-    span: SourceSpan
+    line: int
+    col: int
+    length: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.col, self.length)
 
 
 _PUNCT = {">": "GT", ":": "COLON", ",": "COMMA", ".": "DOT",
@@ -96,32 +105,28 @@ def _tokenize(text: str):
             elif ch == "#":
                 break
             elif ch in _PUNCT:
-                tokens.append(_Token(_PUNCT[ch], ch, SourceSpan(line, i + 1, 1)))
+                tokens.append(_Token(_PUNCT[ch], ch, line, i + 1, 1))
                 i += 1
             elif match := ATOM_RE.match(source, i):
                 word = match.group()
-                tokens.append(_Token("WORD", word,
-                                     SourceSpan(line, i + 1, len(word))))
+                tokens.append(_Token("WORD", word, line, i + 1, len(word)))
                 i = match.end()
             elif ch in MODES and not _is_word_char(source[i + 1:i + 2]):
-                tokens.append(_Token("MODE", ch, SourceSpan(line, i + 1, 1)))
+                tokens.append(_Token("MODE", ch, line, i + 1, 1))
                 i += 1
             elif source.startswith("=>", i):
                 if source[i + 2:i + 3] == OBLIGATION and \
                         not _is_word_char(source[i + 3:i + 4]):
-                    tokens.append(_Token("DARROW", "=>O",
-                                         SourceSpan(line, i + 1, 3)))
+                    tokens.append(_Token("DARROW", "=>O", line, i + 1, 3))
                     i += 3
                 else:
-                    tokens.append(_Token("ARROW", "=>",
-                                         SourceSpan(line, i + 1, 2)))
+                    tokens.append(_Token("ARROW", "=>", line, i + 1, 2))
                     i += 2
             else:
                 errors.append(ParseError(SourceSpan(line, i + 1, 1),
                                          f"unexpected character {ch!r}"))
                 i += 1
-    tokens.append(_Token("EOF", "", SourceSpan(
-        len(lines), len(lines[-1]) + 1, 0)))
+    tokens.append(_Token("EOF", "", len(lines), len(lines[-1]) + 1, 0))
     return tokens, errors
 
 
@@ -136,9 +141,9 @@ class _Parser:
         self.errors: list[ParseError] = errors
         self.facts: list[tuple[str, Literal]] = []
         self.rules: list[Rule] = []
-        self.sup: list[tuple[str, str, SourceSpan]] = []
+        self.sup: list[tuple[str, str, _Token]] = []
         self.claim: Optional[list[Literal]] = None
-        self.sections: dict[str, list[tuple[str, SourceSpan]]] = {}
+        self.sections: dict[str, list[tuple[str, _Token]]] = {}
         self.standards: dict[str, str] = {}
         self.moves: list[Move] = []
 
@@ -247,14 +252,15 @@ class _Parser:
         stronger = self.expect("WORD", "a rule id")
         self.expect("GT", "'>'")
         weaker = self.expect("WORD", "a rule id")
-        self.sup.append((stronger.value, weaker.value, stronger.span))
+        self.sup.append((stronger.value, weaker.value, stronger))
 
     def claim_stmt(self) -> None:
-        span = self.peek().span
+        start = self.peek()
         self.expect("COLON", "':'")
         literals = self.comma_list(self.literal)
         if self.claim is not None:
-            self.errors.append(ParseError(span, "duplicate claim statement"))
+            self.errors.append(ParseError(start.span,
+                                          "duplicate claim statement"))
             return
         self.claim = literals
 
@@ -265,7 +271,7 @@ class _Parser:
         self.expect("COLON", "':'")
         ids = self.comma_list(lambda: self.expect("WORD", "a rule id"))
         bucket = self.sections.setdefault(token.value, [])
-        bucket.extend((t.value, t.span) for t in ids)
+        bucket.extend((t.value, t) for t in ids)
 
     def standard_stmt(self) -> None:
         which = self.expect("WORD", "'evidential' or 'deontic'")
@@ -326,24 +332,27 @@ def parse_theory(text: str) -> GameSetup:
     errors = parser.errors
 
     declared = {rule.id: rule for rule in parser.rules}
-    for stronger, weaker, span in parser.sup:
+    for stronger, weaker, token in parser.sup:
         for name in (stronger, weaker):
             if name not in declared:
                 errors.append(ParseError(
-                    span, f"superiority references unknown rule id {name!r}"))
+                    token.span,
+                    f"superiority references unknown rule id {name!r}"))
     owner: dict[str, str] = {}
     for section, entries in parser.sections.items():
-        for rule_id, span in entries:
+        for rule_id, token in entries:
             if rule_id not in declared:
                 errors.append(ParseError(
-                    span, f"game section references unknown rule id {rule_id!r}"))
+                    token.span,
+                    f"game section references unknown rule id {rule_id!r}"))
             elif owner.get(rule_id) == section:
                 errors.append(ParseError(
-                    span, f"rule id {rule_id!r} listed twice in the "
-                          f"{section} pool"))
+                    token.span, f"rule id {rule_id!r} listed twice in the "
+                                f"{section} pool"))
             elif rule_id in owner:
                 errors.append(ParseError(
-                    span, f"rule id {rule_id!r} assigned to more than one pool"))
+                    token.span,
+                    f"rule id {rule_id!r} assigned to more than one pool"))
             else:
                 owner[rule_id] = section
 

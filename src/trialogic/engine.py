@@ -24,24 +24,39 @@ fixpoint rather than by failure, and a query can come back
 undetermined: circular support such as ``p => p`` settles neither
 ``+partial p`` nor ``-partial p``.
 
-The table holds one row of four statuses per cell, a cell being one
-moded literal; a literal that no fact or rule mentions has no row and
-is refuted.  An agenda over cells builds it.  A cell is evaluated
-again only after a cell that one of its supporting or attacking rules
-reads has settled a tag, so a chain of rules costs time linear in its
-length whatever order its literals sort in.  Every condition is monotone in the
-statuses derived so far, hence the table is the single least fixpoint
-of those conditions and does not depend on evaluation order.
+A theory is compiled once into a ``TheoryIndex`` of integer occurrence
+lists (Maher, "Propositional defeasible logic has linear complexity",
+TPLP 1(6), 2001).  Literals are numbered in ``literal_sort_key`` order,
+so ``l`` and ``~l`` are ids ``2a`` and ``2a + 1`` of atom ``a``, and a
+cell, one moded literal ``(mode, l)``, is ``2 * id(l) + mode``: the
+cell of the opposite literal is ``cell ^ 2``.  The index holds the
+facts by cell, each rule's head cell and its antecedents as
+``(cell, tag index, wanted status)``, the rules headed at each cell
+(``heads``), the rules that read each cell (``readers``) and, for each
+rule, the rules that beat it.  A game compiles its whole setup once;
+one-shot ``compute_conclusions`` compiles the theory it is given.
 
-A table can also grow from the table of the same theory without one
+A table is the least fixpoint over an index restricted to a rule mask,
+the rules of one theory.  It holds one row of four statuses per cell of
+each literal that a fact or an active rule mentions; any other literal
+has no row and is refuted.  An agenda over cell ids builds it.  A cell
+is evaluated again only after a cell that an active rule supporting or
+attacking it reads has settled a tag, so a chain of rules costs time
+linear in its length whatever order its literals sort in.  Every
+condition is monotone in the statuses derived so far, hence the table
+is the single least fixpoint of those conditions and does not depend on
+evaluation order.
+
+A table can also grow from the table of the same mask without one
 rule r.  Only the affected cone can change: the cells that reach r's
-head cells ``(mode, head)`` and ``(mode, ~head)`` through the readers
-of the agenda, plus the cells the smaller table has no row for.  Every
-other cell reads only unaffected cells, keeps the same supporting and
-attacking rules and, since superiority acts only between the rules of
-one head cell pair, the same superiority pairs; its conditions are
-those of the smaller theory over the same inputs, so it has the same
-least fixpoint and its row is copied.  Only the cone is queued.
+head cells ``h`` and ``h ^ 2`` through the readers of the active rules,
+plus the cells of literals that only r mentions.  Every other cell
+reads only unaffected cells, keeps the same supporting and attacking
+rules and, since superiority acts only between the rules of one head
+cell pair, the same superiority pairs; its conditions are those of the
+smaller theory over the same inputs, so it has the same least fixpoint
+and its row is copied by cell id.  Only the cone is queued.  A table
+keeps only its rows and the index's literal numbering, never the index.
 
 Proof standards map onto the tags: scintilla of evidence is
 sigma_minus, substantial evidence (clear and convincing) is sigma,
@@ -54,12 +69,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Union
 
 from .model import (
     DELTA, EVIDENTIAL, MINUS, MODES, PARTIAL, PLUS, PROVED, REFUTED, SIGMA,
     SIGMA_MINUS, TAGS, UNDETERMINED, DefeasibleTheory, Literal, Rule,
-    TaggedLiteral, literal_sort_key,
+    TaggedLiteral,
 )
 
 # Proof standard names.
@@ -81,8 +96,14 @@ STANDARD_TAG = {
 
 _TAG_INDEX = {tag: i for i, tag in enumerate(TAGS)}
 _MODE_INDEX = {mode: i for i, mode in enumerate(MODES)}
-# How a cell without a row answers in a table, and in a running fixpoint.
-_REFUTED_ROW, _OPEN_ROW = (REFUTED,) * len(TAGS), (None,) * len(TAGS)
+_D, _P, _S, _W = (_TAG_INDEX[tag] for tag in (DELTA, PARTIAL, SIGMA,
+                                               SIGMA_MINUS))
+# How a cell without a row answers in a table.
+_REFUTED_ROW = (REFUTED,) * len(TAGS)
+# The rows of a fact and of a cell no rule supports, settled as a
+# fixpoint starts.  Tables share them, since no settled row is written.
+_PROVED_ROW = [PROVED] * len(TAGS)
+_UNSUPPORTED_ROW = [REFUTED] * len(TAGS)
 
 
 class CoherenceError(RuntimeError):
@@ -98,22 +119,46 @@ class ConclusionTable:
 
     Each cell ``(mode, literal)`` of the table's literals has a row of
     its four statuses in ``TAGS`` order, ``None`` while undetermined.
-    A cell without a row answers as refuted: a literal no rule or fact
-    mentions has every negative tag vacuously derivable.  Rows are not
-    written once built, so a grown table shares the rows it keeps.
+    Rows sit in a list by cell id; ``literals`` and ``ids`` are the
+    numbering of the index the table was built on, shared by every
+    table of that index.  A cell without a row answers as refuted: a
+    literal no rule or fact mentions has every negative tag vacuously
+    derivable.  Rows are not written once built, so a grown table
+    shares the rows it keeps.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_literals", "_ids", "_rows")
 
-    def __init__(self, rows: dict[tuple[str, Literal], list]):
+    def __init__(self, literals: tuple[Literal, ...],
+                 ids: dict[Literal, int], rows: list):
+        self._literals = literals
+        self._ids = ids
         self._rows = rows
+
+    def _row(self, mode: str, literal: Literal):
+        """The row of ``(mode, literal)``, or None when it has none."""
+        i = self._ids.get(literal)
+        m = _MODE_INDEX.get(mode)
+        if i is None or m is None:
+            return None
+        return self._rows[2 * i + m]
+
+    def _cells(self):
+        """((mode, literal), row) of every cell with a row, in
+        ``literal_sort_key`` then ``MODES`` order."""
+        literals = self._literals
+        return (((MODES[cell & 1], literals[cell >> 1]), row)
+                for cell, row in enumerate(self._rows) if row is not None)
 
     @property
     def literals(self) -> frozenset[Literal]:
-        return frozenset(literal for _, literal in self._rows)
+        # a literal has a row in both modes or in neither
+        return frozenset(literal for literal, row
+                         in zip(self._literals, self._rows[::2])
+                         if row is not None)
 
     def status(self, tag: str, mode: str, literal: Literal) -> str:
-        row = self._rows.get((mode, literal))
+        row = self._row(mode, literal)
         if row is None:
             return REFUTED
         return row[_TAG_INDEX[tag]] or UNDETERMINED
@@ -135,54 +180,217 @@ class ConclusionTable:
     def is_determined(self, literal: Literal) -> bool:
         """Whether the literal has any determined status in any mode."""
         return any(row is None or any(row) for row in (
-            self._rows.get((mode, literal)) for mode in MODES))
+            self._row(mode, literal) for mode in MODES))
 
     def rows(self) -> list[tuple[Literal, str, str, str]]:
         return [(literal, mode, tag, status or UNDETERMINED)
-                for literal in sorted(self.literals, key=literal_sort_key)
-                for mode in MODES
-                for tag, status in zip(TAGS, self._rows[mode, literal])]
+                for (mode, literal), row in self._cells()
+                for tag, status in zip(TAGS, row)]
 
     def newly_determined(self, old: "ConclusionTable") -> tuple[TaggedLiteral, ...]:
-        """Signed conclusions determined here but not in ``old``.
+        """Signed conclusions determined here but not in ``old``, in
+        ``literal_sort_key``, ``MODES`` then ``TAGS`` order.
 
         Flips count as well: a status that changed from proved to
         refuted yields the newly derived negative conclusion.
         """
         fresh = []
-        for cell, row in self._rows.items():
-            before = old._rows.get(cell, _REFUTED_ROW)
-            if before is row:  # a row grown tables share is unchanged
+        for cell, (row, before) in enumerate(
+                zip(self._rows, _rows_by(self._literals, self._ids, old))):
+            if row is None or before is row:  # shared rows are unchanged
                 continue
+            if before is None:
+                before = _REFUTED_ROW
             fresh += [
-                TaggedLiteral(PLUS if status == PROVED else MINUS, tag, *cell)
+                TaggedLiteral(PLUS if status == PROVED else MINUS, tag,
+                              MODES[cell & 1], self._literals[cell >> 1])
                 for tag, status, was in zip(TAGS, row, before)
                 if status is not None and status != was]
-        fresh.sort(key=lambda t: (literal_sort_key(t.literal),
-                                  _MODE_INDEX[t.mode], _TAG_INDEX[t.tag]))
         return tuple(fresh)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConclusionTable):
             return NotImplemented
-        return self._rows == other._rows
+        if other._ids is self._ids:
+            return self._rows == other._rows
+        return dict(self._cells()) == dict(other._cells())
 
     def __repr__(self) -> str:
         determined = sum(len(TAGS) - row.count(None)
-                         for row in self._rows.values())
+                         for _, row in self._cells())
         return (f"<ConclusionTable {determined} determined over "
                 f"{len(self.literals)} literals>")
 
 
-class _Fixpoint:
-    """One table computation: a FIFO agenda of cells ``(mode, literal)``.
+def _rows_by(literals: tuple[Literal, ...], ids: dict[Literal, int],
+             table: ConclusionTable) -> list:
+    """``table``'s rows by the cell ids of the numbering ``literals``,
+    ``ids`` (None for a cell it has no row for)."""
+    if table._ids is ids:
+        return table._rows
+    return [table._row(MODES[cell & 1], literals[cell >> 1])
+            for cell in range(2 * len(literals))]
 
-    The agenda starts with every cell in ``literal_sort_key`` order.
-    A cell's first pop creates its row.  Popping a cell reads its facts
-    and rules once, then evaluates each of its unsettled tags.  The conditions of ``(mode, l)`` read only
-    facts and the cells named by antecedents of rules with head
-    ``(mode, l)`` or ``(mode, ~l)``, so when a tag of a cell settles,
-    ``readers`` lists exactly the cells to queue again; a cell already
+
+class TheoryIndex:
+    """Facts, rules and superiority compiled into integer occurrence
+    lists over literal and cell ids (see the module docstring).
+
+    ``rules`` keeps the given order and numbers the rules by position;
+    ``positions`` maps a rule id to its positions.  By cell: ``fact``
+    (1 for a fact), ``heads`` and ``readers`` (the positions of the
+    rules headed at it and of those reading it, one shared empty tuple
+    where there are none).  By rule position: ``head`` (its head cell),
+    ``antecedents`` (as ``(cell, tag index, wanted status)``, the tag
+    index None for a plain antecedent) and ``beaten_by`` (the positions
+    of the rules that beat it, kept only between complementary head
+    cells, the only pairs a condition reads).  ``fact_atoms`` are the
+    atoms the facts mention.
+    """
+
+    __slots__ = ("rules", "positions", "literals", "ids", "fact",
+                 "fact_atoms", "head", "antecedents", "heads",
+                 "readers", "beaten_by")
+
+    def __init__(self, facts: Iterable[tuple[str, Literal]],
+                 rules: Iterable[Rule],
+                 superiority: Iterable[tuple[str, str]] = ()):
+        facts = tuple(facts)
+        self.rules = rules = tuple(rules)
+        atoms = {literal.atom for _, literal in facts}
+        for rule in rules:
+            atoms.add(rule.head.atom)
+            atoms.update(ant.literal.atom for ant in rule.antecedents)
+        # literal_sort_key order: by atom, the positive literal first
+        self.literals = tuple(Literal(atom, positive)
+                              for atom in sorted(atoms)
+                              for positive in (True, False))
+        self.ids = ids = {literal: i
+                          for i, literal in enumerate(self.literals)}
+        cells = 2 * len(self.literals)
+        mode = _MODE_INDEX
+
+        self.fact = bytearray(cells)
+        for fact_mode, literal in facts:
+            self.fact[2 * ids[literal] + mode[fact_mode]] = 1
+        self.fact_atoms = frozenset(ids[literal] >> 1 for _, literal in facts)
+
+        self.positions = positions = {}
+        self.head = head = []
+        self.antecedents = antecedents = []
+        self.heads = heads = [()] * cells
+        self.readers = readers = [()] * cells
+        for r, rule in enumerate(rules):
+            positions[rule.id] = positions.get(rule.id, ()) + (r,)
+            h = 2 * ids[rule.head] + mode[rule.head_mode]
+            head.append(h)
+            heads[h] += (r,)
+            read = tuple((2 * ids[ant.literal] + mode[ant.mode],
+                          _TAG_INDEX.get(ant.tag),
+                          REFUTED if ant.sign == MINUS else PROVED)
+                         for ant in rule.antecedents)
+            antecedents.append(read)
+            for c in {c for c, _, _ in read}:
+                readers[c] += (r,)
+        beaten: dict[int, set[int]] = {}
+        for stronger, weaker in superiority:
+            for s in positions.get(stronger, ()):
+                for w in positions.get(weaker, ()):
+                    if head[s] == head[w] ^ 2:
+                        beaten.setdefault(w, set()).add(s)
+        self.beaten_by = [frozenset(beaten[r]) if r in beaten else ()
+                          for r in range(len(rules))]
+
+    def select(self, rule_ids: Iterable[str]) -> "Selection":
+        """The theory of the facts, the rules named by ``rule_ids`` and
+        the superiority pairs among them, over this index."""
+        return Selection(self, frozenset(rule_ids))
+
+
+class Selection:
+    """The theory of an index's facts, the rules ``rule_ids`` names
+    (an id that names no rule is ignored) and the superiority pairs
+    among those: what ``compute_conclusions`` takes to build a table
+    over an index compiled once."""
+
+    __slots__ = ("index", "rule_ids")
+
+    def __init__(self, index: TheoryIndex, rule_ids: frozenset[str]):
+        self.index = index
+        self.rule_ids = rule_ids
+
+    @property
+    def rules(self) -> tuple[Rule, ...]:
+        return tuple(rule for rule in self.index.rules
+                     if rule.id in self.rule_ids)
+
+
+def _state(rows: list, antecedents: tuple, ambient: int) -> int:
+    """1 once every antecedent holds at the statuses derived so far, -1
+    once one has failed, 0 otherwise.  Each antecedent is ``(cell, tag
+    index, wanted status)``: a plain antecedent (no tag index) reads the
+    ambient tag index and wants it proved; an annotated one reads its
+    own tag and fails only on the opposite sign."""
+    state = 1
+    for cell, tag, want in antecedents:
+        got = rows[cell][ambient if tag is None else tag]
+        if got is None:
+            state = 0
+        elif got != want:
+            return -1
+    return state
+
+
+def _condition(tag: int, inputs: tuple, need: int, rows: list,
+               index: TheoryIndex) -> bool:
+    """The condition of ``+tag`` (a tag index) on a cell whose inputs
+    are (is a fact, opposite is a fact, supporting rules, attacking
+    rules), counting a rule applicable when its state is at least
+    ``need`` and discarded when it is at most ``-need``.
+
+    With ``need`` 1 this is ``+tag`` itself.  With ``need`` 0 an open
+    rule counts as both, and the negation is ``-tag``."""
+    fact, opposed_fact, supporters, attackers = inputs
+    if fact:
+        return True
+    antecedents = index.antecedents
+    if tag == _W:
+        return any(_state(rows, antecedents[r], _W) >= need
+                   for r in supporters)
+    beaten_by = index.beaten_by
+    if tag == _S:
+        return any(
+            _state(rows, antecedents[r], _S) >= need and all(
+                _state(rows, antecedents[s], _D) <= -need
+                for s in attackers if s in beaten_by[r])
+            for r in supporters)
+    if opposed_fact:
+        return False
+    ambient, guard = (_P, _P) if tag == _P else (_D, _S)
+    return any(
+        _state(rows, antecedents[r], ambient) >= need and all(
+            _state(rows, antecedents[s], guard) <= -need or any(
+                _state(rows, antecedents[t], ambient) >= need
+                and t in beaten_by[s]
+                for t in supporters)
+            for s in attackers)
+        for r in supporters)
+
+
+def _evaluate(index: TheoryIndex, active, rows: list, agenda: list) -> None:
+    """Run the agenda, cell ids in ascending order, to the fixpoint over
+    the rules ``active`` marks, writing statuses into ``rows``.
+
+    Two kinds of agenda cell are settled before the agenda runs, since
+    their conditions read no status: a fact proves every tag, and a cell
+    no active rule supports fails every positive condition, with or
+    without open rules, so every tag is refuted.  Every other cell
+    starts with an open row.  Popping a cell reads its facts and active
+    rules once, then evaluates each of its unsettled tags.  The
+    conditions of a cell read only facts and the cells named by
+    antecedents of the rules headed at it or at its opposite, so when a
+    tag of a cell settles, the head cells ``h`` and ``h ^ 2`` of its
+    active readers are exactly the cells to queue again; a cell already
     waiting is not queued twice.
 
     Why the order cannot matter: statuses are only ever added, and a
@@ -190,182 +398,131 @@ class _Fixpoint:
     monotone in them; a negative one negates ``_condition`` with open
     rules counted as both applicable and discarded, which is
     anti-monotone, so it is monotone too.  Let L be the least set of
-    signed conclusions closed under the conditions; the coherence check says
-    L never holds both signs of a key.  Every status the agenda writes
-    is in L, by induction on the writes.  When the agenda is empty
-    every cell has been evaluated since its inputs last changed, so no
-    condition derives anything beyond what is written (a derivable
+    signed conclusions closed under the conditions; the coherence check
+    says L never holds both signs of a key.  Every status the agenda
+    writes is in L, by induction on the writes.  When the agenda is
+    empty every cell has been evaluated since its inputs last changed,
+    so no condition derives anything beyond what is written (a derivable
     opposite sign would contradict coherence).  The written statuses
-    are therefore closed, contain L, and equal it.
-
-    Given the table of this theory without one rule, the run starts
-    from that table's rows instead, less those of the affected cone
-    (see ``_cone``), and the agenda holds only the cone's cells, in the
-    same order.  A row kept belongs to a cell outside the cone, which
-    reads only cells outside the cone through unchanged rules, so the
-    smaller theory's least fixpoint already closes it, and the argument
-    above then applies to the cone alone.
+    are therefore closed, contain L, and equal it.  For a grown table
+    the agenda holds only the cone, and every row kept from the parent
+    belongs to a cell outside it, which reads only cells outside it
+    through unchanged rules, so the smaller theory's least fixpoint
+    already closes it and the argument applies to the cone alone.
     """
-
-    def __init__(self, theory: DefeasibleTheory):
-        literals: set[Literal] = set()
-        for _, fact_lit in theory.facts:
-            literals.add(fact_lit)
-        for rule in theory.rules:
-            literals.add(rule.head)
-            for ant in rule.antecedents:
-                literals.add(ant.literal)
-        literals.update([l.complement() for l in literals])
-        self.literals = frozenset(literals)
-
-        self.facts = frozenset(theory.facts)
-        heads: dict[tuple[str, Literal], list] = {}
-        # cell -> the head cells whose conditions read it (a dict as an
-        # ordered set, so each reader is queued at most once per settle)
-        readers: dict[tuple[str, Literal], dict] = {}
-        for rule in theory.rules:
-            head = (rule.head_mode, rule.head)
-            heads.setdefault(head, []).append(rule)
-            opposed = (rule.head_mode, rule.head.complement())
-            for ant in rule.antecedents:
-                readers.setdefault((ant.mode, ant.literal), {}).update(
-                    {head: None, opposed: None})
-        self.heads = heads
-        self.readers = readers
-        self.sup = theory.superiority
-        self.rows: dict[tuple[str, Literal], list] = {}
-
-    def run(self, parent: Optional[ConclusionTable] = None,
-            added: Optional[Rule] = None) -> ConclusionTable:
-        if parent is None:
-            agenda = deque(
-                (mode, literal)
-                for literal in sorted(self.literals, key=literal_sort_key)
-                for mode in MODES)
+    fact, heads, readers, head = (index.fact, index.heads, index.readers,
+                                  index.head)
+    condition = _condition
+    queued = bytearray(len(rows))
+    pending = []
+    for cell in agenda:
+        if fact[cell]:
+            rows[cell] = _PROVED_ROW
+        elif not any(active[r] for r in heads[cell]):
+            rows[cell] = _UNSUPPORTED_ROW
         else:
-            cone = self._cone(parent, added)
-            agenda = deque(sorted(cone, key=lambda cell: (
-                literal_sort_key(cell[1]), _MODE_INDEX[cell[0]])))
-            self.rows = dict(parent._rows)
-            for cell in cone:
-                self.rows.pop(cell, None)
-        queued = set(agenda)
-        rows, facts, heads = self.rows, self.facts, self.heads
-        condition = self._condition
-        while agenda:
-            cell = agenda.popleft()
-            queued.discard(cell)
-            row = rows.setdefault(cell, [None] * len(TAGS))
-            mode, literal = cell
-            opposed = (mode, literal.complement())
-            inputs = (cell in facts, opposed in facts,
-                      heads.get(cell, ()), heads.get(opposed, ()))
-            settled = False
-            for index, tag in enumerate(TAGS):
-                if row[index] is not None:
-                    continue
-                pos = condition(tag, inputs, 1)
-                neg = not condition(tag, inputs, 0)
-                if pos and neg:
-                    raise CoherenceError(
-                        f"incoherent conclusion for {(tag, mode, literal)}")
-                if pos:
-                    row[index] = PROVED
-                    settled = True
-                elif neg:
-                    row[index] = REFUTED
-                    settled = True
-            if settled:
-                for reader in self.readers.get(cell, ()):
-                    if reader not in queued:
-                        queued.add(reader)
-                        agenda.append(reader)
-        return ConclusionTable(rows)
-
-    def _cone(self, parent: ConclusionTable, added: Rule) -> set:
-        """The cells whose status may differ from ``parent``'s: every
-        cell ``parent`` has no row for, ``added``'s two head cells, and
-        every cell that reaches those through ``readers``."""
-        cone = {(added.head_mode, added.head),
-                (added.head_mode, added.head.complement())}
-        cone.update((mode, literal) for literal in self.literals
-                    for mode in MODES if (mode, literal) not in parent._rows)
-        stack = list(cone)
-        readers = self.readers
-        while stack:
-            for reader in readers.get(stack.pop(), ()):
-                if reader not in cone:
-                    cone.add(reader)
-                    stack.append(reader)
-        return cone
-
-    def _state(self, rule: Rule, ambient: str) -> int:
-        """1 once every antecedent of ``rule`` holds at the statuses
-        derived so far, -1 once one has failed, 0 otherwise.  A plain
-        antecedent reads the ambient tag; an annotated one reads its
-        own tag and fails only on the opposite sign.  A cell not yet
-        evaluated has no row, and its antecedents are open."""
-        rows = self.rows
-        state = 1
-        for ant in rule.antecedents:
-            row = rows.get((ant.mode, ant.literal), _OPEN_ROW)
-            if ant.tag is None:
-                got, want = row[_TAG_INDEX[ambient]], PROVED
-            else:
-                got = row[_TAG_INDEX[ant.tag]]
-                want = PROVED if ant.sign == PLUS else REFUTED
-            if got is None:
-                state = 0
-            elif got != want:
-                return -1
-        return state
-
-    def _condition(self, tag: str, inputs: tuple, need: int) -> bool:
-        """The condition of ``+tag`` on a cell whose inputs are (is a
-        fact, opposite is a fact, supporting rules, attacking rules),
-        counting a rule applicable when its state is at least ``need``
-        and discarded when it is at most ``-need``.
-
-        With ``need`` 1 this is ``+tag`` itself.  With ``need`` 0 an
-        open rule counts as both, and the negation is ``-tag``."""
-        fact, opposed_fact, supporters, attackers = inputs
-        if fact:
-            return True
-        state = self._state
-        if tag == SIGMA_MINUS:
-            return any(state(r, SIGMA_MINUS) >= need for r in supporters)
-        sup = self.sup
-        if tag == SIGMA:
-            return any(
-                state(r, SIGMA) >= need and all(
-                    state(s, DELTA) <= -need
-                    for s in attackers if (s.id, r.id) in sup)
-                for r in supporters)
-        if opposed_fact:
-            return False
-        if tag == PARTIAL:
-            ambient, guard = PARTIAL, PARTIAL
-        else:
-            ambient, guard = DELTA, SIGMA
-        return any(
-            state(r, ambient) >= need and all(
-                state(s, guard) <= -need or any(
-                    state(t, ambient) >= need and (t.id, s.id) in sup
-                    for t in supporters)
-                for s in attackers)
-            for r in supporters)
+            rows[cell] = [None] * len(TAGS)
+            queued[cell] = 1
+            pending.append(cell)
+    agenda = deque(pending)
+    while agenda:
+        cell = agenda.popleft()
+        queued[cell] = 0
+        row = rows[cell]
+        opposed = cell ^ 2
+        inputs = (fact[cell], fact[opposed],
+                  [r for r in heads[cell] if active[r]],
+                  [r for r in heads[opposed] if active[r]])
+        settled = False
+        for tag in range(len(TAGS)):
+            if row[tag] is not None:
+                continue
+            pos = condition(tag, inputs, 1, rows, index)
+            neg = not condition(tag, inputs, 0, rows, index)
+            if pos and neg:
+                key = (TAGS[tag], MODES[cell & 1], index.literals[cell >> 1])
+                raise CoherenceError(f"incoherent conclusion for {key}")
+            if pos:
+                row[tag] = PROVED
+                settled = True
+            elif neg:
+                row[tag] = REFUTED
+                settled = True
+        if settled:
+            for r in readers[cell]:
+                if active[r]:
+                    for reader in (head[r], head[r] ^ 2):
+                        if not queued[reader]:
+                            queued[reader] = 1
+                            agenda.append(reader)
 
 
-def compute_conclusions(theory: DefeasibleTheory, *,
+def _rule_atoms(index: TheoryIndex, r: int):
+    """The atoms rule position r mentions (some more than once)."""
+    yield index.head[r] >> 2
+    for cell, _, _ in index.antecedents[r]:
+        yield cell >> 2
+
+
+def _atom_cells(atom: int) -> range:
+    return range(4 * atom, 4 * atom + 4)
+
+
+def _grow(index: TheoryIndex, active, parent: ConclusionTable,
+          added: Rule) -> tuple[list, list]:
+    """``parent``'s rows by this index's cell ids, and the cone that
+    ``added`` affects: its head cells, the cells of literals only it
+    mentions, and every cell that reaches those through the readers of
+    the active rules."""
+    rows = list(_rows_by(index.literals, index.ids, parent))
+    head, readers = index.head, index.readers
+    cone = set()
+    for r in index.positions.get(added.id, ()):
+        cone.update((head[r], head[r] ^ 2))
+        for atom in _rule_atoms(index, r):
+            if rows[4 * atom] is None:
+                cone.update(_atom_cells(atom))
+    stack = list(cone)
+    while stack:
+        for r in readers[stack.pop()]:
+            if active[r]:
+                for reader in (head[r], head[r] ^ 2):
+                    if reader not in cone:
+                        cone.add(reader)
+                        stack.append(reader)
+    return rows, sorted(cone)
+
+
+def compute_conclusions(theory: Union[DefeasibleTheory, Selection], *,
                         parent: Optional[ConclusionTable] = None,
                         added: Optional[Rule] = None) -> ConclusionTable:
-    """Derive the full tagged-conclusion table of a theory.
+    """Derive the full tagged-conclusion table of a theory, or of a
+    ``Selection`` of the rules of an index compiled once.
 
     ``parent``, when given, must be the table of ``theory`` without the
     rule ``added`` (and without the superiority pairs naming it); only
     the cells that rule can affect are then evaluated again.
     """
-    return _Fixpoint(theory).run(parent, added)
+    if isinstance(theory, Selection):
+        index = theory.index
+        active = bytearray(len(index.rules))
+        for rule_id in theory.rule_ids:
+            for r in index.positions.get(rule_id, ()):
+                active[r] = 1
+    else:
+        index = TheoryIndex(theory.facts, theory.rules, theory.superiority)
+        active = b"\x01" * len(index.rules)
+    if parent is not None and added is not None:
+        rows, agenda = _grow(index, active, parent, added)
+    else:
+        rows = [None] * (2 * len(index.literals))
+        atoms = set(index.fact_atoms)
+        for r, on in enumerate(active):
+            if on:
+                atoms.update(_rule_atoms(index, r))
+        agenda = sorted(cell for atom in atoms for cell in _atom_cells(atom))
+    _evaluate(index, active, rows, agenda)
+    return ConclusionTable(index.literals, index.ids, rows)
 
 
 def holds(theory: DefeasibleTheory, query: TaggedLiteral) -> str:

@@ -23,12 +23,16 @@ rule ids (none for a pass) and reports the targets that disclosure
 could legally declare, and every position is scored by ``settle``.
 Legality checks, scripted games, automatic play and exhaustive search
 all drive these two.  ``initial_state`` creates the table cache of one
-game: every state reached from it carries the same cache, so a theory
-that several moves, checks or searches reach is computed once.  Tables
-grow from their parent: a table missing from the cache is derived from
-the cached table with one rule fewer, re-evaluating only the cells that
-rule can reach, and is computed in full only when no such parent is
-cached.
+game, ``_Tables``: every state reached from it carries the same cache,
+so a theory that several moves, checks or searches reach is computed
+once.  The cache owns the game's ``engine.TheoryIndex``, the setup's
+facts, rules and superiority relation compiled once into integer cell
+and rule ids, and every table of the game is a rule mask over it: the
+cache key's rules, read through ``TheoryIndex.select``.  Tables grow
+from their parent: a table missing from the cache is derived from the
+cached table with one rule fewer, copying its rows by cell id and
+re-evaluating only the cells that rule can reach, and is computed in
+full only when no such parent is cached.
 
 Claim questions are answered on sliced tables.  Accepted openings,
 robustness and adjudication ask only whether the claim is established
@@ -85,7 +89,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .dsl import parse_moves  # noqa: F401  (moves files are read in dsl)
-from .engine import ConclusionTable, compute_conclusions
+from .engine import ConclusionTable, TheoryIndex, compute_conclusions
 from .model import (
     DEF, EVIDENTIAL, MODES, OBLIGATION, PLUS, PR, MINUS, GameSetup, Literal,
     Move, Rule, TaggedLiteral, literal_sort_key,
@@ -188,16 +192,20 @@ class GameTrace:
 
 
 class _Tables(dict):
-    """The table cache of one game, keyed by rule-id set, with the
-    setup's rules by id for finding the rule a parent table lacks, the
-    ids of the rules claim questions keep (the common rules and the
-    claim's cone), and whether the claim is established, by sliced key,
-    for openings."""
+    """The table cache of one game, keyed by rule-id set.  It owns the
+    game's ``engine.TheoryIndex``, compiled once from the setup's facts,
+    rules and superiority, over which every table of the game is a rule
+    mask.  It also holds the setup's rules by id for finding the rule a
+    parent table lacks, the ids of the rules claim questions keep (the
+    common rules and the claim's cone), and whether the claim is
+    established, by sliced key, for openings."""
 
-    __slots__ = ("rules", "keep", "established")
+    __slots__ = ("index", "rules", "keep", "established")
 
     def __init__(self, setup: GameSetup):
         super().__init__()
+        self.index = TheoryIndex(setup.facts, setup.all_rules(),
+                                 setup.superiority)
         self.rules = setup.rule_by_id()
         claim = setup.claim.literals if setup.claim else ()
         self.keep = _claim_cone(self.rules.values(), claim) \
@@ -245,7 +253,7 @@ def conclusions_for(setup: GameSetup, rule_ids: Iterable[str],
                 added = cache.rules[rule_id]
                 break
         table = cache[key] = compute_conclusions(
-            setup.theory_for(key), parent=parent, added=added)
+            cache.index.select(key), parent=parent, added=added)
     return table
 
 

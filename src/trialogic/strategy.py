@@ -42,9 +42,10 @@ from typing import Iterable, Optional
 from .engine import ConclusionTable
 from .game import (
     DEF_SUCCEEDS, ONGOING, PR_SUCCEEDS, STALLED, TERMINAL_OUTCOMES,
-    GameState, GameTrace, Move, OpeningRejected, accepted_openings,
-    adjudicate, claim_conditions, claim_established, claim_refuted,
-    initial_state, open_game, play_move, settle, step, subsets,
+    GameState, GameTrace, Move, OpeningRejected, _supportable,
+    accepted_openings, adjudicate, claim_conditions, claim_established,
+    claim_refuted, initial_state, open_game, play_move, settle, step,
+    subsets,
 )
 from .model import DEF, PR, GameSetup
 
@@ -227,7 +228,11 @@ def auto_play(setup: GameSetup, policy: str = GREEDY_MINIMAL) -> GameTrace:
     if trace.outcome in TERMINAL_OUTCOMES:
         return trace
 
+    # the support bound first: when it rules every opening out, the
+    # whole pool's table cannot establish the claim either
     if (policy == FULL_DISCLOSURE
+            and _supportable(setup, state.tables,
+                             state.common_ids | state.pr_ids)
             and claim_established(state.table_after(state.pr_ids), setup)):
         opening: Optional[frozenset[str]] = state.pr_ids
     else:

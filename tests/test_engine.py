@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,8 +8,8 @@ from trialogic import (
     PARTIAL, PLUS, PREPONDERANCE, PROVED, REFUTED, SCINTILLA, SIGMA,
     SIGMA_MINUS, SUBSTANTIAL, TAGS, UNDETERMINED, Antecedent,
     WEAKLY_PERMITTED, DefeasibleTheory, Literal, Rule, TaggedLiteral,
-    compute_conclusions, holds, lit, parse_query, standards_met,
-    strength_order, weakly_permitted,
+    compute_conclusions, holds, initial_state, lit, parse_query,
+    standards_met, strength_order, weakly_permitted,
 )
 from trialogic import engine
 from trialogic.corpus import ATOM_POOL, random_theory
@@ -179,14 +181,24 @@ _STATE_CASES = [
 ]
 
 
-def _fixpoint(*rules):
-    return engine._Fixpoint(DefeasibleTheory(frozenset(), rules))
+class _Compiled:
+    """The index of some rules, with an open row for every cell, as a
+    running fixpoint has them before any status is written."""
 
+    def __init__(self, *rules):
+        self.index = engine.TheoryIndex(frozenset(), rules)
+        self.rows = [[None] * len(TAGS)
+                     for _ in range(2 * len(self.index.literals))]
 
-def _put(fixpoint, tag, literal, status):
-    """Write one evidential status into the fixpoint's row of ``literal``."""
-    row = fixpoint.rows.setdefault((EVIDENTIAL, literal), [None] * len(TAGS))
-    row[TAGS.index(tag)] = status
+    def put(self, tag, literal, status):
+        """Write one evidential status into the row of ``literal``."""
+        cell = 2 * self.index.ids[literal] + MODES.index(EVIDENTIAL)
+        self.rows[cell][TAGS.index(tag)] = status
+
+    def state(self, rule, ambient):
+        position, = self.index.positions[rule.id]
+        return engine._state(self.rows, self.index.antecedents[position],
+                             TAGS.index(ambient))
 
 
 class TestRuleState:
@@ -197,13 +209,13 @@ class TestRuleState:
         c = lit("c")
         rule = Rule("r", (Antecedent(EVIDENTIAL, c, sign, tag),),
                     EVIDENTIAL, lit("h"))
-        fixpoint = _fixpoint(rule)
+        compiled = _Compiled(rule)
         if tag is not None:
             # an annotated antecedent ignores the ambient tag
-            _put(fixpoint, ambient, c, REFUTED)
+            compiled.put(ambient, c, REFUTED)
         if status is not None:
-            _put(fixpoint, tag or ambient, c, status)
-        assert fixpoint._state(rule, ambient) == expected
+            compiled.put(tag or ambient, c, status)
+        assert compiled.state(rule, ambient) == expected
 
     @pytest.mark.parametrize("statuses, expected", [
         ((PROVED, PROVED), 1),
@@ -215,11 +227,11 @@ class TestRuleState:
         atoms = [lit(f"a{i}") for i in range(len(statuses))]
         rule = Rule("r", tuple(Antecedent(EVIDENTIAL, a) for a in atoms),
                     EVIDENTIAL, lit("h"))
-        fixpoint = _fixpoint(rule)
+        compiled = _Compiled(rule)
         for atom, status in zip(atoms, statuses):
             if status is not None:
-                _put(fixpoint, DELTA, atom, status)
-        assert fixpoint._state(rule, DELTA) == expected
+                compiled.put(DELTA, atom, status)
+        assert compiled.state(rule, DELTA) == expected
 
     def test_open_sole_supporter_settles_neither_sign(self):
         # p's only supporter waits on p itself, so it stays open: that
@@ -230,6 +242,16 @@ class TestRuleState:
         table = compute_conclusions(DefeasibleTheory(frozenset(), (loop,)))
         assert table.status(SIGMA_MINUS, EVIDENTIAL, lit("p")) == \
             UNDETERMINED
+
+
+class TestIndex:
+    def test_table_keeps_no_index(self, s1):
+        # tables outlive the index of a one-shot call, and a game's
+        # cache must not pin its index through every table it holds
+        for table in (compute_conclusions(s1.union_theory()),
+                      initial_state(s1).conclusions):
+            assert not any(isinstance(referent, engine.TheoryIndex)
+                           for referent in gc.get_referents(table))
 
 
 class TestAnnotatedAntecedents:
@@ -470,13 +492,13 @@ class TestAgenda:
     @pytest.mark.parametrize("n", [50, 200, 400])
     def test_reverse_chain_is_linear(self, monkeypatch, n):
         calls = [0]
-        original = engine._Fixpoint._condition
+        original = engine._condition
 
-        def counting(self, *args):
+        def counting(*args):
             calls[0] += 1
-            return original(self, *args)
+            return original(*args)
 
-        monkeypatch.setattr(engine._Fixpoint, "_condition", counting)
+        monkeypatch.setattr(engine, "_condition", counting)
         table = compute_conclusions(_reverse_chain(n))
         keys = len(table.literals) * len(MODES) * len(TAGS)
         # one key evaluation calls the condition twice, once per sign

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trialogic import (
-    DEF, DEF_SUCCEEDS, EVIDENTIAL, MODES, OBLIGATION, ONGOING, POLICIES, PR,
-    PR_SUCCEEDS, STALLED, TAGS, Antecedent, Claim, ConclusionTable, GameSetup,
-    IllegalMove, Literal, Move, OpeningRejected, ParseFailure, Rule,
+    DEF, DEF_SUCCEEDS, DELTA, EVIDENTIAL, MODES, OBLIGATION, ONGOING, PLUS,
+    POLICIES, PR, PR_SUCCEEDS, REFUTED, STALLED, TAGS, Antecedent, Claim,
+    ConclusionTable, GameSetup, IllegalMove, Literal, Move, OpeningRejected,
+    ParseFailure, Rule, TaggedLiteral,
     adjudicate, analyze, apply_move, auto_play, compute_conclusions, corpus,
     game, initial_state, legal_move, lit, open_game, parse_moves,
     parse_theory, run_game, termination_status,
@@ -325,18 +326,26 @@ class TestIncrementalTables:
                    if setup.claim is not None]
         claimed += [established_setup(seed, max_rules=14, deontic_ratio=0.5)
                     for seed in GROWN_SEEDS]
+        runs = []
         for setup in [s1, s2, s3] + claimed:
+            computed.clear()
             analyze(setup)
             for policy in POLICIES:
                 auto_play(setup, policy)
-        grown = [run for run in computed if run[1]]
-        assert len(grown) > len(computed) // 2
+            runs += [(setup, *run) for run in computed]
+        grown = [run for run in runs if run[2]]
+        assert len(grown) > len(runs) // 2
         claims = {literal for setup in [s1, s2, s3] + claimed
                   for literal in setup.claim.literals}
-        for theory, _, table in grown:
+        for setup, theory, _, table in grown:
             full = compute_conclusions(theory)
+            fresh = compute_conclusions(setup.theory_for(
+                rule.id for rule in theory.rules))
             assert table == full
+            assert table == fresh
+            assert table.rows() == fresh.rows()
             assert _statuses(table, claims) == _statuses(full, claims)
+            assert _statuses(table, claims) == _statuses(fresh, claims)
 
     def test_analyze_grows_all_but_the_first_table(self, computed, s1):
         large = established_setup(71, max_rules=20, deontic_ratio=0.5)
@@ -570,3 +579,100 @@ class TestSupportBound:
         computed.clear()
         assert analyze(setup).minimal_opening is None
         assert len(computed) == 1
+
+
+def _union_literals(setup):
+    """Every literal the union theory mentions, their complements, and
+    one literal no setup here mentions."""
+    literals = {literal for _, literal in setup.facts}
+    for rule in setup.all_rules():
+        literals.add(rule.head)
+        literals.update(ant.literal for ant in rule.antecedents)
+    literals |= {literal.complement() for literal in literals}
+    return sorted(literals | {lit("zz")})
+
+
+def _assert_same_table(table, fresh, literals):
+    assert table == fresh
+    assert fresh == table
+    assert table.rows() == fresh.rows()
+    assert table.literals == fresh.literals
+    for literal in literals:
+        assert table.is_determined(literal) == fresh.is_determined(literal)
+    assert _statuses(table, literals) == _statuses(fresh, literals)
+
+
+class TestIndexParity:
+    """A game table, a rule mask over the index the game compiles once,
+    equals the table computed afresh from the theory its key induces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(support_setups(), corpus_setups, chain_setups),
+           st.randoms(use_true_random=False))
+    def test_game_tables_equal_fresh_theories(self, setup, rng):
+        tables = initial_state(setup).tables
+        ids = sorted(tables.rules)
+        literals = _union_literals(setup)
+        keys = []
+        for _ in range(3):
+            key = frozenset(rng.sample(ids, rng.randint(0, len(ids))))
+            if rng.random() < 0.5:
+                key |= {"nosuchrule"}
+            keys.append(key)
+            # one rule at a time, so that each table grows from the last
+            for rule_id in rng.sample(ids, min(3, len(ids))):
+                key |= {rule_id}
+                keys.append(key)
+        pairs = []
+        for key in keys:
+            table = game.conclusions_for(setup, key, tables)
+            fresh = compute_conclusions(setup.theory_for(key))
+            _assert_same_table(table, fresh, literals)
+            pairs.append((table, fresh))
+        for (old, old_fresh), (new, new_fresh) in zip(pairs, pairs[1:]):
+            expected = new_fresh.newly_determined(old_fresh)
+            assert new.newly_determined(old) == expected
+            assert new.newly_determined(old_fresh) == expected
+            assert new_fresh.newly_determined(old) == expected
+
+    SETUP = (
+        "fact f.\n"
+        "rule c1: f => a.\n"
+        "rule p1: a => zz.\n"
+        "rule d1: +s zz =>O ~a.\n"
+        "sup d1 > p1.\n"
+        "claim: a.\n"
+        "game pr: p1.\n"
+        "game def: d1.\n")
+
+    def test_literal_only_an_inactive_rule_mentions_has_no_row(
+            self, computed):
+        setup = parse_theory(self.SETUP)
+        state = initial_state(setup)
+        table = state.conclusions
+        zz = lit("zz")
+        assert zz not in table.literals
+        assert zz not in {literal for literal, *_ in table.rows()}
+        assert table.status(DELTA, EVIDENTIAL, zz) == REFUTED
+        assert table.is_determined(zz)
+        _assert_same_table(table, compute_conclusions(
+            setup.theory_for({"c1"})), _union_literals(setup))
+        grown = state.table_after(frozenset({"p1"}))
+        assert [run[1] for run in computed] == [False, True]
+        assert zz in grown.literals
+        fresh = compute_conclusions(setup.theory_for({"c1", "p1"}))
+        _assert_same_table(grown, fresh, _union_literals(setup))
+        assert grown.newly_determined(table) == fresh.newly_determined(
+            compute_conclusions(setup.theory_for({"c1"})))
+        assert TaggedLiteral(PLUS, DELTA, EVIDENTIAL, zz) in \
+            grown.newly_determined(table)
+
+    def test_id_that_names_no_rule_is_ignored(self):
+        setup = parse_theory(self.SETUP)
+        tables = initial_state(setup).tables
+        for key in ({"nosuchrule"}, {"c1", "nosuchrule"},
+                    {"c1", "p1", "d1", "nosuchrule"}):
+            _assert_same_table(
+                game.conclusions_for(setup, key, tables),
+                compute_conclusions(setup.theory_for(key)),
+                _union_literals(setup))
