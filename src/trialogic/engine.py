@@ -29,34 +29,37 @@ lists (Maher, "Propositional defeasible logic has linear complexity",
 TPLP 1(6), 2001).  Literals are numbered in ``literal_sort_key`` order,
 so ``l`` and ``~l`` are ids ``2a`` and ``2a + 1`` of atom ``a``, and a
 cell, one moded literal ``(mode, l)``, is ``2 * id(l) + mode``: the
-cell of the opposite literal is ``cell ^ 2``.  The index holds the
-facts by cell, each rule's head cell and its antecedents as
-``(cell, tag index, wanted status)``, the rules headed at each cell
-(``heads``), the rules that read each cell (``readers``) and, for each
-rule, the rules that beat it.  A game compiles its whole setup once;
-one-shot ``compute_conclusions`` compiles the theory it is given.
+cell of the opposite literal is ``cell ^ 2`` (``opposite``), its atom
+``cell >> 2``, and other modules find a cell with ``TheoryIndex.cell``.
+The index holds the facts by cell, each rule's head cell and its
+antecedents as ``(cell, tag index, wanted status)``, the rules headed
+at each cell (``heads``), the rules that read each cell (``readers``)
+and, for each rule, the rules that beat it.  A game compiles its whole
+setup once; one-shot ``compute_conclusions`` compiles the theory it is
+given.
 
-A table is the least fixpoint over an index restricted to a rule mask,
-the rules of one theory.  It holds one row of four statuses per cell of
-each literal that a fact or an active rule mentions; any other literal
-has no row and is refuted.  An agenda over cell ids builds it.  A cell
-is evaluated again only after a cell that an active rule supporting or
-attacking it reads has settled a tag, so a chain of rules costs time
-linear in its length whatever order its literals sort in.  Every
-condition is monotone in the statuses derived so far, hence the table
-is the single least fixpoint of those conditions and does not depend on
-evaluation order.
+A table is the least fixpoint over an index restricted to a rule mask
+(``TheoryIndex.mask``), the rules of one theory.  It holds one row of
+four statuses per cell of each literal that a fact or an active rule
+mentions; any other literal has no row and is refuted.  An agenda over
+cell ids builds it.  A cell is evaluated again only after a cell that
+an active rule supporting or attacking it reads has settled a tag, so a
+chain of rules costs time linear in its length whatever order its
+literals sort in.  Every condition is monotone in the statuses derived
+so far, hence the table is the single least fixpoint of those
+conditions and does not depend on evaluation order.
 
-A table can also grow from the table of the same mask without one
-rule r.  Only the affected cone can change: the cells that reach r's
-head cells ``h`` and ``h ^ 2`` through the readers of the active rules,
-plus the cells of literals that only r mentions.  Every other cell
-reads only unaffected cells, keeps the same supporting and attacking
-rules and, since superiority acts only between the rules of one head
-cell pair, the same superiority pairs; its conditions are those of the
-smaller theory over the same inputs, so it has the same least fixpoint
-and its row is copied by cell id.  Only the cone is queued.  A table
-keeps only its rows and the index's literal numbering, never the index.
+A table can also grow from the table, over the same index, of the same
+mask without one rule r; a parent built on another index is rejected.
+Only the affected cone can change: the cells that reach r's head cells
+``h`` and ``h ^ 2`` through the readers of the active rules, plus the
+cells of literals that only r mentions.  Every other cell reads only
+unaffected cells, keeps the same supporting and attacking rules and,
+since superiority acts only between the rules of one head cell pair,
+the same superiority pairs; its conditions are those of the smaller
+theory over the same inputs, so it has the same least fixpoint and its
+row is copied by cell id.  Only the cone is queued.  A table keeps only
+its rows and the index's literal numbering, never the index.
 
 Proof standards map onto the tags: scintilla of evidence is
 sigma_minus, substantial evidence (clear and convincing) is sigma,
@@ -194,16 +197,19 @@ class ConclusionTable:
         Flips count as well: a status that changed from proved to
         refuted yields the newly derived negative conclusion.
         """
+        literals = self._literals
+        old_rows = old._rows if old._ids is self._ids else [
+            old._row(MODES[cell & 1], literals[cell >> 1])  # another index
+            for cell in range(len(self._rows))]
         fresh = []
-        for cell, (row, before) in enumerate(
-                zip(self._rows, _rows_by(self._literals, self._ids, old))):
+        for cell, (row, before) in enumerate(zip(self._rows, old_rows)):
             if row is None or before is row:  # shared rows are unchanged
                 continue
             if before is None:
                 before = _REFUTED_ROW
             fresh += [
                 TaggedLiteral(PLUS if status == PROVED else MINUS, tag,
-                              MODES[cell & 1], self._literals[cell >> 1])
+                              MODES[cell & 1], literals[cell >> 1])
                 for tag, status, was in zip(TAGS, row, before)
                 if status is not None and status != was]
         return tuple(fresh)
@@ -222,16 +228,6 @@ class ConclusionTable:
                 f"{len(self.literals)} literals>")
 
 
-def _rows_by(literals: tuple[Literal, ...], ids: dict[Literal, int],
-             table: ConclusionTable) -> list:
-    """``table``'s rows by the cell ids of the numbering ``literals``,
-    ``ids`` (None for a cell it has no row for)."""
-    if table._ids is ids:
-        return table._rows
-    return [table._row(MODES[cell & 1], literals[cell >> 1])
-            for cell in range(2 * len(literals))]
-
-
 class TheoryIndex:
     """Facts, rules and superiority compiled into integer occurrence
     lists over literal and cell ids (see the module docstring).
@@ -244,13 +240,11 @@ class TheoryIndex:
     ``antecedents`` (as ``(cell, tag index, wanted status)``, the tag
     index None for a plain antecedent) and ``beaten_by`` (the positions
     of the rules that beat it, kept only between complementary head
-    cells, the only pairs a condition reads).  ``fact_atoms`` are the
-    atoms the facts mention.
+    cells, the only pairs a condition reads).
     """
 
-    __slots__ = ("rules", "positions", "literals", "ids", "fact",
-                 "fact_atoms", "head", "antecedents", "heads",
-                 "readers", "beaten_by")
+    __slots__ = ("rules", "positions", "literals", "ids", "fact", "head",
+                 "antecedents", "heads", "readers", "beaten_by")
 
     def __init__(self, facts: Iterable[tuple[str, Literal]],
                  rules: Iterable[Rule],
@@ -273,7 +267,6 @@ class TheoryIndex:
         self.fact = bytearray(cells)
         for fact_mode, literal in facts:
             self.fact[2 * ids[literal] + mode[fact_mode]] = 1
-        self.fact_atoms = frozenset(ids[literal] >> 1 for _, literal in facts)
 
         self.positions = positions = {}
         self.head = head = []
@@ -301,10 +294,28 @@ class TheoryIndex:
         self.beaten_by = [frozenset(beaten[r]) if r in beaten else ()
                           for r in range(len(rules))]
 
+    def cell(self, mode: str, literal: Literal) -> Optional[int]:
+        """The cell of ``(mode, literal)``; None for an unknown literal."""
+        i = self.ids.get(literal)
+        return None if i is None else 2 * i + _MODE_INDEX[mode]
+
+    def mask(self, rule_ids: Iterable[str]) -> bytearray:
+        """1 at the position of each rule ``rule_ids`` names, else 0."""
+        active = bytearray(len(self.rules))
+        for rule_id in rule_ids:
+            for r in self.positions.get(rule_id, ()):
+                active[r] = 1
+        return active
+
     def select(self, rule_ids: Iterable[str]) -> "Selection":
         """The theory of the facts, the rules named by ``rule_ids`` and
         the superiority pairs among them, over this index."""
         return Selection(self, frozenset(rule_ids))
+
+
+def opposite(cell: int) -> int:
+    """The cell of the complementary literal in the same mode."""
+    return cell ^ 2
 
 
 class Selection:
@@ -318,11 +329,6 @@ class Selection:
     def __init__(self, index: TheoryIndex, rule_ids: frozenset[str]):
         self.index = index
         self.rule_ids = rule_ids
-
-    @property
-    def rules(self) -> tuple[Rule, ...]:
-        return tuple(rule for rule in self.index.rules
-                     if rule.id in self.rule_ids)
 
 
 def _state(rows: list, antecedents: tuple, ambient: int) -> int:
@@ -469,15 +475,15 @@ def _atom_cells(atom: int) -> range:
 
 
 def _grow(index: TheoryIndex, active, parent: ConclusionTable,
-          added: Rule) -> tuple[list, list]:
-    """``parent``'s rows by this index's cell ids, and the cone that
-    ``added`` affects: its head cells, the cells of literals only it
+          added: str) -> tuple[list, list]:
+    """A copy of ``parent``'s rows, and the cone that the rule ``added``
+    (an id) affects: its head cells, the cells of literals only it
     mentions, and every cell that reaches those through the readers of
     the active rules."""
-    rows = list(_rows_by(index.literals, index.ids, parent))
+    rows = list(parent._rows)
     head, readers = index.head, index.readers
     cone = set()
-    for r in index.positions.get(added.id, ()):
+    for r in index.positions.get(added, ()):
         cone.update((head[r], head[r] ^ 2))
         for atom in _rule_atoms(index, r):
             if rows[4 * atom] is None:
@@ -495,28 +501,28 @@ def _grow(index: TheoryIndex, active, parent: ConclusionTable,
 
 def compute_conclusions(theory: Union[DefeasibleTheory, Selection], *,
                         parent: Optional[ConclusionTable] = None,
-                        added: Optional[Rule] = None) -> ConclusionTable:
+                        added: Optional[str] = None) -> ConclusionTable:
     """Derive the full tagged-conclusion table of a theory, or of a
     ``Selection`` of the rules of an index compiled once.
 
-    ``parent``, when given, must be the table of ``theory`` without the
-    rule ``added`` (and without the superiority pairs naming it); only
-    the cells that rule can affect are then evaluated again.
+    ``parent``, when given, must be the table over the same index (or
+    ValueError) of ``theory`` without the rules of id ``added`` and the
+    superiority pairs naming them; only the cells those rules can
+    affect are then evaluated again.
     """
     if isinstance(theory, Selection):
         index = theory.index
-        active = bytearray(len(index.rules))
-        for rule_id in theory.rule_ids:
-            for r in index.positions.get(rule_id, ()):
-                active[r] = 1
+        active = index.mask(theory.rule_ids)
     else:
         index = TheoryIndex(theory.facts, theory.rules, theory.superiority)
         active = b"\x01" * len(index.rules)
     if parent is not None and added is not None:
+        if parent._ids is not index.ids:
+            raise ValueError("a parent table built on another index")
         rows, agenda = _grow(index, active, parent, added)
     else:
         rows = [None] * (2 * len(index.literals))
-        atoms = set(index.fact_atoms)
+        atoms = {cell >> 2 for cell, fact in enumerate(index.fact) if fact}
         for r, on in enumerate(active):
             if on:
                 atoms.update(_rule_atoms(index, r))

@@ -27,28 +27,28 @@ game, ``_Tables``: every state reached from it carries the same cache,
 so a theory that several moves, checks or searches reach is computed
 once.  The cache owns the game's ``engine.TheoryIndex``, the setup's
 facts, rules and superiority relation compiled once into integer cell
-and rule ids, and every table of the game is a rule mask over it: the
-cache key's rules, read through ``TheoryIndex.select``.  Tables grow
-from their parent: a table missing from the cache is derived from the
-cached table with one rule fewer, copying its rows by cell id and
-re-evaluating only the cells that rule can reach, and is computed in
-full only when no such parent is cached.
+and rule ids: every table of the game is a rule mask over it (the
+key's rules, read through ``TheoryIndex.select``), and the claim cone
+and support bound below walk its cells.  A table missing from the
+cache grows, within the index, from the cached table with one rule
+fewer, copying its rows by cell id and re-evaluating only the cells
+that rule can reach; with no such parent cached it is computed in full.
 
 Claim questions are answered on sliced tables.  Accepted openings,
 robustness and adjudication ask only whether the claim is established
 or refuted, so they read the table of a key restricted to the rules
 ``_Tables.keep`` names: every common rule plus the claim's backward
-cone.  The cone starts from the cells ``(E, a)`` and ``(O, a)`` of each
-claim atom a; a rule whose head cell ``(mode, head.atom)`` is in it
-joins, and adds the ``(mode, atom)`` cell of each antecedent.  For any
-key K, the claim cells have the same statuses in the tables of K and of
-K restricted to the kept rules.  The conditions of a cell ``(mode, l)``
+cone.  The cone, whose cells always come with their opposites, starts
+from the cells of each claim atom in both modes; a rule headed at a
+cell in it joins, and adds the cell of each antecedent.  For any key K,
+the claim cells have the same statuses in the tables of K and of K
+restricted to the kept rules.  The conditions of a cell ``(mode, l)``
 read only facts and the cells named by antecedents of the rules headed
 at ``(mode, l)`` or ``(mode, ~l)``, and superiority acts only between
-the rules of one such head-cell pair.  Working over atoms, the cone's
-cells therefore read only cone cells, through the same rules and pairs
-in both theories, and the least fixpoint restricted to them is the
-same.  A cone cell that no fact and no rule of the smaller theory
+the rules of one such head-cell pair.  Each cell coming with its
+opposite, the cone's cells therefore read only cone cells, through the
+same rules and pairs in both theories, and the least fixpoint
+restricted to them is the same.  A cone cell that no fact and no rule of the smaller theory
 mentions has no row there and answers as refuted; in the larger theory
 no fact or rule heads it either, so it derives every negative tag.  So
 any question over the subsets of a pool equals the same question over
@@ -58,9 +58,10 @@ and the end-of-game test read full tables, since a rule outside the
 cone still changes statuses and still empties a pool.
 
 A support bound answers the prosecutor's subset searches when none can
-succeed.  Take the Horn closure of cells ``(mode, literal)``: it starts
-from the facts, and each kept common or pr rule adds its head cell once
-each antecedent cell is in, counting a ``-t`` antecedent as met.  It
+succeed.  Take the Horn closure of the index's cells under the mask of
+the kept common and pr rules: it starts from the fact cells, and each
+rule adds its head cell once each antecedent cell is in, counting a
+``-t`` antecedent as met.  It
 holds every cell proved at sigma_minus in the table of any subset of
 those rules.  ``+sigma_minus`` of a cell needs a fact or a
 supporting rule whose antecedents hold at sigma_minus
@@ -89,10 +90,10 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .dsl import parse_moves  # noqa: F401  (moves files are read in dsl)
-from .engine import ConclusionTable, TheoryIndex, compute_conclusions
+from .engine import ConclusionTable, TheoryIndex, compute_conclusions, opposite
 from .model import (
-    DEF, EVIDENTIAL, MODES, OBLIGATION, PLUS, PR, MINUS, GameSetup, Literal,
-    Move, Rule, TaggedLiteral, literal_sort_key,
+    DEF, EVIDENTIAL, MODES, OBLIGATION, PLUS, PR, MINUS, REFUTED, GameSetup,
+    Literal, Move, TaggedLiteral, literal_sort_key,
 )
 
 PR_SUCCEEDS = "pr_succeeds"
@@ -128,16 +129,14 @@ class GameState:
 
     def table_after(self, disclosed: frozenset[str]) -> ConclusionTable:
         """Conclusions once ``disclosed`` joins the current theory."""
-        return conclusions_for(
-            self.setup, self.common_ids | disclosed, self.tables)
+        return conclusions_for(self.common_ids | disclosed, self.tables)
 
     def claim_table_after(self, disclosed: frozenset[str]
                           ) -> ConclusionTable:
         """A table that settles the claim as ``table_after`` would: that
         of the same rules, less those outside the claim's cone."""
         return conclusions_for(
-            self.setup, (self.common_ids | disclosed) & self.tables.keep,
-            self.tables)
+            (self.common_ids | disclosed) & self.tables.keep, self.tables)
 
 
 @dataclass(frozen=True)
@@ -194,49 +193,45 @@ class GameTrace:
 class _Tables(dict):
     """The table cache of one game, keyed by rule-id set.  It owns the
     game's ``engine.TheoryIndex``, compiled once from the setup's facts,
-    rules and superiority, over which every table of the game is a rule
-    mask.  It also holds the setup's rules by id for finding the rule a
-    parent table lacks, the ids of the rules claim questions keep (the
-    common rules and the claim's cone), and whether the claim is
+    rules and superiority: every table of the game is a rule mask over
+    it, and every graph question the game asks walks its cells and rule
+    positions.  It also holds the ids of the rules claim questions keep
+    (the common rules and the claim's cone), and whether the claim is
     established, by sliced key, for openings."""
 
-    __slots__ = ("index", "rules", "keep", "established")
+    __slots__ = ("index", "keep", "established")
 
     def __init__(self, setup: GameSetup):
         super().__init__()
         self.index = TheoryIndex(setup.facts, setup.all_rules(),
                                  setup.superiority)
-        self.rules = setup.rule_by_id()
         claim = setup.claim.literals if setup.claim else ()
-        self.keep = _claim_cone(self.rules.values(), claim) \
+        self.keep = _claim_cone(self.index, claim) \
             | {r.id for r in setup.common_rules}
         self.established: dict[frozenset[str], bool] = {}
 
 
-def _claim_cone(rules: Iterable[Rule], claim_literals: Iterable[Literal]
+def _claim_cone(index: TheoryIndex, claim_literals: Iterable[Literal]
                 ) -> frozenset[str]:
     """Ids of the rules whose head cell the claim cells reach backwards
-    through antecedents, cells taken as (mode, atom)."""
-    headed: dict[tuple[str, str], list[Rule]] = {}
-    for rule in rules:
-        headed.setdefault((rule.head_mode, rule.head.atom), []).append(rule)
-    cells = {(mode, literal.atom)
-             for literal in claim_literals for mode in MODES}
-    work = list(cells)
+    through antecedents, a cell taken together with its opposite."""
+    work = [index.cell(mode, literal)
+            for literal in claim_literals for mode in MODES]
+    cells = set()
     cone = set()
     while work:
-        for rule in headed.get(work.pop(), ()):
-            cone.add(rule.id)
-            for ant in rule.antecedents:
-                cell = (ant.mode, ant.literal.atom)
-                if cell not in cells:
-                    cells.add(cell)
-                    work.append(cell)
-    return frozenset(cone)
+        cell = work.pop()
+        if cell is None or cell in cells:
+            continue
+        cells.update((cell, opposite(cell)))
+        for r in index.heads[cell] + index.heads[opposite(cell)]:
+            cone.add(r)
+            work.extend(ant for ant, _, _ in index.antecedents[r])
+    return frozenset(index.rules[r].id for r in cone)
 
 
-def conclusions_for(setup: GameSetup, rule_ids: Iterable[str],
-                    cache: _Tables) -> ConclusionTable:
+def conclusions_for(rule_ids: Iterable[str], cache: _Tables
+                    ) -> ConclusionTable:
     """Conclusion table of the theory induced by a set of rule ids,
     memoised in ``cache``.
 
@@ -247,10 +242,10 @@ def conclusions_for(setup: GameSetup, rule_ids: Iterable[str],
     table = cache.get(key)
     if table is None:
         parent = added = None
-        for rule_id in sorted(key & cache.rules.keys()):
+        for rule_id in sorted(key & cache.index.positions.keys()):
             parent = cache.get(key - {rule_id})
             if parent is not None:
-                added = cache.rules[rule_id]
+                added = rule_id
                 break
         table = cache[key] = compute_conclusions(
             cache.index.select(key), parent=parent, added=added)
@@ -277,6 +272,8 @@ def claim_conditions(setup: GameSetup, player: str
     the opposite obligation proved, or the literal disproved or its
     complement proved.
     """
+    if setup.claim is None:
+        raise ValueError("setup has no claim to prosecute")
     ev, de = setup.evidential_standard, setup.deontic_standard
     for literal in setup.claim.literals:
         if player == PR:
@@ -307,22 +304,24 @@ def claim_refuted(table: ConclusionTable, setup: GameSetup) -> bool:
 def _supportable(setup: GameSetup, tables: _Tables,
                  rule_ids: frozenset[str]) -> bool:
     """The support bound: whether every cell a pr claim condition reads
-    is in the Horn closure of the facts under the kept rules of
+    is in the Horn closure of the fact cells under the kept rules of
     ``rule_ids``.  False means no subset of them establishes the
     claim."""
-    cells = set(setup.facts)
-    pending = [tables.rules[rule_id] for rule_id in rule_ids & tables.keep]
+    index = tables.index
+    closed = {cell for cell, fact in enumerate(index.fact) if fact}
+    pending = [r for r, on in enumerate(index.mask(rule_ids & tables.keep))
+               if on]
     grew = True
     while grew:
         grew = False
-        for rule in pending:
-            head = (rule.head_mode, rule.head)
-            if head not in cells and all(
-                    ant.sign == MINUS or (ant.mode, ant.literal) in cells
-                    for ant in rule.antecedents):
-                cells.add(head)
+        for r in pending:
+            head = index.head[r]
+            if head not in closed and all(
+                    want == REFUTED or cell in closed
+                    for cell, _, want in index.antecedents[r]):
+                closed.add(head)
                 grew = True
-    return all((mode, literal) in cells
+    return all(index.cell(mode, literal) in closed
                for _, _, mode, literal in claim_conditions(setup, PR))
 
 
@@ -348,7 +347,7 @@ def initial_state(setup: GameSetup) -> GameState:
         pr_ids=frozenset(r.id for r in setup.pr_rules),
         def_ids=frozenset(r.id for r in setup.def_rules),
         consecutive_passes=0,
-        conclusions=conclusions_for(setup, common, tables),
+        conclusions=conclusions_for(common, tables),
         tables=tables,
     )
 
@@ -379,8 +378,6 @@ def step(state: GameState, disclosed: frozenset[str]
 
 
 def _open(state: GameState, opening: frozenset[str]) -> GameState:
-    if state.setup.claim is None:
-        raise ValueError("setup has no claim to prosecute")
     stray = opening - state.pr_ids
     if stray:
         raise ValueError(
@@ -408,7 +405,7 @@ def accepted_openings(start: GameState
         accepted = tables.established.get(key)
         if accepted is None:
             accepted = tables.established[key] = claim_established(
-                conclusions_for(start.setup, key, tables), start.setup)
+                conclusions_for(key, tables), start.setup)
         if accepted:
             yield opening, _open(start, opening)
 
@@ -421,18 +418,13 @@ def open_game(setup: GameSetup, opening_ids: Iterable[str]) -> GameState:
 
 
 def _attempt(state: GameState, move: Move):
-    """Shared legality check.  Returns (report, next_state or None)."""
+    """Shared legality check.  Returns (report, next_state or None); an
+    opening is judged as ``open_game`` judges it, targets or none."""
     reasons: list[str] = []
     if move.player != state.mover:
         reasons.append(
             f"turn order: it is {state.mover}'s turn, not {move.player}'s")
         return LegalityReport(False, tuple(reasons)), None
-    if move.is_pass:
-        if move.targets:
-            return LegalityReport(
-                False, ("a pass declares no targets",)), None
-        return LegalityReport(True), step(state, move.rule_ids)[0]
-
     pool = state.pr_ids if move.player == PR else state.def_ids
     stray = move.rule_ids - pool
     if stray:
@@ -440,6 +432,16 @@ def _attempt(state: GameState, move: Move):
             "ownership: rules not in the mover's private pool: "
             + ", ".join(sorted(stray)))
         return LegalityReport(False, tuple(reasons)), None
+    if state.turn == 0:
+        try:
+            return LegalityReport(True), _open(state, move.rule_ids)
+        except OpeningRejected as rejected:
+            return LegalityReport(False, rejected.reasons), None
+    if move.is_pass:
+        if move.targets:
+            return LegalityReport(
+                False, ("a pass declares no targets",)), None
+        return LegalityReport(True), step(state, move.rule_ids)[0]
     if not move.targets:
         return LegalityReport(
             False, ("a non-pass move must declare at least one target",)), None
@@ -465,6 +467,9 @@ def legal_move(state: GameState, move: Move) -> LegalityReport:
 
 
 def apply_move(state: GameState, move: Move) -> GameState:
+    """The state after ``move``; an opening raises as ``open_game``."""
+    if state.turn == 0 and move.player == PR:
+        return _open(state, move.rule_ids)
     report, nxt = _attempt(state, move)
     if not report.legal:
         raise IllegalMove(state.turn, move.player, report.reasons)
@@ -475,8 +480,6 @@ def termination_status(state: GameState) -> str:
     """The strict end-of-game test.  The defence's condition is checked
     first, so degenerate theories where both hold resolve that way."""
     setup = state.setup
-    if setup.claim is None:
-        raise ValueError("setup has no claim to prosecute")
     good = claim_established(state.conclusions, setup)
     bad = claim_refuted(state.conclusions, setup)
     if not state.pr_ids and bad:
@@ -499,18 +502,16 @@ def adjudicate_pools(setup: GameSetup, common_ids: frozenset[str],
     neither or both are defeated the current claim status (defence
     first) decides.
     """
-    def table_for(ids: frozenset[str]) -> ConclusionTable:
-        return conclusions_for(setup, ids, tables)
-
-    table = table_for(common_ids)
+    table = conclusions_for(common_ids, tables)
     good = claim_established(table, setup)
     bad = claim_refuted(table, setup)
     pr_defeated = not good and not (
         _supportable(setup, tables, common_ids | pr_ids) and any(
-            claim_established(table_for(common_ids | subset), setup)
+            claim_established(conclusions_for(common_ids | subset, tables),
+                              setup)
             for subset in subsets(pr_ids)))
     def_defeated = not bad and not any(
-        claim_refuted(table_for(common_ids | subset), setup)
+        claim_refuted(conclusions_for(common_ids | subset, tables), setup)
         for subset in subsets(def_ids))
     if pr_defeated and def_defeated:
         return STALLED
@@ -549,17 +550,13 @@ def play_move(trace: GameTrace, state: GameState, move: Move) -> GameState:
     """Validate ``move`` at ``state``, append its record to ``trace`` and
     settle the trace's outcome.  The first move is the opening; when it
     declares no targets they default to the claim."""
-    if state.turn == 0:
-        if move.player != PR:
-            raise IllegalMove(0, move.player,
-                              ("the opening move belongs to pr",))
-        nxt = _open(state, move.rule_ids)
-        targets = move.targets or {
-            (mode, literal)
-            for _, _, mode, literal in claim_conditions(state.setup, PR)}
-    else:
-        nxt = apply_move(state, move)
-        targets = move.targets
+    if state.turn == 0 and move.player != PR:
+        raise IllegalMove(0, move.player, ("the opening move belongs to pr",))
+    nxt = apply_move(state, move)
+    targets = move.targets
+    if state.turn == 0 and not targets:
+        targets = {(mode, literal)
+                   for _, _, mode, literal in claim_conditions(state.setup, PR)}
     trace.records.append(TurnRecord(
         move.player, tuple(sorted(move.rule_ids)), _sorted_targets(targets),
         nxt.newly_determined, nxt.conclusions))

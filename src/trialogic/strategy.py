@@ -112,8 +112,6 @@ def _minimal_opening(start: GameState) -> Optional[tuple[str, ...]]:
 
 def minimal_winning_opening(setup: GameSetup) -> Optional[tuple[str, ...]]:
     """Smallest robust accepted opening by (size, id order), or None."""
-    if setup.claim is None:
-        raise ValueError("setup has no claim to prosecute")
     return _minimal_opening(initial_state(setup))
 
 
@@ -221,8 +219,6 @@ def auto_play(setup: GameSetup, policy: str = GREEDY_MINIMAL) -> GameTrace:
     so the trace equals ``run_game`` on its own moves."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    if setup.claim is None:
-        raise ValueError("setup has no claim to prosecute")
     state = initial_state(setup)
     trace = GameTrace(setup, state.conclusions, [], settle(state))
     if trace.outcome in TERMINAL_OUTCOMES:

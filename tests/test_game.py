@@ -1,16 +1,17 @@
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trialogic import (
-    DEF, DEF_SUCCEEDS, DELTA, EVIDENTIAL, MODES, OBLIGATION, ONGOING, PLUS,
-    POLICIES, PR, PR_SUCCEEDS, REFUTED, STALLED, TAGS, Antecedent, Claim,
+    DEF, DEF_SUCCEEDS, DELTA, EVIDENTIAL, MINUS, MODES, OBLIGATION, ONGOING,
+    PLUS, POLICIES, PR, PR_SUCCEEDS, REFUTED, STALLED, TAGS, Antecedent, Claim,
     ConclusionTable, GameSetup, IllegalMove, Literal, Move, OpeningRejected,
     ParseFailure, Rule, TaggedLiteral,
     adjudicate, analyze, apply_move, auto_play, compute_conclusions, corpus,
     game, initial_state, legal_move, lit, open_game, parse_moves,
-    parse_theory, run_game, termination_status,
+    parse_theory, run_game, strategy, termination_status,
 )
 
 from conftest import established_setup
@@ -63,6 +64,80 @@ class TestOpening:
             claim=Claim((lit("b"),)))
         state = open_game(setup, set())
         assert state.common_ids == {"c1", "c2"}
+
+
+def _state_fields(state):
+    return (state.turn, state.common_ids, state.pr_ids, state.def_ids,
+            state.consecutive_passes, state.newly_determined)
+
+
+class TestOpeningMove:
+    """At turn 0, ``legal_move`` and ``apply_move`` judge a pr move as
+    ``open_game`` judges its rules; declared targets stay optional."""
+
+    def test_every_opening_of_s1_agrees_with_open_game(self, s1):
+        start = initial_state(s1)
+        openings = list(game.subsets(start.pr_ids))
+        assert len(openings) == 16
+        accepted = 0
+        for opening in openings:
+            for targets in ((), [(EVIDENTIAL, "b")]):
+                played = move(PR, opening, targets)
+                report = legal_move(start, played)
+                try:
+                    opened = open_game(s1, opening)
+                except OpeningRejected as rejected:
+                    assert not report.legal
+                    assert report.reasons == rejected.reasons
+                    with pytest.raises(OpeningRejected) as again:
+                        apply_move(start, played)
+                    assert again.value.reasons == rejected.reasons
+                    continue
+                accepted += 1
+                assert report == game.LegalityReport(True)
+                applied = apply_move(start, played)
+                assert _state_fields(applied) == _state_fields(opened)
+                assert applied.conclusions == opened.conclusions
+        # r4 with r1, or with r2 and r3: five openings, each played
+        # with and without a target
+        assert accepted == 2 * 5
+
+    def test_opening_that_leaves_a_gap_is_illegal(self, s1):
+        report = legal_move(initial_state(s1),
+                            move(PR, {"r1"}, [(EVIDENTIAL, "b")]))
+        assert not report.legal
+        assert report.reasons == ("obligation of ~b is not proved",)
+
+    def test_stray_opening_rules(self, s1):
+        start = initial_state(s1)
+        opening = move(PR, {"r1", "r4", "r6"})
+        assert legal_move(start, opening).reasons == (
+            "ownership: rules not in the mover's private pool: r6",)
+        with pytest.raises(ValueError, match="not in the pr pool: r6"):
+            apply_move(start, opening)
+
+    def test_opening_belongs_to_pr(self, s1):
+        report = legal_move(initial_state(s1), move(DEF, {"r6"}))
+        assert any("turn order" in r for r in report.reasons)
+
+
+class TestNoClaim:
+    @pytest.mark.parametrize("call", [
+        lambda setup: adjudicate(initial_state(setup)),
+        lambda setup: termination_status(initial_state(setup)),
+        lambda setup: game.claim_established(
+            initial_state(setup).conclusions, setup),
+        lambda setup: legal_move(initial_state(setup), Move(PR, frozenset())),
+        lambda setup: open_game(setup, set()),
+        lambda setup: run_game(setup, []),
+        lambda setup: analyze(setup),
+        lambda setup: auto_play(setup),
+        lambda setup: strategy.minimal_winning_opening(setup),
+    ])
+    def test_every_claim_check_refuses(self, s4, call):
+        assert s4.claim is None
+        with pytest.raises(ValueError, match="setup has no claim"):
+            call(s4)
 
 
 def _rule(rid, ant, head, mode):
@@ -339,8 +414,7 @@ class TestIncrementalTables:
                   for literal in setup.claim.literals}
         for setup, theory, _, table in grown:
             full = compute_conclusions(theory)
-            fresh = compute_conclusions(setup.theory_for(
-                rule.id for rule in theory.rules))
+            fresh = compute_conclusions(setup.theory_for(theory.rule_ids))
             assert table == full
             assert table == fresh
             assert table.rows() == fresh.rows()
@@ -363,6 +437,14 @@ class TestIncrementalTables:
         table = state.table_after(frozenset({"nosuchrule"}))
         assert [run[1] for run in computed] == [False, False]
         assert table == state.conclusions
+
+    def test_parent_built_on_another_index_is_rejected(self, s1):
+        parent = game.conclusions_for({"r1"}, initial_state(s1).tables)
+        index = initial_state(s1).tables.index
+        for theory in (index.select({"r1", "r4"}),
+                       s1.theory_for({"r1", "r4"})):
+            with pytest.raises(ValueError, match="another index"):
+                compute_conclusions(theory, parent=parent, added="r4")
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6),
@@ -538,6 +620,76 @@ def support_setups(draw):
         deontic_standard=draw(st.sampled_from(TAGS[:2])))
 
 
+def _reference_claim_cone(rules, claim_literals):
+    """``game._claim_cone`` over Rule objects: ids of the rules whose
+    head cell the claim cells reach backwards through antecedents,
+    cells taken as (mode, atom)."""
+    headed = {}
+    for rule in rules:
+        headed.setdefault((rule.head_mode, rule.head.atom), []).append(rule)
+    cells = {(mode, literal.atom)
+             for literal in claim_literals for mode in MODES}
+    work = list(cells)
+    cone = set()
+    while work:
+        for rule in headed.get(work.pop(), ()):
+            cone.add(rule.id)
+            for ant in rule.antecedents:
+                cell = (ant.mode, ant.literal.atom)
+                if cell not in cells:
+                    cells.add(cell)
+                    work.append(cell)
+    return frozenset(cone)
+
+
+def _reference_supportable(setup, keep, rule_ids):
+    """``game._supportable`` over Rule objects: the Horn closure of
+    cells (mode, literal) from the facts under the kept rules of
+    ``rule_ids``, a ``-t`` antecedent counting as met."""
+    rules = setup.rule_by_id()
+    cells = set(setup.facts)
+    pending = [rules[rule_id] for rule_id in rule_ids & keep]
+    grew = True
+    while grew:
+        grew = False
+        for rule in pending:
+            head = (rule.head_mode, rule.head)
+            if head not in cells and all(
+                    ant.sign == MINUS or (ant.mode, ant.literal) in cells
+                    for ant in rule.antecedents):
+                cells.add(head)
+                grew = True
+    return all((mode, literal) in cells
+               for _, _, mode, literal in game.claim_conditions(setup, PR))
+
+
+class TestIndexWalks:
+    """The claim cone and the support bound, walked over the cells and
+    rule positions of the game's index, agree with the same walks over
+    Rule objects."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(support_setups(), chain_setups, corpus_setups),
+           st.randoms(use_true_random=False))
+    def test_walks_agree_with_the_rule_level_references(self, setup, rng):
+        # every literal the setup mentions, and one it does not, in
+        # turn as the claim
+        common = {rule.id for rule in setup.common_rules}
+        ids = sorted({rule.id for rule in setup.all_rules()})
+        id_sets = [frozenset(ids)] + [
+            frozenset(rng.sample(ids, rng.randint(0, len(ids))))
+            for _ in range(4)]
+        for literal in _union_literals(setup):
+            claimed = replace(setup, claim=Claim((literal,)))
+            tables = game._Tables(claimed)
+            cone = _reference_claim_cone(setup.all_rules(), (literal,))
+            assert game._claim_cone(tables.index, (literal,)) == cone
+            assert tables.keep == cone | common
+            for rule_ids in id_sets:
+                assert game._supportable(claimed, tables, rule_ids) == \
+                    _reference_supportable(claimed, tables.keep, rule_ids)
+
+
 class TestSupportBound:
     """When the kept rules of the common and pr pools cannot reach a pr
     claim cell from the facts, no opening establishes the claim."""
@@ -611,7 +763,7 @@ class TestIndexParity:
            st.randoms(use_true_random=False))
     def test_game_tables_equal_fresh_theories(self, setup, rng):
         tables = initial_state(setup).tables
-        ids = sorted(tables.rules)
+        ids = sorted(tables.index.positions)
         literals = _union_literals(setup)
         keys = []
         for _ in range(3):
@@ -625,7 +777,7 @@ class TestIndexParity:
                 keys.append(key)
         pairs = []
         for key in keys:
-            table = game.conclusions_for(setup, key, tables)
+            table = game.conclusions_for(key, tables)
             fresh = compute_conclusions(setup.theory_for(key))
             _assert_same_table(table, fresh, literals)
             pairs.append((table, fresh))
@@ -673,6 +825,6 @@ class TestIndexParity:
         for key in ({"nosuchrule"}, {"c1", "nosuchrule"},
                     {"c1", "p1", "d1", "nosuchrule"}):
             _assert_same_table(
-                game.conclusions_for(setup, key, tables),
+                game.conclusions_for(key, tables),
                 compute_conclusions(setup.theory_for(key)),
                 _union_literals(setup))

@@ -342,7 +342,7 @@ class TestOneCachePerCall:
         compute = game.compute_conclusions
 
         def recording(theory, **parent):
-            keys.append(frozenset(rule.id for rule in theory.rules))
+            keys.append(theory.rule_ids.intersection(theory.index.positions))
             return compute(theory, **parent)
 
         monkeypatch.setattr(game, "compute_conclusions", recording)
