@@ -109,6 +109,15 @@ _PROVED_ROW = [PROVED] * len(TAGS)
 _UNSUPPORTED_ROW = [REFUTED] * len(TAGS)
 
 
+def _wanted(sign: str) -> str:
+    """The status a conclusion of ``sign`` asks for."""
+    if sign == PLUS:
+        return PROVED
+    if sign == MINUS:
+        return REFUTED
+    raise ValueError(f"bad sign {sign!r}")
+
+
 class CoherenceError(RuntimeError):
     """Both a positive tag and its negation became derivable.
 
@@ -126,8 +135,9 @@ class ConclusionTable:
     numbering of the index the table was built on, shared by every
     table of that index.  A cell without a row answers as refuted: a
     literal no rule or fact mentions has every negative tag vacuously
-    derivable.  Rows are not written once built, so a grown table
-    shares the rows it keeps.
+    derivable.  An unknown sign, tag or mode is no question at all and
+    raises ``ValueError``.  Rows are not written once built, so a grown
+    table shares the rows it keeps.
     """
 
     __slots__ = ("_literals", "_ids", "_rows")
@@ -141,10 +151,7 @@ class ConclusionTable:
     def _row(self, mode: str, literal: Literal):
         """The row of ``(mode, literal)``, or None when it has none."""
         i = self._ids.get(literal)
-        m = _MODE_INDEX.get(mode)
-        if i is None or m is None:
-            return None
-        return self._rows[2 * i + m]
+        return None if i is None else self._rows[2 * i + _MODE_INDEX[mode]]
 
     def _cells(self):
         """((mode, literal), row) of every cell with a row, in
@@ -161,24 +168,27 @@ class ConclusionTable:
                          if row is not None)
 
     def status(self, tag: str, mode: str, literal: Literal) -> str:
+        if tag not in _TAG_INDEX:
+            raise ValueError(f"bad tag {tag!r}")
+        if mode not in _MODE_INDEX:
+            raise ValueError(f"bad mode {mode!r}")
         row = self._row(mode, literal)
         if row is None:
             return REFUTED
         return row[_TAG_INDEX[tag]] or UNDETERMINED
 
     def derived(self, sign: str, tag: str, mode: str, literal: Literal) -> bool:
-        wanted = PROVED if sign == PLUS else REFUTED
+        wanted = _wanted(sign)
         return self.status(tag, mode, literal) == wanted
 
     def query(self, q: TaggedLiteral) -> str:
         """Status of a signed query: proved when exactly the asked
         conclusion was derived, refuted when its opposite sign was."""
+        wanted = _wanted(q.sign)
         status = self.status(q.tag, q.mode, q.literal)
         if status == UNDETERMINED:
             return UNDETERMINED
-        if q.sign == PLUS:
-            return PROVED if status == PROVED else REFUTED
-        return PROVED if status == REFUTED else REFUTED
+        return PROVED if status == wanted else REFUTED
 
     def is_determined(self, literal: Literal) -> bool:
         """Whether the literal has any determined status in any mode."""
@@ -551,6 +561,8 @@ def standards_met(theory: DefeasibleTheory, literal: Literal,
     superiority relation removed; without superiority that is the
     theory itself, so its table is reused.
     """
+    if mode not in MODES:
+        raise ValueError(f"bad mode {mode!r}")
     table = compute_conclusions(theory)
     met = [
         standard for standard in (SCINTILLA, SUBSTANTIAL, PREPONDERANCE, BRD)

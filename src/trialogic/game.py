@@ -52,10 +52,13 @@ restricted to them is the same.  A cone cell that no fact and no rule of the sma
 mentions has no row there and answers as refuted; in the larger theory
 no fact or rule heads it either, so it derives every negative tag.  So
 any question over the subsets of a pool equals the same question over
-the subsets of its kept part.  This is the backward twin of the forward
-cone ``engine`` re-evaluates when a table grows.  Moves, their targets
-and the end-of-game test read full tables, since a rule outside the
-cone still changes statuses and still empties a pool.
+the subsets of its kept part.  One function, ``_achievable``, asks it
+for adjudication (each player in turn) and for robustness: it walks
+the subsets of the kept part of a pool, the empty one standing for a
+disclosure of rules outside the cone only.  This is the backward twin
+of the forward cone ``engine`` re-evaluates when a table grows.  Moves,
+their targets and the end-of-game test read full tables, since a rule
+outside the cone still changes statuses and still empties a pool.
 
 A support bound answers the prosecutor's subset searches when none can
 succeed.  Take the Horn closure of the index's cells under the mask of
@@ -131,13 +134,6 @@ class GameState:
         """Conclusions once ``disclosed`` joins the current theory."""
         return conclusions_for(self.common_ids | disclosed, self.tables)
 
-    def claim_table_after(self, disclosed: frozenset[str]
-                          ) -> ConclusionTable:
-        """A table that settles the claim as ``table_after`` would: that
-        of the same rules, less those outside the claim's cone."""
-        return conclusions_for(
-            (self.common_ids | disclosed) & self.tables.keep, self.tables)
-
 
 @dataclass(frozen=True)
 class LegalityReport:
@@ -195,11 +191,10 @@ class _Tables(dict):
     game's ``engine.TheoryIndex``, compiled once from the setup's facts,
     rules and superiority: every table of the game is a rule mask over
     it, and every graph question the game asks walks its cells and rule
-    positions.  It also holds the ids of the rules claim questions keep
-    (the common rules and the claim's cone), and whether the claim is
-    established, by sliced key, for openings."""
+    positions.  It also holds the ids of the rules claim questions keep:
+    the common rules and the claim's cone."""
 
-    __slots__ = ("index", "keep", "established")
+    __slots__ = ("index", "keep")
 
     def __init__(self, setup: GameSetup):
         super().__init__()
@@ -208,7 +203,6 @@ class _Tables(dict):
         claim = setup.claim.literals if setup.claim else ()
         self.keep = _claim_cone(self.index, claim) \
             | {r.id for r in setup.common_rules}
-        self.established: dict[frozenset[str], bool] = {}
 
 
 def _claim_cone(index: TheoryIndex, claim_literals: Iterable[Literal]
@@ -331,6 +325,28 @@ _GAP_FOR_MODE = {
 }
 
 
+def _achievable(setup: GameSetup, tables: _Tables,
+                common_ids: frozenset[str], pool: frozenset[str],
+                player: str) -> bool:
+    """Whether disclosing some nonempty part of ``pool`` at once, on top
+    of ``common_ids``, achieves ``player``'s goal: the claim established
+    for pr (unless the support bound rules it out), refuted for def.
+    Only the kept part of the pool is walked; its empty subset stands
+    for a disclosure of rules outside the cone alone, tried when the
+    pool holds such rules."""
+    kept = pool & tables.keep
+    if player == PR:
+        if not _supportable(setup, tables, common_ids | kept):
+            return False
+        goal = claim_established
+    else:
+        goal = claim_refuted
+    return any(
+        goal(conclusions_for((common_ids | disclosed) & tables.keep, tables),
+             setup)
+        for disclosed in subsets(kept, include_empty=kept != pool))
+
+
 def _claim_gaps(table: ConclusionTable, setup: GameSetup) -> list[str]:
     return [_GAP_FOR_MODE[mode].format(literal)
             for sign, tag, mode, literal in claim_conditions(setup, PR)
@@ -395,18 +411,15 @@ def accepted_openings(start: GameState
                       ) -> Iterator[tuple[frozenset[str], GameState]]:
     """Every opening from ``start`` that establishes the claim, smallest
     first, with the state it opens.  Openings that agree on the claim's
-    cone share a sliced key, and the claim is tested once per key and
-    game.  None is tried when the support bound rules them all out."""
+    cone share a sliced key, and so a cached table.  None is tried when
+    the support bound rules them all out."""
     tables = start.tables
     if not _supportable(start.setup, tables, start.common_ids | start.pr_ids):
         return
     for opening in subsets(start.pr_ids):
-        key = (start.common_ids | opening) & tables.keep
-        accepted = tables.established.get(key)
-        if accepted is None:
-            accepted = tables.established[key] = claim_established(
-                conclusions_for(key, tables), start.setup)
-        if accepted:
+        if claim_established(conclusions_for(
+                (start.common_ids | opening) & tables.keep, tables),
+                start.setup):
             yield opening, _open(start, opening)
 
 
@@ -497,22 +510,17 @@ def adjudicate_pools(setup: GameSetup, common_ids: frozenset[str],
     """Settle a stalled exchange.
 
     A player is defeated when their goal fails in the current theory and
-    no subset of their remaining pool would achieve it; pr is defeated
-    without a search when the support bound rules every subset out.  If
-    neither or both are defeated the current claim status (defence
+    no part of their remaining pool would achieve it (``_achievable``).
+    If neither or both are defeated the current claim status (defence
     first) decides.
     """
     table = conclusions_for(common_ids, tables)
     good = claim_established(table, setup)
     bad = claim_refuted(table, setup)
-    pr_defeated = not good and not (
-        _supportable(setup, tables, common_ids | pr_ids) and any(
-            claim_established(conclusions_for(common_ids | subset, tables),
-                              setup)
-            for subset in subsets(pr_ids)))
-    def_defeated = not bad and not any(
-        claim_refuted(conclusions_for(common_ids | subset, tables), setup)
-        for subset in subsets(def_ids))
+    pr_defeated = not good and not _achievable(
+        setup, tables, common_ids, pr_ids, PR)
+    def_defeated = not bad and not _achievable(
+        setup, tables, common_ids, def_ids, DEF)
     if pr_defeated and def_defeated:
         return STALLED
     if pr_defeated:
@@ -527,10 +535,8 @@ def adjudicate_pools(setup: GameSetup, common_ids: frozenset[str],
 
 
 def adjudicate(state: GameState) -> str:
-    keep = state.tables.keep
-    return adjudicate_pools(
-        state.setup, state.common_ids & keep, state.pr_ids & keep,
-        state.def_ids & keep, state.tables)
+    return adjudicate_pools(state.setup, state.common_ids, state.pr_ids,
+                            state.def_ids, state.tables)
 
 
 def settle(state: GameState) -> str:

@@ -42,10 +42,9 @@ from typing import Iterable, Optional
 from .engine import ConclusionTable
 from .game import (
     DEF_SUCCEEDS, ONGOING, PR_SUCCEEDS, STALLED, TERMINAL_OUTCOMES,
-    GameState, GameTrace, Move, OpeningRejected, _supportable,
+    GameState, GameTrace, Move, OpeningRejected, _achievable, _supportable,
     accepted_openings, adjudicate, claim_conditions, claim_established,
-    claim_refuted, initial_state, open_game, play_move, settle, step,
-    subsets,
+    initial_state, open_game, play_move, settle, step, subsets,
 )
 from .model import DEF, PR, GameSetup
 
@@ -85,13 +84,8 @@ class Analysis:
 
 
 def _robust(opened: GameState) -> bool:
-    # A rebuttal of rules outside the claim's cone alone settles the
-    # claim as the opened table does, so it stands in as the empty one.
-    relevant = opened.def_ids & opened.tables.keep
-    return not any(
-        claim_refuted(opened.claim_table_after(rebuttal), opened.setup)
-        for rebuttal in subsets(
-            relevant, include_empty=relevant != opened.def_ids))
+    return not _achievable(opened.setup, opened.tables, opened.common_ids,
+                           opened.def_ids, DEF)
 
 
 def opening_is_winning(setup: GameSetup, opening_ids: Iterable[str]) -> bool:

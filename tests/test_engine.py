@@ -347,6 +347,45 @@ class TestQuerySemantics:
         assert probe(cycle.union_theory(), "+d p") == UNDETERMINED
 
 
+class TestUnknownKeys:
+    """A sign, tag or mode outside the vocabulary is no question: it
+    raises rather than reading as refuted, whatever the literal."""
+
+    @pytest.mark.parametrize("text", ["a", "zz"])
+    def test_status_and_derived(self, s1, text):
+        table = compute_conclusions(s1.union_theory())
+        literal = lit(text)
+        for tag, mode in (("delta", "e"), ("delta", "evidential"),
+                          ("strict", EVIDENTIAL)):
+            with pytest.raises(ValueError, match="bad (tag|mode)"):
+                table.status(tag, mode, literal)
+            with pytest.raises(ValueError, match="bad (tag|mode)"):
+                table.derived(MINUS, tag, mode, literal)
+        with pytest.raises(ValueError, match="bad sign"):
+            table.derived("-x", DELTA, EVIDENTIAL, literal)
+
+    def test_query(self, s1):
+        table = compute_conclusions(s1.union_theory())
+        for sign, tag, mode in (("?", DELTA, EVIDENTIAL),
+                                (PLUS, "d", EVIDENTIAL),
+                                (MINUS, DELTA, "obligation")):
+            with pytest.raises(ValueError, match="bad (sign|tag|mode)"):
+                table.query(TaggedLiteral(sign, tag, mode, lit("a")))
+
+    def test_known_keys_still_answer(self, s1):
+        table = compute_conclusions(s1.union_theory())
+        assert table.status(DELTA, EVIDENTIAL, lit("a")) == PROVED
+        assert table.status(DELTA, EVIDENTIAL, lit("zz")) == REFUTED
+        assert table.derived(MINUS, DELTA, OBLIGATION, lit("zz"))
+
+    def test_standards_check_the_mode_before_any_table(self, monkeypatch,
+                                                        s1):
+        calls = TestStandards._count_tables(monkeypatch)
+        with pytest.raises(ValueError, match="bad mode"):
+            standards_met(s1.union_theory(), lit("a"), "evidential")
+        assert calls == []
+
+
 class TestNewlyDetermined:
     def test_flip_counts_as_new(self, s1):
         opened = compute_conclusions(s1.theory_for({"r2", "r3", "r4"}))

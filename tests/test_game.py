@@ -546,40 +546,70 @@ class TestClaimSlicing:
             keys = game.subsets(private)
         for disclosed in keys:
             full = state.table_after(disclosed)
-            sliced = state.claim_table_after(disclosed)
+            sliced = game.conclusions_for(
+                (state.common_ids | disclosed) & state.tables.keep,
+                state.tables)
             assert game.claim_established(full, setup) == \
                 game.claim_established(sliced, setup)
             assert game.claim_refuted(full, setup) == \
                 game.claim_refuted(sliced, setup)
 
-    @pytest.mark.parametrize("seed", [9, 199])
-    def test_analyze_needs_one_table_without_relevant_rules(self, computed,
-                                                            seed):
-        analyze(corpus.random_setup(seed, max_rules=20))
-        assert len(computed) == 1
-
     @pytest.mark.parametrize("seed, openings, keys",
                              [(2372, 64, 1), (48, 32, 4), (1284, 128, 16)])
-    def test_accepted_openings_test_each_sliced_key_once(
+    def test_accepted_openings_read_one_table_per_sliced_key(
             self, monkeypatch, seed, openings, keys):
         # walked twice from one start, as analyze walks it once for the
         # game tree and once for the minimal opening; the claim is one
         # the support bound lets through
-        tested = []
+        read = []
         established = game.claim_established
 
         def recording(table, setup):
             if sys._getframe(1).f_code.co_name == "accepted_openings":
-                tested.append(table)
+                read.append(table)
             return established(table, setup)
 
         monkeypatch.setattr(game, "claim_established", recording)
         start = initial_state(established_setup(seed, max_rules=20))
         assert 2 ** len(start.pr_ids) == openings
-        for _ in range(2):
-            list(game.accepted_openings(start))
-        assert len(tested) == keys
-        assert len(set(map(id, tested))) == keys
+        list(game.accepted_openings(start))
+        first = set(map(id, read))
+        assert len(read) == openings
+        assert len(first) == keys
+        list(game.accepted_openings(start))
+        assert len(read) == 2 * openings
+        assert set(map(id, read)) == first
+
+    @staticmethod
+    def _pruning_setup():
+        """pr's p1 alone heads the claim, and ten rules of each pool
+        head atoms the claim never reads."""
+        return parse_theory(
+            "fact f.\n"
+            "rule r0: f =>O ~b.\n"
+            "rule p1: f => b.\n"
+            + "".join(f"rule p{i}: f => y{i}.\n" for i in range(2, 12))
+            + "".join(f"rule d{i}: f => x{i}.\n" for i in range(1, 11))
+            + "claim: b.\n"
+            "game pr: " + ", ".join(f"p{i}" for i in range(1, 12)) + ".\n"
+            "game def: " + ", ".join(f"d{i}" for i in range(1, 11)) + ".\n")
+
+    def test_robustness_walks_only_the_kept_pool(self, computed):
+        # the start and the opening; walking the whole defence pool
+        # would add its 1,023 nonempty rebuttals
+        assert strategy.minimal_winning_opening(self._pruning_setup()) \
+            == ("p1",)
+        assert len(computed) == 2
+
+    def test_adjudication_walks_only_the_kept_pools(self, computed):
+        # the current table answers both pools' out-of-cone rules;
+        # walking the whole defence pool would compute 1,023 tables
+        state = open_game(self._pruning_setup(), {"p1"})
+        for player in (DEF, PR):
+            state = apply_move(state, Move(player, frozenset()))
+        computed.clear()
+        assert adjudicate(state) == PR_SUCCEEDS
+        assert computed == []
 
 
 _ATOMS = ("a", "b", "c")
@@ -722,15 +752,16 @@ class TestSupportBound:
 
     def test_analyze_of_unsupportable_claim_computes_one_table(
             self, computed):
-        # 2^11 openings, none of which the bound lets through
-        setup = corpus.random_setup(273, max_rules=20)
-        start = initial_state(setup)
-        assert len(start.pr_ids) == 11
-        assert not game._supportable(setup, start.tables,
-                                     start.common_ids | start.pr_ids)
-        computed.clear()
-        assert analyze(setup).minimal_opening is None
-        assert len(computed) == 1
+        # 2^pool openings, none of which the bound lets through
+        for seed, pool in ((9, 9), (199, 10), (273, 11)):
+            setup = corpus.random_setup(seed, max_rules=20)
+            start = initial_state(setup)
+            assert len(start.pr_ids) == pool
+            assert not game._supportable(setup, start.tables,
+                                         start.common_ids | start.pr_ids)
+            computed.clear()
+            assert analyze(setup).minimal_opening is None
+            assert len(computed) == 1, seed
 
 
 def _union_literals(setup):
