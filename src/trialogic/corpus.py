@@ -20,6 +20,7 @@ from .model import (
 )
 
 ATOM_POOL = "abcdefghijklmnop"
+CLAIM_CHANCE = 0.9
 
 Seed = Union[int, random.Random]
 
@@ -116,8 +117,8 @@ def random_theory(seed: Seed, *, max_atoms: int = 10, max_rules: int = 14,
 
 
 def random_setup(seed: Seed, *, max_atoms: int = 10, max_rules: int = 14,
-                 deontic_ratio: float = 0.3, allow_annotations: bool = False,
-                 claim_chance: float = 0.9) -> GameSetup:
+                 deontic_ratio: float = 0.3, allow_annotations: bool = False
+                 ) -> GameSetup:
     rng = _rng(seed)
     theory = random_theory(
         rng, max_atoms=max_atoms, max_rules=max_rules,
@@ -136,7 +137,7 @@ def random_setup(seed: Seed, *, max_atoms: int = 10, max_rules: int = 14,
                    | {r.head.atom for r in theory.rules}
                    | {f[1].atom for f in theory.facts})
     claim: Optional[Claim] = None
-    if rng.random() < claim_chance:
+    if rng.random() < CLAIM_CHANCE:
         count = 1 if rng.random() < 0.8 else 2
         literals = {Literal(rng.choice(atoms), rng.random() < 0.85)
                     for _ in range(count)}

@@ -35,8 +35,8 @@ The index holds the facts by cell, each rule's head cell and its
 antecedents as ``(cell, tag index, wanted status)``, the rules headed
 at each cell (``heads``), the rules that read each cell (``readers``)
 and, for each rule, the rules that beat it.  A game compiles its whole
-setup once; one-shot ``compute_conclusions`` compiles the theory it is
-given.
+setup once and passes ``compute_conclusions`` that index with the ids
+of the rules to activate; a one-shot theory it compiles itself.
 
 A table is the least fixpoint over an index restricted to a rule mask
 (``TheoryIndex.mask``), the rules of one theory.  It holds one row of
@@ -317,28 +317,10 @@ class TheoryIndex:
                 active[r] = 1
         return active
 
-    def select(self, rule_ids: Iterable[str]) -> "Selection":
-        """The theory of the facts, the rules named by ``rule_ids`` and
-        the superiority pairs among them, over this index."""
-        return Selection(self, frozenset(rule_ids))
-
 
 def opposite(cell: int) -> int:
     """The cell of the complementary literal in the same mode."""
     return cell ^ 2
-
-
-class Selection:
-    """The theory of an index's facts, the rules ``rule_ids`` names
-    (an id that names no rule is ignored) and the superiority pairs
-    among those: what ``compute_conclusions`` takes to build a table
-    over an index compiled once."""
-
-    __slots__ = ("index", "rule_ids")
-
-    def __init__(self, index: TheoryIndex, rule_ids: frozenset[str]):
-        self.index = index
-        self.rule_ids = rule_ids
 
 
 def _state(rows: list, antecedents: tuple, ambient: int) -> int:
@@ -359,16 +341,15 @@ def _state(rows: list, antecedents: tuple, ambient: int) -> int:
 
 def _condition(tag: int, inputs: tuple, need: int, rows: list,
                index: TheoryIndex) -> bool:
-    """The condition of ``+tag`` (a tag index) on a cell whose inputs
-    are (is a fact, opposite is a fact, supporting rules, attacking
-    rules), counting a rule applicable when its state is at least
-    ``need`` and discarded when it is at most ``-need``.
+    """The condition of ``+tag`` (a tag index) on a cell that is not a
+    fact, whose inputs are (opposite is a fact, supporting rules,
+    attacking rules), counting a rule applicable when its state is at
+    least ``need`` and discarded when it is at most ``-need``.
 
     With ``need`` 1 this is ``+tag`` itself.  With ``need`` 0 an open
-    rule counts as both, and the negation is ``-tag``."""
-    fact, opposed_fact, supporters, attackers = inputs
-    if fact:
-        return True
+    rule counts as both, and the negation is ``-tag``.  A fact cell is
+    never asked: ``_evaluate`` settles it to proved at every tag."""
+    opposed_fact, supporters, attackers = inputs
     antecedents = index.antecedents
     if tag == _W:
         return any(_state(rows, antecedents[r], _W) >= need
@@ -401,13 +382,13 @@ def _evaluate(index: TheoryIndex, active, rows: list, agenda: list) -> None:
     their conditions read no status: a fact proves every tag, and a cell
     no active rule supports fails every positive condition, with or
     without open rules, so every tag is refuted.  Every other cell
-    starts with an open row.  Popping a cell reads its facts and active
-    rules once, then evaluates each of its unsettled tags.  The
-    conditions of a cell read only facts and the cells named by
-    antecedents of the rules headed at it or at its opposite, so when a
-    tag of a cell settles, the head cells ``h`` and ``h ^ 2`` of its
-    active readers are exactly the cells to queue again; a cell already
-    waiting is not queued twice.
+    starts with an open row.  Popping a cell reads whether its opposite
+    is a fact and its active rules once, then evaluates each of its
+    unsettled tags.  The conditions of a cell read only facts and the
+    cells named by antecedents of the rules headed at it or at its
+    opposite, so when a tag of a cell settles, the head cells ``h`` and
+    ``h ^ 2`` of its active readers are exactly the cells to queue
+    again; a cell already waiting is not queued twice.
 
     Why the order cannot matter: statuses are only ever added, and a
     rule's ``_state`` only ever leaves 0.  A positive condition is
@@ -446,7 +427,7 @@ def _evaluate(index: TheoryIndex, active, rows: list, agenda: list) -> None:
         queued[cell] = 0
         row = rows[cell]
         opposed = cell ^ 2
-        inputs = (fact[cell], fact[opposed],
+        inputs = (fact[opposed],
                   [r for r in heads[cell] if active[r]],
                   [r for r in heads[opposed] if active[r]])
         settled = False
@@ -509,23 +490,23 @@ def _grow(index: TheoryIndex, active, parent: ConclusionTable,
     return rows, sorted(cone)
 
 
-def compute_conclusions(theory: Union[DefeasibleTheory, Selection], *,
+def compute_conclusions(theory: Union[DefeasibleTheory, TheoryIndex],
+                        rule_ids: Optional[Iterable[str]] = None, *,
                         parent: Optional[ConclusionTable] = None,
                         added: Optional[str] = None) -> ConclusionTable:
-    """Derive the full tagged-conclusion table of a theory, or of a
-    ``Selection`` of the rules of an index compiled once.
+    """Derive the full tagged-conclusion table of the facts, the rules
+    ``rule_ids`` names (every rule when None; an id that names no rule
+    is ignored) and the superiority pairs among those rules, over a
+    theory, compiled here, or over an index compiled once.
 
     ``parent``, when given, must be the table over the same index (or
-    ValueError) of ``theory`` without the rules of id ``added`` and the
-    superiority pairs naming them; only the cells those rules can
-    affect are then evaluated again.
+    ValueError) of those rules less the rules of id ``added``; only the
+    cells those rules can affect are then evaluated again.
     """
-    if isinstance(theory, Selection):
-        index = theory.index
-        active = index.mask(theory.rule_ids)
-    else:
-        index = TheoryIndex(theory.facts, theory.rules, theory.superiority)
-        active = b"\x01" * len(index.rules)
+    index = theory if isinstance(theory, TheoryIndex) else TheoryIndex(
+        theory.facts, theory.rules, theory.superiority)
+    active = (b"\x01" * len(index.rules) if rule_ids is None
+              else index.mask(rule_ids))
     if parent is not None and added is not None:
         if parent._ids is not index.ids:
             raise ValueError("a parent table built on another index")
@@ -557,9 +538,9 @@ def standards_met(theory: DefeasibleTheory, literal: Literal,
                   mode: str = EVIDENTIAL) -> StandardsReport:
     """Which proof standards a literal meets in the given mode.
 
-    Dialectical validity is checked against the theory with its
-    superiority relation removed; without superiority that is the
-    theory itself, so its table is reused.
+    Dialectical validity is checked against the facts and rules
+    compiled without the superiority relation; without superiority that
+    is the theory itself, so its table is reused.
     """
     if mode not in MODES:
         raise ValueError(f"bad mode {mode!r}")
@@ -569,8 +550,7 @@ def standards_met(theory: DefeasibleTheory, literal: Literal,
         if table.status(STANDARD_TAG[standard], mode, literal) == PROVED
     ]
     if theory.superiority:
-        stripped = DefeasibleTheory(theory.facts, theory.rules, frozenset())
-        table = compute_conclusions(stripped)
+        table = compute_conclusions(TheoryIndex(theory.facts, theory.rules))
     if table.status(DELTA, mode, literal) == PROVED:
         met.append(DIALECTICAL_VALIDITY)
     return StandardsReport(literal, mode, tuple(met))

@@ -28,7 +28,7 @@ so a theory that several moves, checks or searches reach is computed
 once.  The cache owns the game's ``engine.TheoryIndex``, the setup's
 facts, rules and superiority relation compiled once into integer cell
 and rule ids: every table of the game is a rule mask over it (the
-key's rules, read through ``TheoryIndex.select``), and the claim cone
+key's rules, read through ``TheoryIndex.mask``), and the claim cone
 and support bound below walk its cells.  A table missing from the
 cache grows, within the index, from the cached table with one rule
 fewer, copying its rows by cell id and re-evaluating only the cells
@@ -242,7 +242,7 @@ def conclusions_for(rule_ids: Iterable[str], cache: _Tables
                 added = rule_id
                 break
         table = cache[key] = compute_conclusions(
-            cache.index.select(key), parent=parent, added=added)
+            cache.index, key, parent=parent, added=added)
     return table
 
 
@@ -500,7 +500,7 @@ def termination_status(state: GameState) -> str:
     if not state.def_ids and good:
         return PR_SUCCEEDS
     if not state.pr_ids and not state.def_ids:
-        return DEF_SUCCEEDS if bad else (PR_SUCCEEDS if good else STALLED)
+        return STALLED
     return ONGOING
 
 

@@ -1,13 +1,15 @@
 import random
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from trialogic import (
     EVIDENTIAL, OBLIGATION, PROVED, Claim, compute_conclusions, corpus,
-    parse_theory,
+    game, parse_theory,
 )
+from trialogic.engine import ConclusionTable, TheoryIndex
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -76,3 +78,28 @@ def established_setup(seed: int, **kwargs):
         return None
     claim = random.Random(seed).choice(candidates)
     return replace(setup, claim=Claim((claim,)))
+
+
+class Computed(NamedTuple):
+    """One table the game computed: the index, the rule ids asked for,
+    whether it grew from a parent, and the table."""
+    index: TheoryIndex
+    rule_ids: frozenset
+    grown: bool
+    table: ConclusionTable
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """Every table ``game`` computes, in order, as ``Computed``."""
+    runs = []
+    compute = game.compute_conclusions
+
+    def recording(index, rule_ids, *, parent=None, added=None):
+        table = compute(index, rule_ids, parent=parent, added=added)
+        runs.append(Computed(index, frozenset(rule_ids), parent is not None,
+                             table))
+        return table
+
+    monkeypatch.setattr(game, "compute_conclusions", recording)
+    return runs

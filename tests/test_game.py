@@ -194,6 +194,20 @@ class TestLegality:
                                         [(OBLIGATION, "~b")]))
         assert not report.legal
 
+    def test_undetermined_target_is_illegal(self):
+        # p is circular in both modes, so no status of p is determined
+        setup = parse_theory(
+            "fact a.\n"
+            "rule loop: p => p.\nrule lo: p =>O p.\n"
+            "rule r1: a => b.\nrule r2: a =>O ~b.\nrule d1: a => ~b.\n"
+            "claim: b.\n"
+            "game common: loop, lo.\ngame pr: r1, r2.\ngame def: d1.\n")
+        state = open_game(setup, {"r1", "r2"})
+        report = legal_move(state, move(DEF, {"d1"}, [(EVIDENTIAL, "p")]))
+        assert report.reasons == (
+            "target precondition: p has no determined status in the "
+            "current theory",)
+
     def test_apply_move_raises(self, s1):
         state = open_game(s1, {"r1", "r4"})
         with pytest.raises(IllegalMove):
@@ -223,6 +237,24 @@ class TestTermination:
     def test_ongoing_while_answers_remain(self, s1):
         state = open_game(s1, {"r1", "r4"})
         assert termination_status(state) == ONGOING
+
+    def test_stalled_when_both_pools_empty(self):
+        # d1 reads the circular p, so it neither beats b nor lets it
+        # stand: the claim is neither established nor refuted
+        setup = parse_theory(
+            "fact a.\n"
+            "rule loop: p => p.\nrule r1: a => b.\nrule r2: a =>O ~b.\n"
+            "rule d1: p => ~b.\nrule d2: a => q.\n"
+            "claim: b.\n"
+            "game pr: r1, r2.\ngame def: d1, d2.\n")
+        state = apply_move(open_game(setup, {"r1", "r2"}),
+                           move(DEF, {"d1", "d2"}, [(EVIDENTIAL, "q")]))
+        assert not state.pr_ids and not state.def_ids
+        assert termination_status(state) == STALLED
+        trace = run_game(setup, parse_moves(
+            "pr: r1, r2.\ndef: d1, d2 targets E q.\n"))
+        assert len(trace.records) == 2
+        assert trace.outcome == STALLED
 
     def test_defence_condition_checked_first(self):
         setup = GameSetup(
@@ -373,21 +405,6 @@ def _statuses(table, literals):
             for mode in MODES for tag in TAGS]
 
 
-@pytest.fixture
-def computed(monkeypatch):
-    """Every table computed, as (theory, grown, table)."""
-    runs = []
-    compute = game.compute_conclusions
-
-    def recording(theory, parent=None, added=None):
-        table = compute(theory, parent=parent, added=added)
-        runs.append((theory, parent is not None, table))
-        return table
-
-    monkeypatch.setattr(game, "compute_conclusions", recording)
-    return runs
-
-
 class TestIncrementalTables:
     """A table grown from its one-rule-smaller parent equals the table
     computed in full."""
@@ -407,14 +424,14 @@ class TestIncrementalTables:
             analyze(setup)
             for policy in POLICIES:
                 auto_play(setup, policy)
-            runs += [(setup, *run) for run in computed]
-        grown = [run for run in runs if run[2]]
+            runs += [(setup, run) for run in computed]
+        grown = [run for run in runs if run[1].grown]
         assert len(grown) > len(runs) // 2
         claims = {literal for setup in [s1, s2, s3] + claimed
                   for literal in setup.claim.literals}
-        for setup, theory, _, table in grown:
-            full = compute_conclusions(theory)
-            fresh = compute_conclusions(setup.theory_for(theory.rule_ids))
+        for setup, (index, rule_ids, _, table) in grown:
+            full = compute_conclusions(index, rule_ids)
+            fresh = compute_conclusions(setup.theory_for(rule_ids))
             assert table == full
             assert table == fresh
             assert table.rows() == fresh.rows()
@@ -426,25 +443,25 @@ class TestIncrementalTables:
         for setup, grown in ((s1, 14), (large, 127)):
             computed.clear()
             analyze(setup)
-            assert [run[1] for run in computed] == [False] + [True] * grown
+            assert [run.grown for run in computed] == [False] + [True] * grown
 
     def test_greedy_play_grows_all_but_the_first_table(self, computed):
         auto_play(established_setup(71, max_rules=20, deontic_ratio=0.5))
-        assert [run[1] for run in computed] == [False] + [True] * 158
+        assert [run.grown for run in computed] == [False] + [True] * 158
 
     def test_unknown_rule_id_is_no_parent(self, computed, s1):
         state = initial_state(s1)
         table = state.table_after(frozenset({"nosuchrule"}))
-        assert [run[1] for run in computed] == [False, False]
+        assert [run.grown for run in computed] == [False, False]
         assert table == state.conclusions
 
     def test_parent_built_on_another_index_is_rejected(self, s1):
         parent = game.conclusions_for({"r1"}, initial_state(s1).tables)
         index = initial_state(s1).tables.index
-        for theory in (index.select({"r1", "r4"}),
-                       s1.theory_for({"r1", "r4"})):
+        for theory in (index, s1.theory_for({"r1", "r4"})):
             with pytest.raises(ValueError, match="another index"):
-                compute_conclusions(theory, parent=parent, added="r4")
+                compute_conclusions(theory, {"r1", "r4"}, parent=parent,
+                                    added="r4")
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6),
@@ -846,7 +863,7 @@ class TestIndexParity:
         _assert_same_table(table, compute_conclusions(
             setup.theory_for({"c1"})), _union_literals(setup))
         grown = state.table_after(frozenset({"p1"}))
-        assert [run[1] for run in computed] == [False, True]
+        assert [run.grown for run in computed] == [False, True]
         assert zz in grown.literals
         fresh = compute_conclusions(setup.theory_for({"c1", "p1"}))
         _assert_same_table(grown, fresh, _union_literals(setup))

@@ -30,6 +30,11 @@ class TestRobustOpenings:
         assert minimal_winning_opening(s1) == ("r1", "r4")
         assert opening_is_winning(s1, {"r1", "r4"})
 
+    def test_rejected_opening_is_not_winning(self, s1):
+        with pytest.raises(OpeningRejected):
+            game.open_game(s1, {"r1"})
+        assert not opening_is_winning(s1, {"r1"})
+
     def test_overshared_opening_is_fragile(self, s1):
         assert not opening_is_winning(s1, {"r1", "r2", "r3", "r4"})
 
@@ -94,16 +99,13 @@ class TestExhaustive:
             exhaustive_winner(s1, bound=3)
         assert exhaustive_winner(s1, bound=7) == PR
 
-    def test_refused_search_computes_no_table(self, s1, s4, monkeypatch):
-        tables = []
-        monkeypatch.setattr(game, "compute_conclusions",
-                            lambda *args, **kwargs: tables.append(args))
+    def test_refused_search_computes_no_table(self, s1, s4, computed):
         for search in (analyze, exhaustive_winner):
             with pytest.raises(BoundExceeded):
                 search(s1, bound=3)
             with pytest.raises(ValueError, match="no claim"):
                 search(s4)
-        assert tables == []
+        assert computed == []
 
     def test_deterministic(self, s2):
         assert analyze(s2) == analyze(s2)
@@ -118,9 +120,10 @@ _RANKING = {PR: (PR_SUCCEEDS, STALLED, DEF_SUCCEEDS),
             DEF: (DEF_SUCCEEDS, STALLED, PR_SUCCEEDS)}
 
 
-def _uncut_winner(setup):
+def _uncut_winner(setup, memoised=True):
     """Backward induction over every legal move of every position, with
-    no cutoff, and over every opening the claim accepts."""
+    no cutoff, and over every opening the claim accepts; unless
+    ``memoised``, a position reached twice is searched twice."""
     memo = {}
 
     def outcome(state):
@@ -136,7 +139,10 @@ def _uncut_winner(setup):
                 nxt, targets = game.step(state, disclosed)
                 if targets:
                     outcomes.append(outcome(nxt))
-            memo[key] = min(outcomes, key=_RANKING[state.mover].index)
+            best = min(outcomes, key=_RANKING[state.mover].index)
+            if not memoised:
+                return best
+            memo[key] = best
         return memo[key]
 
     start = game.initial_state(setup)
@@ -220,6 +226,17 @@ class TestCutSearch:
         for setup in (s1, s2, s3, with_standards(s2, evidential="delta")):
             assert exhaustive_winner(setup) == _uncut_winner(setup)
 
+    @pytest.mark.parametrize("seed, winner, opening, explored", [
+        (814, DEF, None, 70), (1644, PR, ("r4",), 13), (451, PR, ("r6",), 65)])
+    def test_transpositions_are_searched_once(self, seed, winner, opening,
+                                              explored):
+        # these games reach one position along several move orders; a
+        # search that expanded it each time would explore 108, 17 and
+        # 195 positions
+        setup = established_setup(seed, max_rules=14, deontic_ratio=0.5)
+        assert _uncut_winner(setup, memoised=False) == winner
+        assert analyze(setup) == Analysis(winner, opening, explored)
+
 
 class TestGreedyPolicy:
     def test_s1_trace(self, s1):
@@ -239,6 +256,21 @@ class TestGreedyPolicy:
     def test_opening_is_smallest_accepted(self, s2):
         trace = auto_play(s2, GREEDY_MINIMAL)
         assert trace.records[0].rule_ids == ("r1", "r4")
+
+
+class TestUnsupportableClaim:
+    def test_trace_without_moves_ends_on_its_initial_table(self):
+        # nothing proves z, so no opening can support q
+        setup = parse_theory(
+            "fact a.\nrule r0: a =>O ~q.\n"
+            "rule p1: z => q.\nrule d1: a => x.\n"
+            "claim: q.\n"
+            "game common: r0.\ngame pr: p1.\ngame def: d1.\n")
+        for policy in POLICIES:
+            trace = auto_play(setup, policy)
+            assert trace.records == []
+            assert trace.outcome == DEF_SUCCEEDS
+            assert trace.final_conclusions is trace.initial_conclusions
 
 
 class TestFullDisclosurePolicy:
@@ -336,18 +368,6 @@ class TestOneTransition:
 
 
 class TestOneCachePerCall:
-    @pytest.fixture
-    def computed(self, monkeypatch):
-        keys = []
-        compute = game.compute_conclusions
-
-        def recording(theory, **parent):
-            keys.append(theory.rule_ids.intersection(theory.index.positions))
-            return compute(theory, **parent)
-
-        monkeypatch.setattr(game, "compute_conclusions", recording)
-        return keys
-
     def test_no_table_computed_twice(self, computed, s1, s2, fixtures_dir):
         script = parse_moves(
             (fixtures_dir / "s1_play_b.moves").read_text(encoding="utf-8"))
@@ -359,5 +379,7 @@ class TestOneCachePerCall:
         for call in calls:
             computed.clear()
             call()
-            assert computed
-            assert len(computed) == len(set(computed))
+            keys = [run.rule_ids.intersection(run.index.positions)
+                    for run in computed]
+            assert keys
+            assert len(keys) == len(set(keys))
