@@ -141,7 +141,7 @@ class _Parser:
         self.errors: list[ParseError] = errors
         self.facts: list[tuple[str, Literal]] = []
         self.rules: list[Rule] = []
-        self.sup: list[tuple[str, str, _Token]] = []
+        self.sup: list[tuple[_Token, _Token]] = []
         self.claim: Optional[list[Literal]] = None
         self.sections: dict[str, list[tuple[str, _Token]]] = {}
         self.standards: dict[str, str] = {}
@@ -156,8 +156,9 @@ class _Parser:
             self.pos += 1
         return token
 
-    def fail(self, message: str):
-        self.errors.append(ParseError(self.peek().span, message))
+    def fail(self, message: str, token: Optional[_Token] = None):
+        """Record an error at ``token``, by default the next, and bail."""
+        self.errors.append(ParseError((token or self.peek()).span, message))
         raise _Bail()
 
     def expect(self, kind: str, what: str) -> _Token:
@@ -227,7 +228,7 @@ class _Parser:
             sign = "+" if self.advance().kind == "PLUS" else "-"
             token = self.expect("WORD", "a proof tag (d, p, s or w)")
             if token.value not in TAG_FOR_TOKEN:
-                self.fail(f"unknown proof tag {token.value!r}")
+                self.fail(f"unknown proof tag {token.value!r}", token)
             tag = TAG_FOR_TOKEN[token.value]
         mode = self.mode()
         return Antecedent(mode, self.literal(), sign, tag)
@@ -252,7 +253,7 @@ class _Parser:
         stronger = self.expect("WORD", "a rule id")
         self.expect("GT", "'>'")
         weaker = self.expect("WORD", "a rule id")
-        self.sup.append((stronger.value, weaker.value, stronger))
+        self.sup.append((stronger, weaker))
 
     def claim_stmt(self) -> None:
         start = self.peek()
@@ -267,7 +268,7 @@ class _Parser:
     def game_stmt(self) -> None:
         token = self.expect("WORD", "a pool name (pr, def or common)")
         if token.value not in (PR, DEF, "common"):
-            self.fail(f"unknown pool {token.value!r}")
+            self.fail(f"unknown pool {token.value!r}", token)
         self.expect("COLON", "':'")
         ids = self.comma_list(lambda: self.expect("WORD", "a rule id"))
         bucket = self.sections.setdefault(token.value, [])
@@ -276,12 +277,12 @@ class _Parser:
     def standard_stmt(self) -> None:
         which = self.expect("WORD", "'evidential' or 'deontic'")
         if which.value not in ("evidential", "deontic"):
-            self.fail(f"unknown standard kind {which.value!r}")
+            self.fail(f"unknown standard kind {which.value!r}", which)
         token = self.expect("WORD", "a proof tag (d, p, s or w)")
         if token.value not in TAG_FOR_TOKEN:
-            self.fail(f"unknown proof tag {token.value!r}")
+            self.fail(f"unknown proof tag {token.value!r}", token)
         if which.value == "deontic" and token.value not in ("d", "p"):
-            self.fail("deontic standard must be d or p")
+            self.fail("deontic standard must be d or p", token)
         if which.value in self.standards:
             self.errors.append(ParseError(
                 token.span, f"duplicate {which.value} standard"))
@@ -332,12 +333,12 @@ def parse_theory(text: str) -> GameSetup:
     errors = parser.errors
 
     declared = {rule.id: rule for rule in parser.rules}
-    for stronger, weaker, token in parser.sup:
-        for name in (stronger, weaker):
-            if name not in declared:
+    for pair in parser.sup:
+        for token in pair:
+            if token.value not in declared:
                 errors.append(ParseError(
-                    token.span,
-                    f"superiority references unknown rule id {name!r}"))
+                    token.span, "superiority references unknown rule id "
+                                f"{token.value!r}"))
     owner: dict[str, str] = {}
     for section, entries in parser.sections.items():
         for rule_id, token in entries:
@@ -367,7 +368,7 @@ def parse_theory(text: str) -> GameSetup:
         common_rules=tuple(pools["common"]),
         pr_rules=tuple(pools[PR]),
         def_rules=tuple(pools[DEF]),
-        superiority=frozenset((a, b) for a, b, _ in parser.sup),
+        superiority=frozenset((a.value, b.value) for a, b in parser.sup),
         claim=Claim(tuple(parser.claim)) if parser.claim is not None else None,
         evidential_standard=parser.standards.get("evidential", DELTA),
         deontic_standard=parser.standards.get("deontic", PARTIAL),

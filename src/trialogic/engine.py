@@ -49,11 +49,12 @@ literals sort in.  Every condition is monotone in the statuses derived
 so far, hence the table is the single least fixpoint of those
 conditions and does not depend on evaluation order.
 
-A table can also grow from the table, over the same index, of the same
-mask without one rule r; a parent built on another index is rejected.
-Only the affected cone can change: the cells that reach r's head cells
-``h`` and ``h ^ 2`` through the readers of the active rules, plus the
-cells of literals that only r mentions.  Every other cell reads only
+The index keeps every table built over it (``TheoryIndex.tables``).  A
+new table grows from the kept table of the same rule ids less one rule
+r, the first such id in id order; no parent is passed in.  Only the
+affected cone can change: the cells that reach r's head cells ``h`` and
+``h ^ 2`` through the readers of the active rules, plus the cells of
+literals that only r mentions.  Every other cell reads only
 unaffected cells, keeps the same supporting and attacking rules and,
 since superiority acts only between the rules of one head cell pair,
 the same superiority pairs; its conditions are those of the smaller
@@ -250,11 +251,12 @@ class TheoryIndex:
     ``antecedents`` (as ``(cell, tag index, wanted status)``, the tag
     index None for a plain antecedent) and ``beaten_by`` (the positions
     of the rules that beat it, kept only between complementary head
-    cells, the only pairs a condition reads).
+    cells, the only pairs a condition reads).  ``tables`` keeps every
+    table built over the index, keyed by the frozenset of ids asked for.
     """
 
     __slots__ = ("rules", "positions", "literals", "ids", "fact", "head",
-                 "antecedents", "heads", "readers", "beaten_by")
+                 "antecedents", "heads", "readers", "beaten_by", "tables")
 
     def __init__(self, facts: Iterable[tuple[str, Literal]],
                  rules: Iterable[Rule],
@@ -303,6 +305,7 @@ class TheoryIndex:
                         beaten.setdefault(w, set()).add(s)
         self.beaten_by = [frozenset(beaten[r]) if r in beaten else ()
                           for r in range(len(rules))]
+        self.tables: dict[frozenset[str], ConclusionTable] = {}
 
     def cell(self, mode: str, literal: Literal) -> Optional[int]:
         """The cell of ``(mode, literal)``; None for an unknown literal."""
@@ -491,27 +494,30 @@ def _grow(index: TheoryIndex, active, parent: ConclusionTable,
 
 
 def compute_conclusions(theory: Union[DefeasibleTheory, TheoryIndex],
-                        rule_ids: Optional[Iterable[str]] = None, *,
-                        parent: Optional[ConclusionTable] = None,
-                        added: Optional[str] = None) -> ConclusionTable:
+                        rule_ids: Optional[Iterable[str]] = None
+                        ) -> ConclusionTable:
     """Derive the full tagged-conclusion table of the facts, the rules
     ``rule_ids`` names (every rule when None; an id that names no rule
     is ignored) and the superiority pairs among those rules, over a
     theory, compiled here, or over an index compiled once.
 
-    ``parent``, when given, must be the table over the same index (or
-    ValueError) of those rules less the rules of id ``added``; only the
-    cells those rules can affect are then evaluated again.
+    The table is computed, kept in ``index.tables`` under the ids asked
+    for and, when the index keeps the table of those ids less one rule
+    id (the first in id order), grown from it.
     """
     index = theory if isinstance(theory, TheoryIndex) else TheoryIndex(
         theory.facts, theory.rules, theory.superiority)
-    active = (b"\x01" * len(index.rules) if rule_ids is None
-              else index.mask(rule_ids))
-    if parent is not None and added is not None:
-        if parent._ids is not index.ids:
-            raise ValueError("a parent table built on another index")
-        rows, agenda = _grow(index, active, parent, added)
-    else:
+    key = frozenset(index.positions if rule_ids is None else rule_ids)
+    active = index.mask(key)
+    tables = index.tables
+    rows = None
+    if tables:  # a one-shot index keeps nothing to grow from
+        for rule_id in sorted(key & index.positions.keys()):
+            parent = tables.get(key - {rule_id})
+            if parent is not None:
+                rows, agenda = _grow(index, active, parent, rule_id)
+                break
+    if rows is None:
         rows = [None] * (2 * len(index.literals))
         atoms = {cell >> 2 for cell, fact in enumerate(index.fact) if fact}
         for r, on in enumerate(active):
@@ -519,7 +525,8 @@ def compute_conclusions(theory: Union[DefeasibleTheory, TheoryIndex],
                 atoms.update(_rule_atoms(index, r))
         agenda = sorted(cell for atom in atoms for cell in _atom_cells(atom))
     _evaluate(index, active, rows, agenda)
-    return ConclusionTable(index.literals, index.ids, rows)
+    table = tables[key] = ConclusionTable(index.literals, index.ids, rows)
+    return table
 
 
 def holds(theory: DefeasibleTheory, query: TaggedLiteral) -> str:

@@ -22,17 +22,18 @@ Every position is reached through ``step``, which discloses a set of
 rule ids (none for a pass) and reports the targets that disclosure
 could legally declare, and every position is scored by ``settle``.
 Legality checks, scripted games, automatic play and exhaustive search
-all drive these two.  ``initial_state`` creates the table cache of one
-game, ``_Tables``: every state reached from it carries the same cache,
-so a theory that several moves, checks or searches reach is computed
-once.  The cache owns the game's ``engine.TheoryIndex``, the setup's
-facts, rules and superiority relation compiled once into integer cell
-and rule ids: every table of the game is a rule mask over it (the
-key's rules, read through ``TheoryIndex.mask``), and the claim cone
-and support bound below walk its cells.  A table missing from the
-cache grows, within the index, from the cached table with one rule
-fewer, copying its rows by cell id and re-evaluating only the cells
-that rule can reach; with no such parent cached it is computed in full.
+all drive these two.  ``initial_state`` creates ``_Tables``, which
+owns the game's ``engine.TheoryIndex``: the setup's facts, rules and
+superiority relation compiled once into integer cell and rule ids.
+Every state reached from it carries the same ``_Tables``.  The index
+keeps the game's tables, so a theory that several moves, checks or
+searches reach is computed once.  Every table of the game is a rule
+mask over the index (the key's rules, read through
+``TheoryIndex.mask``), and the claim cone and support bound below walk
+its cells.  A table the index does not keep yet grows, in ``engine``,
+from the kept table with one rule fewer, copying its rows by cell id
+and re-evaluating only the cells that rule can reach; with no such
+table kept it is computed in full.
 
 Claim questions are answered on sliced tables.  Accepted openings,
 robustness and adjudication ask only whether the claim is established
@@ -110,8 +111,9 @@ TERMINAL_OUTCOMES = (PR_SUCCEEDS, DEF_SUCCEEDS, STALLED)
 class GameState:
     """Immutable snapshot after ``turn`` moves.
 
-    ``tables`` is the conclusion-table cache of the game, shared by
-    every state reached from the same ``initial_state``.
+    ``tables`` is the game's ``_Tables``, whose index keeps the game's
+    conclusion tables, shared by every state reached from the same
+    ``initial_state``.
     ``newly_determined`` holds the conclusions the move into this state
     determined (none after a pass and at the start).
     """
@@ -123,7 +125,7 @@ class GameState:
     def_ids: frozenset[str]
     consecutive_passes: int
     conclusions: ConclusionTable
-    tables: dict = field(repr=False)
+    tables: _Tables = field(repr=False)
     newly_determined: tuple[TaggedLiteral, ...] = ()
 
     @property
@@ -186,18 +188,17 @@ class GameTrace:
         return [record.as_move() for record in self.records]
 
 
-class _Tables(dict):
-    """The table cache of one game, keyed by rule-id set.  It owns the
-    game's ``engine.TheoryIndex``, compiled once from the setup's facts,
-    rules and superiority: every table of the game is a rule mask over
-    it, and every graph question the game asks walks its cells and rule
-    positions.  It also holds the ids of the rules claim questions keep:
-    the common rules and the claim's cone."""
+class _Tables:
+    """The table source of one game.  It owns the game's
+    ``engine.TheoryIndex``, compiled once from the setup's facts, rules
+    and superiority, which keeps every table of the game: each is a rule
+    mask over it, and every graph question the game asks walks its
+    cells and rule positions.  It also holds the ids of the rules claim
+    questions keep: the common rules and the claim's cone."""
 
     __slots__ = ("index", "keep")
 
     def __init__(self, setup: GameSetup):
-        super().__init__()
         self.index = TheoryIndex(setup.facts, setup.all_rules(),
                                  setup.superiority)
         claim = setup.claim.literals if setup.claim else ()
@@ -226,23 +227,13 @@ def _claim_cone(index: TheoryIndex, claim_literals: Iterable[Literal]
 
 def conclusions_for(rule_ids: Iterable[str], cache: _Tables
                     ) -> ConclusionTable:
-    """Conclusion table of the theory induced by a set of rule ids,
-    memoised in ``cache``.
-
-    A missing table grows from a cached parent: the table of the same
-    ids less one rule of the setup, the first such id in id order.
-    With no parent cached it is computed in full."""
+    """Conclusion table of the theory induced by a set of rule ids: the
+    one ``cache.index`` keeps, or else one ``compute_conclusions``
+    builds, and keeps, over that index."""
     key = frozenset(rule_ids)
-    table = cache.get(key)
+    table = cache.index.tables.get(key)
     if table is None:
-        parent = added = None
-        for rule_id in sorted(key & cache.index.positions.keys()):
-            parent = cache.get(key - {rule_id})
-            if parent is not None:
-                added = rule_id
-                break
-        table = cache[key] = compute_conclusions(
-            cache.index, key, parent=parent, added=added)
+        table = compute_conclusions(cache.index, key)
     return table
 
 

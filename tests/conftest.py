@@ -7,7 +7,7 @@ import pytest
 
 from trialogic import (
     EVIDENTIAL, OBLIGATION, PROVED, Claim, compute_conclusions, corpus,
-    game, parse_theory,
+    engine, game, parse_theory,
 )
 from trialogic.engine import ConclusionTable, TheoryIndex
 
@@ -82,7 +82,7 @@ def established_setup(seed: int, **kwargs):
 
 class Computed(NamedTuple):
     """One table the game computed: the index, the rule ids asked for,
-    whether it grew from a parent, and the table."""
+    whether it grew from a kept table, and the table."""
     index: TheoryIndex
     rule_ids: frozenset
     grown: bool
@@ -91,15 +91,22 @@ class Computed(NamedTuple):
 
 @pytest.fixture
 def computed(monkeypatch):
-    """Every table ``game`` computes, in order, as ``Computed``."""
+    """Every table ``game`` computes, in order, as ``Computed``; it grew
+    when ``engine._grow`` ran while it was computed."""
     runs = []
-    compute = game.compute_conclusions
+    grew = []
+    compute, grow = game.compute_conclusions, engine._grow
 
-    def recording(index, rule_ids, *, parent=None, added=None):
-        table = compute(index, rule_ids, parent=parent, added=added)
-        runs.append(Computed(index, frozenset(rule_ids), parent is not None,
-                             table))
+    def growing(*args):
+        grew.append(True)
+        return grow(*args)
+
+    def recording(index, rule_ids):
+        grew.clear()
+        table = compute(index, rule_ids)
+        runs.append(Computed(index, frozenset(rule_ids), bool(grew), table))
         return table
 
+    monkeypatch.setattr(engine, "_grow", growing)
     monkeypatch.setattr(game, "compute_conclusions", recording)
     return runs

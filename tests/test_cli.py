@@ -42,6 +42,17 @@ class TestCheck:
         assert payload["ok"] is True
         assert payload["warnings"] == ["facts oblige both b and ~b"]
 
+    def test_warnings_human(self, capsys, tmp_path):
+        path = tmp_path / "reflexive.ddt"
+        path.write_text("rule r1: a => b.\nsup r1 > r1.\n")
+        code, out, err = invoke(capsys, "check", path)
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == 4
+        assert all(line.startswith("warning: ") for line in lines[:3])
+        assert lines[3] == "ok: 0 facts, 1 rules"
+
     def test_parse_failure_json(self, capsys, tmp_path):
         path = tmp_path / "broken.ddt"
         path.write_text("fact a.\nrule r1: a => b\n")
@@ -143,6 +154,13 @@ class TestPermission:
         code, out, _ = invoke(capsys, "permission", s1_path, "--literal", "b")
         assert code == 0
         assert out == "b: not_permitted (+∂ O ~b)\n"
+
+    def test_undetermined_human_has_no_witness(self, capsys, tmp_path):
+        path = tmp_path / "loop.ddt"
+        path.write_text("rule loop: O p =>O p.\n")
+        code, out, _ = invoke(capsys, "permission", path, "--literal", "~p")
+        assert code == 0
+        assert out == "~p: undetermined\n"
 
     def test_silence_permits(self, capsys, fixtures_dir):
         code, out, _ = invoke(

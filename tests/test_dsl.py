@@ -105,6 +105,23 @@ class TestParseErrors:
         self.expect("standard evidential d. standard evidential p.",
                     "duplicate evidential standard")
 
+    def test_missing_arrow(self):
+        self.expect("rule r1: a b.", "1:12: expected '=>' or '=>O', found 'b'")
+
+    @pytest.mark.parametrize("text, rendered", [
+        ("rule r1: +x a => b.", "1:11: unknown proof tag 'x'"),
+        ("game foo: r1.", "1:6: unknown pool 'foo'"),
+        ("standard foo d.", "1:10: unknown standard kind 'foo'"),
+        ("standard evidential zz.", "1:21: unknown proof tag 'zz'"),
+        ("standard deontic s.", "1:18: deontic standard must be d or p"),
+        ("rule r1: a => b.\nsup r1 > r9.",
+         "2:10: superiority references unknown rule id 'r9'"),
+    ])
+    def test_error_span_points_at_its_own_token(self, text, rendered):
+        with pytest.raises(ParseFailure) as exc:
+            parse_theory(text)
+        assert [e.render() for e in exc.value.errors] == [rendered]
+
     def test_recovery_reports_several_errors(self):
         with pytest.raises(ParseFailure) as exc:
             parse_theory("fact A.\nrule r1: => b.\nrule r1: a => b.\n"
@@ -167,6 +184,12 @@ class TestOneLexer:
             parse_moves("pr: r1.\ndef: r5 targets b.\n")
         assert [e.render() for e in exc.value.errors] == [
             "2:17: expected a target mode (E or O), found 'b'"]
+
+    def test_targets_is_no_rule_id(self):
+        with pytest.raises(ParseFailure) as exc:
+            parse_moves("pr: targets E b.\n")
+        assert [e.render() for e in exc.value.errors] == [
+            "1:5: expected a rule id, found 'targets'"]
 
     def test_query_widenings(self):
         assert parse_query("+ d ~ b # c") == parse_query("+d ~b")

@@ -346,6 +346,19 @@ class TestQuerySemantics:
     def test_undetermined_query(self, cycle):
         assert probe(cycle.union_theory(), "+d p") == UNDETERMINED
 
+    def test_table_equals_only_tables(self):
+        table = compute_conclusions(DefeasibleTheory(
+            frozenset({(EVIDENTIAL, lit("a"))}), ()))
+        assert table.__eq__(object()) is NotImplemented
+        assert table != "a"
+
+    def test_repr_counts_determined_statuses(self):
+        table = compute_conclusions(DefeasibleTheory(
+            frozenset({(EVIDENTIAL, lit("a"))}), ()))
+        # a and ~a in both modes: four rows of four settled tags
+        assert repr(table) == \
+            "<ConclusionTable 16 determined over 2 literals>"
+
 
 class TestUnknownKeys:
     """A sign, tag or mode outside the vocabulary is no question: it
@@ -482,6 +495,12 @@ class TestStrengthOrder:
     def test_mixed_signs_rejected(self):
         with pytest.raises(ValueError):
             strength_order(("+", DELTA), ("-", DELTA))
+
+    def test_bad_sign_or_tag_rejected(self):
+        with pytest.raises(ValueError, match="bad sign"):
+            strength_order(("+", DELTA), ("*", DELTA))
+        with pytest.raises(ValueError, match="bad tag"):
+            strength_order(("+", "zz"), ("+", DELTA))
 
 
 class TestInclusions:

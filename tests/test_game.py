@@ -10,9 +10,10 @@ from trialogic import (
     ConclusionTable, GameSetup, IllegalMove, Literal, Move, OpeningRejected,
     ParseFailure, Rule, TaggedLiteral,
     adjudicate, analyze, apply_move, auto_play, compute_conclusions, corpus,
-    game, initial_state, legal_move, lit, open_game, parse_moves,
+    engine, game, initial_state, legal_move, lit, open_game, parse_moves,
     parse_theory, run_game, strategy, termination_status,
 )
+from trialogic.engine import TheoryIndex
 
 from conftest import established_setup
 
@@ -406,8 +407,8 @@ def _statuses(table, literals):
 
 
 class TestIncrementalTables:
-    """A table grown from its one-rule-smaller parent equals the table
-    computed in full."""
+    """A table grown from the kept table with one rule fewer equals the
+    table computed in full."""
 
     def test_requested_tables_equal_full_computation(self, computed, s1, s2,
                                                      s3):
@@ -429,8 +430,12 @@ class TestIncrementalTables:
         assert len(grown) > len(runs) // 2
         claims = {literal for setup in [s1, s2, s3] + claimed
                   for literal in setup.claim.literals}
-        for setup, (index, rule_ids, _, table) in grown:
-            full = compute_conclusions(index, rule_ids)
+        for setup, (_, rule_ids, _, table) in grown:
+            # a fresh index, so that the game's kept tables are neither
+            # grown from nor overwritten
+            full = compute_conclusions(
+                TheoryIndex(setup.facts, setup.all_rules(),
+                            setup.superiority), rule_ids)
             fresh = compute_conclusions(setup.theory_for(rule_ids))
             assert table == full
             assert table == fresh
@@ -455,13 +460,28 @@ class TestIncrementalTables:
         assert [run.grown for run in computed] == [False, False]
         assert table == state.conclusions
 
-    def test_parent_built_on_another_index_is_rejected(self, s1):
-        parent = game.conclusions_for({"r1"}, initial_state(s1).tables)
-        index = initial_state(s1).tables.index
-        for theory in (index, s1.theory_for({"r1", "r4"})):
-            with pytest.raises(ValueError, match="another index"):
-                compute_conclusions(theory, {"r1", "r4"}, parent=parent,
-                                    added="r4")
+    def test_engine_grows_from_the_table_its_index_keeps(
+            self, monkeypatch, s1):
+        grown = []
+        grow = engine._grow
+
+        def growing(*args):
+            grown.append(args[3])
+            return grow(*args)
+
+        monkeypatch.setattr(engine, "_grow", growing)
+        index = TheoryIndex(s1.facts, s1.all_rules(), s1.superiority)
+        compute_conclusions(index, {"r1"})
+        assert grown == []
+        table = compute_conclusions(index, {"r1", "r4"})
+        assert grown == ["r4"]
+        assert set(index.tables) == {frozenset({"r1"}),
+                                     frozenset({"r1", "r4"})}
+        assert index.tables[frozenset({"r1", "r4"})] is table
+        fresh = TheoryIndex(s1.facts, s1.all_rules(), s1.superiority)
+        assert table == compute_conclusions(fresh, {"r1", "r4"})
+        assert table == compute_conclusions(s1.theory_for({"r1", "r4"}))
+        assert grown == ["r4"]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6),

@@ -2,7 +2,7 @@ import pytest
 
 from trialogic import (
     DEF, DELTA, EVIDENTIAL, OBLIGATION, PARTIAL, PR, SIGMA,
-    Antecedent, Claim, DefeasibleTheory, GameSetup, Literal, Rule,
+    Antecedent, Claim, DefeasibleTheory, GameSetup, Literal, Move, Rule,
     TaggedLiteral, complement, lit, player_view, validate_setup,
     validate_theory, with_standards,
 )
@@ -48,6 +48,14 @@ class TestAntecedent:
             Antecedent(EVIDENTIAL, lit("a"), sign="+")
         with pytest.raises(ValueError):
             Antecedent(EVIDENTIAL, lit("a"), tag=DELTA)
+
+    def test_bad_mode_tag_or_sign(self):
+        with pytest.raises(ValueError, match="bad mode"):
+            Antecedent("X", lit("a"))
+        with pytest.raises(ValueError, match="bad tag"):
+            Antecedent(EVIDENTIAL, lit("a"), sign="+", tag="zz")
+        with pytest.raises(ValueError, match="bad sign"):
+            Antecedent(EVIDENTIAL, lit("a"), sign="*", tag=DELTA)
 
     def test_annotated_flag(self):
         plain = Antecedent(EVIDENTIAL, lit("a"))
@@ -105,6 +113,14 @@ class TestTheory:
         report = validate_theory(theory)
         assert report.ok
         assert any("no effect" in w for w in report.warnings)
+
+    def test_reflexive_superiority_warned(self):
+        theory = DefeasibleTheory(
+            frozenset(), (rule("r1", ["a"], EVIDENTIAL, "b"),),
+            frozenset({("r1", "r1")}))
+        report = validate_theory(theory)
+        assert report.ok
+        assert "superiority pair 'r1' > 'r1' is reflexive" in report.warnings
 
     def test_cycle_warned(self):
         theory = DefeasibleTheory(
@@ -168,6 +184,12 @@ class TestGameSetup:
         assert pr_view.rule_ids() == {"c1", "p1"}
         def_view = player_view(self.setup, DEF)
         assert def_view.rule_ids() == {"c1", "d1"}
+        with pytest.raises(ValueError, match="bad player"):
+            player_view(self.setup, "judge")
+
+    def test_move_needs_a_player(self):
+        with pytest.raises(ValueError, match="bad player"):
+            Move("judge", frozenset())
 
     def test_pool_overlap_is_error(self):
         clash = GameSetup(
