@@ -13,13 +13,15 @@ matching negative tags:
   superiority ignored.
 
 A rule's state at a tag is 1 once every antecedent holds, -1 once one
-has failed, and 0 while it is open.  A positive condition counts a
-rule applicable at state 1 and discarded at state -1.  Each negative
-tag is the strong negation of its positive condition: the same
-condition with an open rule counted as both applicable and discarded,
-negated.  A rule's state only leaves 0 as statuses are added, so that
-reading can only turn false, and its negation is monotone like every
-positive condition.  Negative tags are thus derived in the same
+has failed, and 0 while it is open.  Each positive condition is a
+formula over these states, read in strong three-valued (Kleene) logic
+(Fitting, "A Kripke-Kleene semantics for logic programs", J. Logic
+Programming 2(4), 1985).  Its value is 1 when the positive tag holds.
+It is -1 when the negative tag, the strong negation, holds: the same
+condition fails even with an open rule counted as both applicable and
+discarded.  It is 0 while neither holds, so one value settles both
+signs.  A rule's state only leaves 0 as statuses are added, so a value
+only leaves 0 too.  Negative tags are thus derived in the same
 fixpoint rather than by failure, and a query can come back
 undetermined: circular support such as ``p => p`` settles neither
 ``+partial p`` nor ``-partial p``.
@@ -122,8 +124,10 @@ def _wanted(sign: str) -> str:
 class CoherenceError(RuntimeError):
     """Both a positive tag and its negation became derivable.
 
-    Structurally impossible for these inference conditions; raising
-    instead of picking a side keeps any future regression loud.
+    The engine never raises it: it settles each key from one Kleene
+    value, which cannot hold both signs (see ``_condition``).  The name
+    stays exported for callers that catch it; the tests check the
+    kernel against the two-valued conditions instead.
     """
 
 
@@ -342,39 +346,93 @@ def _state(rows: list, antecedents: tuple, ambient: int) -> int:
     return state
 
 
-def _condition(tag: int, inputs: tuple, need: int, rows: list,
-               index: TheoryIndex) -> bool:
-    """The condition of ``+tag`` (a tag index) on a cell that is not a
-    fact, whose inputs are (opposite is a fact, supporting rules,
-    attacking rules), counting a rule applicable when its state is at
-    least ``need`` and discarded when it is at most ``-need``.
+def _condition(tag: int, inputs: tuple, rows: list,
+               index: TheoryIndex) -> int:
+    """The Kleene value of ``+tag`` (a tag index) on a cell that is not
+    a fact, whose inputs are (opposite is a fact, supporting rules,
+    attacking rules): 1 when ``+tag`` holds, -1 when its strong negation
+    ``-tag`` holds, 0 while neither does yet.
 
-    With ``need`` 1 this is ``+tag`` itself.  With ``need`` 0 an open
-    rule counts as both, and the negation is ``-tag``.  A fact cell is
-    never asked: ``_evaluate`` settles it to proved at every tag."""
+    The condition is a formula over rule states in strong three-valued
+    logic.  A rule counts as applicable with its ``_state`` s and as
+    discarded with -s, a superiority test is the constant 1 or -1, an
+    opposing fact gives -1 at partial and delta, ``any`` is max (-1
+    when empty) and ``all`` is min (1 when empty):
+
+    * sigma_minus: max over supporters r of s_W(r);
+    * sigma: max over r of min(s_S(r), min over the attackers that beat
+      r of -s_D(s));
+    * partial and delta, ambient tag a and guard g (partial/partial,
+      delta/sigma): max over r of min(s_a(r), N), N the min over
+      attackers s of max(-s_g(s), max over the supporters t that beat s
+      of s_a(t)).  N does not depend on r, so the value is min(max over
+      r of s_a(r), N), computed in that order.
+
+    Why this is the two-valued table: read the formula with rule states
+    thresholded, a rule applicable when s >= need and discarded when s
+    <= -need, that is -s >= need.  For need 1 that is ``+tag``; for need
+    0 it counts an open rule as both, and its failure is ``-tag``.  For
+    values in {-1, 0, 1}, max(x, y) >= k exactly when x >= k or y >= k,
+    min(x, y) >= k exactly when both are, an empty max (-1) is below
+    both thresholds and an empty min (1) above both.  So by induction
+    over the formula, the value is 1 exactly when ``+tag`` holds and -1
+    exactly when the need-0 reading fails, which is ``-tag``.  One value
+    cannot be both, so the two signs of a key never both hold.
+
+    Each walk is a plain loop that stops once its value is decided: a
+    max stops at 1, and a min stops at the best value already found.
+    A fact cell is never asked: ``_evaluate`` settles it to proved at
+    every tag."""
     opposed_fact, supporters, attackers = inputs
     antecedents = index.antecedents
-    if tag == _W:
-        return any(_state(rows, antecedents[r], _W) >= need
-                   for r in supporters)
     beaten_by = index.beaten_by
+    best = -1
     if tag == _S:
-        return any(
-            _state(rows, antecedents[r], _S) >= need and all(
-                _state(rows, antecedents[s], _D) <= -need
-                for s in attackers if s in beaten_by[r])
-            for r in supporters)
-    if opposed_fact:
-        return False
-    ambient, guard = (_P, _P) if tag == _P else (_D, _S)
-    return any(
-        _state(rows, antecedents[r], ambient) >= need and all(
-            _state(rows, antecedents[s], guard) <= -need or any(
-                _state(rows, antecedents[t], ambient) >= need
-                and t in beaten_by[s]
-                for t in supporters)
-            for s in attackers)
-        for r in supporters)
+        for r in supporters:
+            value = _state(rows, antecedents[r], _S)
+            if value <= best:
+                continue
+            beats_r = beaten_by[r]
+            for s in attackers:
+                if s in beats_r:
+                    discarded = -_state(rows, antecedents[s], _D)
+                    if discarded < value:
+                        value = discarded
+                        if value <= best:
+                            break
+            if value > best:
+                if value == 1:
+                    return 1
+                best = value
+        return best
+    if tag == _W:  # sigma_minus reads no attacker
+        ambient, guard, attackers = _W, None, ()
+    elif opposed_fact:
+        return -1
+    else:
+        ambient, guard = (_P, _P) if tag == _P else (_D, _S)
+    for r in supporters:
+        value = _state(rows, antecedents[r], ambient)
+        if value > best:
+            best = value
+            if best == 1:
+                break
+    for s in attackers:
+        if best == -1:
+            break
+        answered = -_state(rows, antecedents[s], guard)
+        if answered < best:
+            beats_s = beaten_by[s]
+            for t in supporters:
+                if t in beats_s:
+                    value = _state(rows, antecedents[t], ambient)
+                    if value > answered:
+                        answered = value
+                        if answered >= best:
+                            break
+            if answered < best:
+                best = answered
+    return best
 
 
 def _evaluate(index: TheoryIndex, active, rows: list, agenda: list) -> None:
@@ -383,32 +441,34 @@ def _evaluate(index: TheoryIndex, active, rows: list, agenda: list) -> None:
 
     Two kinds of agenda cell are settled before the agenda runs, since
     their conditions read no status: a fact proves every tag, and a cell
-    no active rule supports fails every positive condition, with or
-    without open rules, so every tag is refuted.  Every other cell
-    starts with an open row.  Popping a cell reads whether its opposite
-    is a fact and its active rules once, then evaluates each of its
-    unsettled tags.  The conditions of a cell read only facts and the
-    cells named by antecedents of the rules headed at it or at its
-    opposite, so when a tag of a cell settles, the head cells ``h`` and
-    ``h ^ 2`` of its active readers are exactly the cells to queue
-    again; a cell already waiting is not queued twice.
+    no active rule supports has the value -1 at every tag (an empty
+    max), so every tag is refuted.  Every other cell starts with an open
+    row.  Popping a cell whose row is already settled does nothing;
+    otherwise it reads whether its opposite is a fact and its active
+    rules once, then asks ``_condition`` once for each unsettled tag,
+    writing proved for the value 1, refuted for -1 and nothing for 0.
+    The conditions of a cell read only facts and the cells named by
+    antecedents of the rules headed at it or at its opposite, so when a
+    tag of a cell settles, the head cells ``h`` and ``h ^ 2`` of its
+    active readers are exactly the cells to queue again; a cell already
+    waiting is not queued twice.
 
-    Why the order cannot matter: statuses are only ever added, and a
-    rule's ``_state`` only ever leaves 0.  A positive condition is
-    monotone in them; a negative one negates ``_condition`` with open
-    rules counted as both applicable and discarded, which is
-    anti-monotone, so it is monotone too.  Let L be the least set of
-    signed conclusions closed under the conditions; the coherence check
-    says L never holds both signs of a key.  Every status the agenda
-    writes is in L, by induction on the writes.  When the agenda is
-    empty every cell has been evaluated since its inputs last changed,
-    so no condition derives anything beyond what is written (a derivable
-    opposite sign would contradict coherence).  The written statuses
-    are therefore closed, contain L, and equal it.  For a grown table
-    the agenda holds only the cone, and every row kept from the parent
-    belongs to a cell outside it, which reads only cells outside it
-    through unchanged rules, so the smaller theory's least fixpoint
-    already closes it and the argument applies to the cone alone.
+    Why the order cannot matter: statuses are only ever added, so a
+    rule's ``_state`` only ever moves from 0 to 1 or -1, and the Kleene
+    value of a condition, built from states by max, min and negation,
+    only ever moves from 0 to 1 or -1, never back and never from one to
+    the other.  Let L be the least set of signed conclusions closed
+    under the conditions (a key's ``+tag`` when its value is 1, its
+    ``-tag`` when it is -1); one value never holds both signs.  Every
+    status the agenda writes is in L, by induction on the writes.  When
+    the agenda is empty every cell has been evaluated since its inputs
+    last changed, so no condition derives anything beyond what is
+    written.  The written statuses are therefore closed, contain L, and
+    equal it.  For a grown table the agenda holds only the cone, and
+    every row kept from the parent belongs to a cell outside it, which
+    reads only cells outside it through unchanged rules, so the smaller
+    theory's least fixpoint already closes it and the argument applies
+    to the cone alone.
     """
     fact, heads, readers, head = (index.fact, index.heads, index.readers,
                                   index.head)
@@ -429,25 +489,19 @@ def _evaluate(index: TheoryIndex, active, rows: list, agenda: list) -> None:
         cell = agenda.popleft()
         queued[cell] = 0
         row = rows[cell]
+        if None not in row:
+            continue
         opposed = cell ^ 2
         inputs = (fact[opposed],
                   [r for r in heads[cell] if active[r]],
                   [r for r in heads[opposed] if active[r]])
         settled = False
         for tag in range(len(TAGS)):
-            if row[tag] is not None:
-                continue
-            pos = condition(tag, inputs, 1, rows, index)
-            neg = not condition(tag, inputs, 0, rows, index)
-            if pos and neg:
-                key = (TAGS[tag], MODES[cell & 1], index.literals[cell >> 1])
-                raise CoherenceError(f"incoherent conclusion for {key}")
-            if pos:
-                row[tag] = PROVED
-                settled = True
-            elif neg:
-                row[tag] = REFUTED
-                settled = True
+            if row[tag] is None:
+                value = condition(tag, inputs, rows, index)
+                if value:
+                    row[tag] = PROVED if value == 1 else REFUTED
+                    settled = True
         if settled:
             for r in readers[cell]:
                 if active[r]:

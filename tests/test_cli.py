@@ -5,7 +5,10 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from trialogic import PLAYERS, serialize_theory
+from trialogic import (
+    EVIDENTIAL, PLAYERS, Antecedent, GameSetup, Rule, lit, serialize_theory,
+)
+from trialogic import cli
 from trialogic.cli import run
 from trialogic.corpus import ATOM_POOL, random_setup
 
@@ -299,6 +302,35 @@ class TestExitCodes:
         assert err == ("7 private rules exceed the exhaustive search "
                        "bound of 3\n")
         assert computed == []
+
+
+class TestSetupValidation:
+    """A setup the parser would reject still fails validation when it
+    reaches the CLI some other way."""
+
+    @pytest.fixture
+    def two_pools(self, monkeypatch):
+        rule = Rule("r1", (Antecedent(EVIDENTIAL, lit("a")),),
+                    EVIDENTIAL, lit("b"))
+        setup = GameSetup(frozenset({(EVIDENTIAL, lit("a"))}), (),
+                          (rule,), (rule,))
+        monkeypatch.setattr(cli, "parse_theory", lambda text: setup)
+
+    def test_check_prints_errors(self, capsys, s1_path, two_pools):
+        code, out, err = invoke(capsys, "check", s1_path)
+        assert code == 1
+        assert out == ""
+        assert "error: rule id 'r1' appears in both pr and def pools\n" \
+            in err
+
+    def test_game_exits_through_the_validation_handler(
+            self, capsys, s1_path, two_pools):
+        code, out, err = invoke(capsys, "game", "auto", s1_path)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: rule id 'r1' appears in both pr and def pools",
+            "error: duplicate rule id 'r1'"]
 
 
 class TestModuleEntryPoint:

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 import types
@@ -104,3 +105,25 @@ class TestBenchBoundaries:
             module = importlib.import_module(f"trialogic.{module_name}")
             assert callable(getattr(module, function, None)), \
                 f"{module_name}.{function}"
+
+
+class TestBenchTrajectory:
+    @pytest.mark.parametrize("workload", ["queries", "play", "analysis",
+                                          "cli"])
+    def test_runs_name_only_declared_metrics(self, workload):
+        # BENCH_<workload>.json keeps the parent/change runs of each
+        # perf change, in the order they ran
+        root = Path(__file__).resolve().parent.parent
+        declared = json.loads((root / "BENCHMARK.json").read_text())
+        assert workload in {w["name"] for w in declared["workloads"]}
+        metrics = {m["name"] for m in declared["end_to_end"]}
+        runs = json.loads((root / f"BENCH_{workload}.json").read_text())
+        assert runs
+        for run in runs:
+            assert set(run) == {"pr", "side", "seed", "seconds", "correct",
+                                "metrics"}, run
+            assert run["side"] in ("parent", "change")
+            assert isinstance(run["correct"], bool)
+            assert run["metrics"] and set(run["metrics"]) <= metrics, run
+            assert all(isinstance(value, (int, float))
+                       for value in run["metrics"].values())
