@@ -36,20 +36,22 @@ cell of the opposite literal is ``cell ^ 2`` (``opposite``), its atom
 The index holds the facts by cell, each rule's head cell and its
 antecedents as ``(cell, tag index, wanted status)``, the rules headed
 at each cell (``heads``), the rules that read each cell (``readers``)
-and, for each rule, the rules that beat it.  A game compiles its whole
-setup once and passes ``compute_conclusions`` that index with the ids
-of the rules to activate; a one-shot theory it compiles itself.
+and, for each rule, the rules that beat it; it is compiled in one
+pass over the rules.  A game compiles its whole setup once and passes
+``compute_conclusions`` that index with the ids of the rules to
+activate; a one-shot theory it compiles itself, once per call.
 
 A table is the least fixpoint over an index restricted to a rule mask
 (``TheoryIndex.mask``), the rules of one theory.  It holds one row of
 four statuses per cell of each literal that a fact or an active rule
 mentions; any other literal has no row and is refuted.  An agenda over
-cell ids builds it.  A cell is evaluated again only after a cell that
-an active rule supporting or attacking it reads has settled a tag, so a
-chain of rules costs time linear in its length whatever order its
-literals sort in.  Every condition is monotone in the statuses derived
-so far, hence the table is the single least fixpoint of those
-conditions and does not depend on evaluation order.
+cell ids builds it, seeded with those cells, which are all the index's
+cells when every rule is active.  A cell is evaluated again only after
+a cell that an active rule supporting or attacking it reads has
+settled a tag, so a chain of rules costs time linear in its length
+whatever order its literals sort in.  Every condition is monotone in
+the statuses derived so far, hence the table is the single least
+fixpoint of those conditions and does not depend on evaluation order.
 
 The index keeps every table built over it (``TheoryIndex.tables``).  A
 new table grows from the kept table of the same rule ids less one rule
@@ -68,7 +70,9 @@ Proof standards map onto the tags: scintilla of evidence is
 sigma_minus, substantial evidence (clear and convincing) is sigma,
 preponderance is partial, beyond reasonable doubt is delta, and
 dialectical validity is delta computed with the superiority relation
-stripped.
+stripped.  ``standards_met`` compiles its theory once and reads
+dialectical validity on a view of that index (``TheoryIndex.stripped``)
+that shares every list but ``beaten_by``.
 """
 
 from __future__ import annotations
@@ -257,6 +261,12 @@ class TheoryIndex:
     of the rules that beat it, kept only between complementary head
     cells, the only pairs a condition reads).  ``tables`` keeps every
     table built over the index, keyed by the frozenset of ids asked for.
+
+    The compile is one pass over the facts and rules: cells come from
+    a per-atom base (``4 * atom``, +2 for the negative literal, +1 for
+    mode O), and ``readers`` lists a rule once per cell however often
+    the rule reads it.  A fact, head or antecedent in an unknown mode
+    raises ``KeyError``.
     """
 
     __slots__ = ("rules", "positions", "literals", "ids", "fact", "head",
@@ -267,40 +277,54 @@ class TheoryIndex:
                  superiority: Iterable[tuple[str, str]] = ()):
         facts = tuple(facts)
         self.rules = rules = tuple(rules)
-        atoms = {literal.atom for _, literal in facts}
+        atoms = set()
+        for _, literal in facts:
+            atoms.add(literal.atom)
         for rule in rules:
             atoms.add(rule.head.atom)
-            atoms.update(ant.literal.atom for ant in rule.antecedents)
+            for ant in rule.antecedents:
+                atoms.add(ant.literal.atom)
+        atoms = sorted(atoms)
         # literal_sort_key order: by atom, the positive literal first
-        self.literals = tuple(Literal(atom, positive)
-                              for atom in sorted(atoms)
+        self.literals = tuple(Literal(atom, positive) for atom in atoms
                               for positive in (True, False))
-        self.ids = ids = {literal: i
-                          for i, literal in enumerate(self.literals)}
-        cells = 2 * len(self.literals)
+        self.ids = {literal: i for i, literal in enumerate(self.literals)}
+        base = {atom: 4 * a for a, atom in enumerate(atoms)}
+        sign = (2, 0)  # by Literal.positive
         mode = _MODE_INDEX
+        cells = 4 * len(atoms)
 
-        self.fact = bytearray(cells)
+        self.fact = fact = bytearray(cells)
         for fact_mode, literal in facts:
-            self.fact[2 * ids[literal] + mode[fact_mode]] = 1
+            fact[base[literal.atom] + sign[literal.positive]
+                 + mode[fact_mode]] = 1
 
         self.positions = positions = {}
         self.head = head = []
         self.antecedents = antecedents = []
         self.heads = heads = [()] * cells
         self.readers = readers = [()] * cells
+        tag_index = _TAG_INDEX
         for r, rule in enumerate(rules):
             positions[rule.id] = positions.get(rule.id, ()) + (r,)
-            h = 2 * ids[rule.head] + mode[rule.head_mode]
+            literal = rule.head
+            h = base[literal.atom] + sign[literal.positive] \
+                + mode[rule.head_mode]
             head.append(h)
             heads[h] += (r,)
-            read = tuple((2 * ids[ant.literal] + mode[ant.mode],
-                          _TAG_INDEX.get(ant.tag),
-                          REFUTED if ant.sign == MINUS else PROVED)
-                         for ant in rule.antecedents)
-            antecedents.append(read)
-            for c in {c for c, _, _ in read}:
-                readers[c] += (r,)
+            read = []
+            for ant in rule.antecedents:
+                literal = ant.literal
+                c = base[literal.atom] + sign[literal.positive] \
+                    + mode[ant.mode]
+                read.append((c, tag_index.get(ant.tag),
+                             REFUTED if ant.sign == MINUS else PROVED))
+                # r is the largest position so far, so a cell this rule
+                # already reads ends with r
+                cell_readers = readers[c]
+                if not cell_readers or cell_readers[-1] != r:
+                    readers[c] = cell_readers + (r,)
+            antecedents.append(tuple(read))
         beaten: dict[int, set[int]] = {}
         for stronger, weaker in superiority:
             for s in positions.get(stronger, ()):
@@ -310,6 +334,18 @@ class TheoryIndex:
         self.beaten_by = [frozenset(beaten[r]) if r in beaten else ()
                           for r in range(len(rules))]
         self.tables: dict[frozenset[str], ConclusionTable] = {}
+
+    def stripped(self) -> "TheoryIndex":
+        """A view of this index with the superiority relation stripped:
+        it shares every list but ``beaten_by``, which is ``()`` for each
+        rule, and keeps its own ``tables``, since a table over it has
+        the same key as the table of the same ids over this index."""
+        view = object.__new__(TheoryIndex)
+        for name in self.__slots__:
+            setattr(view, name, getattr(self, name))
+        view.beaten_by = [()] * len(self.rules)
+        view.tables = {}
+        return view
 
     def cell(self, mode: str, literal: Literal) -> Optional[int]:
         """The cell of ``(mode, literal)``; None for an unknown literal."""
@@ -573,11 +609,17 @@ def compute_conclusions(theory: Union[DefeasibleTheory, TheoryIndex],
                 break
     if rows is None:
         rows = [None] * (2 * len(index.literals))
-        atoms = {cell >> 2 for cell, fact in enumerate(index.fact) if fact}
-        for r, on in enumerate(active):
-            if on:
-                atoms.update(_rule_atoms(index, r))
-        agenda = sorted(cell for atom in atoms for cell in _atom_cells(atom))
+        if 0 not in active:
+            # every literal of the index is a fact's or an active rule's
+            agenda = range(len(rows))
+        else:
+            atoms = {cell >> 2 for cell, fact in enumerate(index.fact)
+                     if fact}
+            for r, on in enumerate(active):
+                if on:
+                    atoms.update(_rule_atoms(index, r))
+            agenda = sorted(cell for atom in atoms
+                            for cell in _atom_cells(atom))
     _evaluate(index, active, rows, agenda)
     table = tables[key] = ConclusionTable(index.literals, index.ids, rows)
     return table
@@ -599,19 +641,22 @@ def standards_met(theory: DefeasibleTheory, literal: Literal,
                   mode: str = EVIDENTIAL) -> StandardsReport:
     """Which proof standards a literal meets in the given mode.
 
-    Dialectical validity is checked against the facts and rules
-    compiled without the superiority relation; without superiority that
-    is the theory itself, so its table is reused.
+    The theory is compiled once.  Dialectical validity is read at delta
+    on the stripped view of that index, which shares every list but
+    ``beaten_by`` and keeps its own tables.  When no superiority pair
+    takes effect the stripped table is the table itself, so it is
+    reused.
     """
     if mode not in MODES:
         raise ValueError(f"bad mode {mode!r}")
-    table = compute_conclusions(theory)
+    index = TheoryIndex(theory.facts, theory.rules, theory.superiority)
+    table = compute_conclusions(index)
     met = [
         standard for standard in (SCINTILLA, SUBSTANTIAL, PREPONDERANCE, BRD)
         if table.status(STANDARD_TAG[standard], mode, literal) == PROVED
     ]
-    if theory.superiority:
-        table = compute_conclusions(TheoryIndex(theory.facts, theory.rules))
+    if any(index.beaten_by):
+        table = compute_conclusions(index.stripped())
     if table.status(DELTA, mode, literal) == PROVED:
         met.append(DIALECTICAL_VALIDITY)
     return StandardsReport(literal, mode, tuple(met))

@@ -167,6 +167,14 @@ def _sorted_rules(rules: Iterable[Rule]) -> tuple[Rule, ...]:
     return tuple(sorted(rules, key=lambda r: r.id))
 
 
+def _checked_facts(facts: Iterable[tuple[str, Literal]]
+                   ) -> frozenset[tuple[str, Literal]]:
+    facts = frozenset(facts)
+    for mode, _ in facts:
+        _check_mode(mode)
+    return facts
+
+
 @dataclass(frozen=True)
 class DefeasibleTheory:
     """Facts, rules and a superiority relation over rule ids.
@@ -181,7 +189,7 @@ class DefeasibleTheory:
     superiority: frozenset[tuple[str, str]] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "facts", frozenset(self.facts))
+        object.__setattr__(self, "facts", _checked_facts(self.facts))
         object.__setattr__(self, "rules", _sorted_rules(self.rules))
         object.__setattr__(self, "superiority", frozenset(self.superiority))
 
@@ -221,7 +229,7 @@ class GameSetup:
     deontic_standard: str = PARTIAL
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "facts", frozenset(self.facts))
+        object.__setattr__(self, "facts", _checked_facts(self.facts))
         object.__setattr__(self, "common_rules", _sorted_rules(self.common_rules))
         object.__setattr__(self, "pr_rules", _sorted_rules(self.pr_rules))
         object.__setattr__(self, "def_rules", _sorted_rules(self.def_rules))

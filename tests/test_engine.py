@@ -254,6 +254,94 @@ class TestIndex:
                            for referent in gc.get_referents(table))
 
 
+def _reference_index(facts, rules, superiority):
+    """The fields of ``engine.TheoryIndex`` built plainly: a Literal
+    lookup per occurrence and a set of read cells per rule.  The
+    reference for the one-pass compile."""
+    facts, rules = tuple(facts), tuple(rules)
+    atoms = {literal.atom for _, literal in facts}
+    for rule in rules:
+        atoms.add(rule.head.atom)
+        atoms.update(ant.literal.atom for ant in rule.antecedents)
+    literals = tuple(Literal(atom, positive) for atom in sorted(atoms)
+                     for positive in (True, False))
+    ids = {literal: i for i, literal in enumerate(literals)}
+    cells = 2 * len(literals)
+    fact = bytearray(cells)
+    for mode, literal in facts:
+        fact[2 * ids[literal] + MODES.index(mode)] = 1
+    positions, head, antecedents = {}, [], []
+    heads, readers = [()] * cells, [()] * cells
+    for r, rule in enumerate(rules):
+        positions[rule.id] = positions.get(rule.id, ()) + (r,)
+        h = 2 * ids[rule.head] + MODES.index(rule.head_mode)
+        head.append(h)
+        heads[h] += (r,)
+        read = tuple((2 * ids[ant.literal] + MODES.index(ant.mode),
+                      None if ant.tag is None else TAGS.index(ant.tag),
+                      REFUTED if ant.sign == MINUS else PROVED)
+                     for ant in rule.antecedents)
+        antecedents.append(read)
+        for c in {c for c, _, _ in read}:
+            readers[c] += (r,)
+    beaten = {}
+    for stronger, weaker in superiority:
+        for s in positions.get(stronger, ()):
+            for w in positions.get(weaker, ()):
+                if head[s] == head[w] ^ 2:
+                    beaten.setdefault(w, set()).add(s)
+    beaten_by = [frozenset(beaten[r]) if r in beaten else ()
+                 for r in range(len(rules))]
+    return {"literals": literals, "ids": ids, "fact": fact,
+            "positions": positions, "head": head,
+            "antecedents": antecedents, "heads": heads,
+            "readers": readers, "beaten_by": beaten_by}
+
+
+class TestCompile:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6), st.data())
+    def test_index_matches_reference(self, seed, data):
+        # few atoms and many rules, so rules share head cells
+        theory = random_theory(seed, max_atoms=3, max_rules=24,
+                               allow_annotations=True)
+        rules = list(theory.rules)
+        first = rules[0]
+        ant = first.antecedents[0]
+        other_mode = MODES[1 - MODES.index(first.head_mode)]
+        rules += [
+            # reads one cell twice, plain and annotated
+            Rule(first.id + "x",
+                 (ant, Antecedent(ant.mode, ant.literal, PLUS, SIGMA)),
+                 first.head_mode, first.head.complement()),
+            # complementary head literal in the other mode
+            Rule(first.id + "o", (ant,), other_mode,
+                 first.head.complement()),
+        ]
+        # an id repeated across pools, as in a setup's rules
+        twin = data.draw(st.sampled_from(rules))
+        rules.append(Rule(twin.id, twin.antecedents, twin.head_mode,
+                          twin.head.complement()))
+        rules = data.draw(st.permutations(rules))
+        names = sorted({rule.id for rule in rules})
+        superiority = data.draw(st.sets(st.tuples(st.sampled_from(names),
+                                                  st.sampled_from(names))))
+        superiority |= {(first.id + "x", first.id),  # effective
+                        (first.id + "o", first.id),  # inert: cross-mode
+                        ("zz", first.id)}            # inert: unknown id
+        index = engine.TheoryIndex(theory.facts, rules, superiority)
+        reference = _reference_index(theory.facts, rules, superiority)
+        assert any(index.beaten_by)
+        for name, expected in reference.items():
+            assert getattr(index, name) == expected, name
+
+    def test_unknown_fact_mode_rejected(self):
+        # DefeasibleTheory refuses such a fact; an index given one
+        # directly must not read it as E
+        with pytest.raises(KeyError):
+            engine.TheoryIndex(frozenset({("X", lit("a"))}), ())
+
+
 class TestAnnotatedAntecedents:
     EXPECTED = {
         "+p O c": PROVED,   # fires on bare support for ambiguous c
@@ -459,6 +547,77 @@ class TestStandards:
         calls = self._count_tables(monkeypatch)
         standards_met(s3.union_theory(), lit("b"), OBLIGATION)
         assert len(calls) == 2
+
+    def test_one_index_per_call(self, monkeypatch, s3):
+        compiled = []
+        original = engine.TheoryIndex.__init__
+
+        def counting(index, *args, **kwargs):
+            compiled.append(index)
+            original(index, *args, **kwargs)
+
+        monkeypatch.setattr(engine.TheoryIndex, "__init__", counting)
+        calls = self._count_tables(monkeypatch)
+        standards_met(s3.union_theory(), lit("b"), OBLIGATION)
+        assert len(compiled) == 1
+        assert len(calls) == 2
+
+    def test_one_table_when_every_pair_is_inert(self, monkeypatch):
+        # r1 > r2 relates b and O ~b, cells of two modes: it has no
+        # effect, so the stripped table is the table itself
+        a = (Antecedent(EVIDENTIAL, lit("a")),)
+        theory = DefeasibleTheory(
+            frozenset({(EVIDENTIAL, lit("a"))}),
+            (Rule("r1", a, EVIDENTIAL, lit("b")),
+             Rule("r2", a, OBLIGATION, lit("~b"))),
+            frozenset({("r1", "r2")}))
+        calls = self._count_tables(monkeypatch)
+        report = standards_met(theory, lit("b"))
+        assert len(calls) == 1
+        assert DIALECTICAL_VALIDITY in report.met
+
+    def test_stripped_view_shares_the_index(self, monkeypatch, s3):
+        calls = self._count_tables(monkeypatch)
+        theory = s3.union_theory()
+        standards_met(theory, lit("b"), OBLIGATION)
+        (index,), (view,) = calls
+        assert index is not view
+        for name in engine.TheoryIndex.__slots__:
+            if name not in ("beaten_by", "tables"):
+                assert getattr(view, name) is getattr(index, name), name
+        assert any(index.beaten_by)
+        assert view.beaten_by == [()] * len(index.rules)
+        # both tables have the key of every rule id; each index keeps
+        # its own, and the base table is the theory's full table
+        key = frozenset(index.positions)
+        assert list(index.tables) == list(view.tables) == [key]
+        assert index.tables[key] == compute_conclusions(theory)
+        assert view.tables[key] == compute_conclusions(
+            DefeasibleTheory(theory.facts, theory.rules))
+        assert index.tables[key] != view.tables[key]
+
+    def test_reports_with_superiority_match_stripped_theory(self):
+        checked = 0
+        for seed in range(150):
+            theory = random_theory(seed, allow_annotations=True)
+            if not theory.superiority:
+                continue
+            checked += 1
+            full = compute_conclusions(theory)
+            stripped = compute_conclusions(
+                DefeasibleTheory(theory.facts, theory.rules))
+            for literal in sorted({r.head for r in theory.rules}):
+                for mode in MODES:
+                    expected = [
+                        standard for standard in
+                        (SCINTILLA, SUBSTANTIAL, PREPONDERANCE, BRD)
+                        if full.status(engine.STANDARD_TAG[standard], mode,
+                                       literal) == PROVED]
+                    if stripped.status(DELTA, mode, literal) == PROVED:
+                        expected.append(DIALECTICAL_VALIDITY)
+                    report = standards_met(theory, literal, mode)
+                    assert report.met == tuple(expected), (seed, literal)
+        assert checked > 50
 
     def test_stratified_reports_match_stripped_recomputation(self):
         # without superiority, dialectical validity read off the first

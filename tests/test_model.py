@@ -144,6 +144,13 @@ class TestTheory:
         assert report.ok
         assert any("cycle" in w for w in report.warnings) == closed
 
+    @pytest.mark.parametrize("mode", ["X", "evidential", None])
+    def test_bad_fact_mode(self, mode):
+        # a fact in no mode used to construct and fail later, inside the
+        # engine, as a KeyError
+        with pytest.raises(ValueError, match="bad mode"):
+            DefeasibleTheory(frozenset({(mode, lit("a"))}), ())
+
     def test_modal_fact_conflict_warned(self):
         theory = DefeasibleTheory(
             frozenset({(OBLIGATION, lit("b")), (OBLIGATION, lit("~b"))}),
@@ -200,6 +207,11 @@ class TestGameSetup:
         report = validate_setup(clash)
         assert not report.ok
         assert any("pools" in e for e in report.errors)
+
+    def test_bad_fact_mode(self):
+        with pytest.raises(ValueError, match="bad mode"):
+            GameSetup(facts=frozenset({("evidential", lit("a"))}),
+                      common_rules=(), pr_rules=(), def_rules=())
 
     def test_with_standards(self):
         changed = with_standards(self.setup, evidential=SIGMA)

@@ -127,3 +127,18 @@ class TestBenchTrajectory:
             assert run["metrics"] and set(run["metrics"]) <= metrics, run
             assert all(isinstance(value, (int, float))
                        for value in run["metrics"].values())
+
+    @pytest.mark.parametrize("workload", ["queries", "play", "analysis",
+                                          "cli"])
+    def test_runs_come_as_correct_pairs(self, workload):
+        # a pair is one parent run and one change run, adjacent and in
+        # either order, at the same pr, seed and run length
+        root = Path(__file__).resolve().parent.parent
+        runs = json.loads((root / f"BENCH_{workload}.json").read_text())
+        assert len(runs) % 2 == 0
+        for first, second in zip(runs[::2], runs[1::2]):
+            assert {first["side"], second["side"]} == {"parent", "change"}, \
+                (first, second)
+            for field in ("pr", "seed", "seconds"):
+                assert first[field] == second[field], (first, second)
+        assert all(run["correct"] for run in runs)
