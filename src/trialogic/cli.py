@@ -70,15 +70,13 @@ def _cmd_check(args) -> int:
     try:
         setup = parse_theory(text)
     except ParseFailure as failure:
-        if args.json:
-            _emit({
-                "ok": False,
-                "errors": [error.render() for error in failure.errors],
-                "warnings": [],
-            })
-        else:
-            for error in failure.errors:
-                print(error.render(), file=sys.stderr)
+        if not args.json:
+            raise  # run renders it
+        _emit({
+            "ok": False,
+            "errors": [error.render() for error in failure.errors],
+            "warnings": [],
+        })
         return 1
     report = validate_setup(setup)
     if args.json:

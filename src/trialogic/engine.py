@@ -43,28 +43,28 @@ activate; a one-shot theory it compiles itself, once per call.
 
 A table is the least fixpoint over an index restricted to a rule mask
 (``TheoryIndex.mask``), the rules of one theory.  It holds one row of
-four statuses per cell of each literal that a fact or an active rule
-mentions; any other literal has no row and is refuted.  An agenda over
-cell ids builds it, seeded with those cells, which are all the index's
-cells when every rule is active.  A cell is evaluated again only after
-a cell that an active rule supporting or attacking it reads has
-settled a tag, so a chain of rules costs time linear in its length
-whatever order its literals sort in.  Every condition is monotone in
-the statuses derived so far, hence the table is the single least
-fixpoint of those conditions and does not depend on evaluation order.
+four statuses per cell of the index.  A cell that no fact and no active
+rule heads is refuted at every tag, as is a literal the index does not
+number.  An agenda over cell ids builds it, seeded with every cell.  A
+cell is evaluated again only after a cell that an active rule
+supporting or attacking it reads has settled a tag, so a chain of rules
+costs time linear in its length whatever order its literals sort in.
+Every condition is monotone in the statuses derived so far, hence the
+table is the single least fixpoint of those conditions and does not
+depend on evaluation order.
 
 The index keeps every table built over it (``TheoryIndex.tables``).  A
 new table grows from the kept table of the same rule ids less one rule
 r, the first such id in id order; no parent is passed in.  Only the
-affected cone can change: the cells that reach r's head cells ``h`` and
-``h ^ 2`` through the readers of the active rules, plus the cells of
-literals that only r mentions.  Every other cell reads only
-unaffected cells, keeps the same supporting and attacking rules and,
-since superiority acts only between the rules of one head cell pair,
-the same superiority pairs; its conditions are those of the smaller
-theory over the same inputs, so it has the same least fixpoint and its
-row is copied by cell id.  Only the cone is queued.  A table keeps only
-its rows and the index's literal numbering, never the index.
+affected cone can change: r's head cells ``h`` and ``h ^ 2`` and the
+cells that reach them through the readers of the active rules.  Every
+other cell reads only unaffected cells, keeps the same supporting and
+attacking rules and, since superiority acts only between the rules of
+one head cell pair, the same superiority pairs; its conditions are
+those of the smaller theory over the same inputs, so it has the same
+least fixpoint and its row is copied by cell id.  Only the cone is
+queued.  A table keeps only its rows and the index's literal
+numbering, never the index.
 
 Proof standards map onto the tags: scintilla of evidence is
 sigma_minus, substantial evidence (clear and convincing) is sigma,
@@ -84,7 +84,7 @@ from typing import Iterable, Optional, Union
 from .model import (
     DELTA, EVIDENTIAL, MINUS, MODES, PARTIAL, PLUS, PROVED, REFUTED, SIGMA,
     SIGMA_MINUS, TAGS, UNDETERMINED, DefeasibleTheory, Literal, Rule,
-    TaggedLiteral,
+    TaggedLiteral, literal_sort_key,
 )
 
 # Proof standard names.
@@ -108,10 +108,9 @@ _TAG_INDEX = {tag: i for i, tag in enumerate(TAGS)}
 _MODE_INDEX = {mode: i for i, mode in enumerate(MODES)}
 _D, _P, _S, _W = (_TAG_INDEX[tag] for tag in (DELTA, PARTIAL, SIGMA,
                                                SIGMA_MINUS))
-# How a cell without a row answers in a table.
-_REFUTED_ROW = (REFUTED,) * len(TAGS)
 # The rows of a fact and of a cell no rule supports, settled as a
-# fixpoint starts.  Tables share them, since no settled row is written.
+# fixpoint starts.  Tables share them, since no settled row is written;
+# the second also answers for a literal a table's index does not number.
 _PROVED_ROW = [PROVED] * len(TAGS)
 _UNSUPPORTED_ROW = [REFUTED] * len(TAGS)
 
@@ -138,15 +137,16 @@ class CoherenceError(RuntimeError):
 class ConclusionTable:
     """Status of every tagged, moded literal of a theory.
 
-    Each cell ``(mode, literal)`` of the table's literals has a row of
-    its four statuses in ``TAGS`` order, ``None`` while undetermined.
-    Rows sit in a list by cell id; ``literals`` and ``ids`` are the
-    numbering of the index the table was built on, shared by every
-    table of that index.  A cell without a row answers as refuted: a
-    literal no rule or fact mentions has every negative tag vacuously
-    derivable.  An unknown sign, tag or mode is no question at all and
-    raises ``ValueError``.  Rows are not written once built, so a grown
-    table shares the rows it keeps.
+    Each cell ``(mode, literal)`` of the index the table was built on
+    has a row of its four statuses in ``TAGS`` order, ``None`` while
+    undetermined.  Rows sit in a list by cell id; ``literals`` and
+    ``ids`` are the index's numbering, shared by every table of that
+    index.  A literal the index does not number answers as refuted, as
+    does a cell no fact or active rule heads: a literal no rule or fact
+    mentions has every negative tag vacuously derivable.  An unknown
+    sign, tag or mode is no question at all and raises ``ValueError``.
+    Rows are not written once built, so a grown table shares the rows
+    it keeps.
     """
 
     __slots__ = ("_literals", "_ids", "_rows")
@@ -157,34 +157,37 @@ class ConclusionTable:
         self._ids = ids
         self._rows = rows
 
-    def _row(self, mode: str, literal: Literal):
-        """The row of ``(mode, literal)``, or None when it has none."""
+    def _row(self, mode: str, literal: Literal) -> list:
+        """The row of ``(mode, literal)``; refuted at every tag when the
+        index does not number the literal."""
         i = self._ids.get(literal)
-        return None if i is None else self._rows[2 * i + _MODE_INDEX[mode]]
+        if i is None:
+            return _UNSUPPORTED_ROW
+        return self._rows[2 * i + _MODE_INDEX[mode]]
 
-    def _cells(self):
-        """((mode, literal), row) of every cell with a row, in
-        ``literal_sort_key`` then ``MODES`` order."""
-        literals = self._literals
-        return (((MODES[cell & 1], literals[cell >> 1]), row)
-                for cell, row in enumerate(self._rows) if row is not None)
+    def _aligned(self, other: "ConclusionTable") -> tuple:
+        """(literals, rows here, rows in ``other``), the rows aligned by
+        cell over the literals: the shared numbering on a shared index,
+        else the union of both in ``literal_sort_key`` order, where a
+        literal a table does not number reads as refuted."""
+        if other._ids is self._ids:
+            return self._literals, self._rows, other._rows
+        literals = sorted(self._ids.keys() | other._ids.keys(),
+                          key=literal_sort_key)
+        rows, other_rows = ([table._row(mode, literal) for literal in literals
+                             for mode in MODES] for table in (self, other))
+        return literals, rows, other_rows
 
     @property
     def literals(self) -> frozenset[Literal]:
-        # a literal has a row in both modes or in neither
-        return frozenset(literal for literal, row
-                         in zip(self._literals, self._rows[::2])
-                         if row is not None)
+        return frozenset(self._literals)
 
     def status(self, tag: str, mode: str, literal: Literal) -> str:
         if tag not in _TAG_INDEX:
             raise ValueError(f"bad tag {tag!r}")
         if mode not in _MODE_INDEX:
             raise ValueError(f"bad mode {mode!r}")
-        row = self._row(mode, literal)
-        if row is None:
-            return REFUTED
-        return row[_TAG_INDEX[tag]] or UNDETERMINED
+        return self._row(mode, literal)[_TAG_INDEX[tag]] or UNDETERMINED
 
     def derived(self, sign: str, tag: str, mode: str, literal: Literal) -> bool:
         wanted = _wanted(sign)
@@ -201,12 +204,15 @@ class ConclusionTable:
 
     def is_determined(self, literal: Literal) -> bool:
         """Whether the literal has any determined status in any mode."""
-        return any(row is None or any(row) for row in (
-            self._row(mode, literal) for mode in MODES))
+        return any(any(self._row(mode, literal)) for mode in MODES)
 
     def rows(self) -> list[tuple[Literal, str, str, str]]:
-        return [(literal, mode, tag, status or UNDETERMINED)
-                for (mode, literal), row in self._cells()
+        """(literal, mode, tag, status) of every cell and tag, in
+        ``literal_sort_key``, ``MODES`` then ``TAGS`` order."""
+        literals = self._literals
+        return [(literals[cell >> 1], MODES[cell & 1], tag,
+                 status or UNDETERMINED)
+                for cell, row in enumerate(self._rows)
                 for tag, status in zip(TAGS, row)]
 
     def newly_determined(self, old: "ConclusionTable") -> tuple[TaggedLiteral, ...]:
@@ -216,16 +222,11 @@ class ConclusionTable:
         Flips count as well: a status that changed from proved to
         refuted yields the newly derived negative conclusion.
         """
-        literals = self._literals
-        old_rows = old._rows if old._ids is self._ids else [
-            old._row(MODES[cell & 1], literals[cell >> 1])  # another index
-            for cell in range(len(self._rows))]
+        literals, rows, old_rows = self._aligned(old)
         fresh = []
-        for cell, (row, before) in enumerate(zip(self._rows, old_rows)):
-            if row is None or before is row:  # shared rows are unchanged
+        for cell, (row, before) in enumerate(zip(rows, old_rows)):
+            if row is before:  # shared rows are unchanged
                 continue
-            if before is None:
-                before = _REFUTED_ROW
             fresh += [
                 TaggedLiteral(PLUS if status == PROVED else MINUS, tag,
                               MODES[cell & 1], literals[cell >> 1])
@@ -236,15 +237,13 @@ class ConclusionTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConclusionTable):
             return NotImplemented
-        if other._ids is self._ids:
-            return self._rows == other._rows
-        return dict(self._cells()) == dict(other._cells())
+        _, rows, other_rows = self._aligned(other)
+        return rows == other_rows
 
     def __repr__(self) -> str:
-        determined = sum(len(TAGS) - row.count(None)
-                         for _, row in self._cells())
+        determined = sum(len(TAGS) - row.count(None) for row in self._rows)
         return (f"<ConclusionTable {determined} determined over "
-                f"{len(self.literals)} literals>")
+                f"{len(self._literals)} literals>")
 
 
 class TheoryIndex:
@@ -547,31 +546,16 @@ def _evaluate(index: TheoryIndex, active, rows: list, agenda: list) -> None:
                             agenda.append(reader)
 
 
-def _rule_atoms(index: TheoryIndex, r: int):
-    """The atoms rule position r mentions (some more than once)."""
-    yield index.head[r] >> 2
-    for cell, _, _ in index.antecedents[r]:
-        yield cell >> 2
-
-
-def _atom_cells(atom: int) -> range:
-    return range(4 * atom, 4 * atom + 4)
-
-
 def _grow(index: TheoryIndex, active, parent: ConclusionTable,
           added: str) -> tuple[list, list]:
     """A copy of ``parent``'s rows, and the cone that the rule ``added``
-    (an id) affects: its head cells, the cells of literals only it
-    mentions, and every cell that reaches those through the readers of
-    the active rules."""
+    (an id) affects: its head cells and every cell that reaches them
+    through the readers of the active rules."""
     rows = list(parent._rows)
     head, readers = index.head, index.readers
     cone = set()
     for r in index.positions.get(added, ()):
         cone.update((head[r], head[r] ^ 2))
-        for atom in _rule_atoms(index, r):
-            if rows[4 * atom] is None:
-                cone.update(_atom_cells(atom))
     stack = list(cone)
     while stack:
         for r in readers[stack.pop()]:
@@ -609,17 +593,7 @@ def compute_conclusions(theory: Union[DefeasibleTheory, TheoryIndex],
                 break
     if rows is None:
         rows = [None] * (2 * len(index.literals))
-        if 0 not in active:
-            # every literal of the index is a fact's or an active rule's
-            agenda = range(len(rows))
-        else:
-            atoms = {cell >> 2 for cell, fact in enumerate(index.fact)
-                     if fact}
-            for r, on in enumerate(active):
-                if on:
-                    atoms.update(_rule_atoms(index, r))
-            agenda = sorted(cell for atom in atoms
-                            for cell in _atom_cells(atom))
+        agenda = range(len(rows))
     _evaluate(index, active, rows, agenda)
     table = tables[key] = ConclusionTable(index.literals, index.ids, rows)
     return table

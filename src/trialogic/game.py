@@ -49,11 +49,10 @@ at ``(mode, l)`` or ``(mode, ~l)``, and superiority acts only between
 the rules of one such head-cell pair.  Each cell coming with its
 opposite, the cone's cells therefore read only cone cells, through the
 same rules and pairs in both theories, and the least fixpoint
-restricted to them is the same.  A cone cell that no fact and no rule of the smaller theory
-mentions has no row there and answers as refuted; in the larger theory
-no fact or rule heads it either, so it derives every negative tag.  So
-any question over the subsets of a pool equals the same question over
-the subsets of its kept part.  One function, ``_achievable``, asks it
+restricted to them is the same.  Both tables are masks over the
+game's one index, so each has a row for every cone cell.  So any
+question over the subsets of a pool equals the same question over the
+subsets of its kept part.  One function, ``_achievable``, asks it
 for adjudication (each player in turn) and for robustness: it walks
 the subsets of the kept part of a pool, the empty one standing for a
 disclosure of rules outside the cone only.  This is the backward twin

@@ -106,9 +106,12 @@ class TaggedLiteral(NamedTuple):
         return f"{self.sign}{GLYPH_FOR_TAG[self.tag]} {mode}{self.literal}"
 
 
-def _check_mode(mode: str) -> None:
+def _check_moded(mode: str, literal: Literal) -> None:
+    """The mode and literal of a fact, a rule head or an antecedent."""
     if mode not in MODES:
         raise ValueError(f"bad mode {mode!r}")
+    if not isinstance(literal, Literal):
+        raise ValueError(f"bad literal {literal!r}")
 
 
 def _check_tag(tag: str) -> None:
@@ -132,7 +135,7 @@ class Antecedent:
     tag: Optional[str] = None
 
     def __post_init__(self) -> None:
-        _check_mode(self.mode)
+        _check_moded(self.mode, self.literal)
         if (self.sign is None) != (self.tag is None):
             raise ValueError("annotation needs both sign and tag")
         if self.sign is not None and self.sign not in SIGNS:
@@ -157,7 +160,7 @@ class Rule:
     def __post_init__(self) -> None:
         if not ATOM_RE.fullmatch(self.id):
             raise ValueError(f"bad rule id {self.id!r}")
-        _check_mode(self.head_mode)
+        _check_moded(self.head_mode, self.head)
         object.__setattr__(self, "antecedents", tuple(self.antecedents))
         if not self.antecedents:
             raise ValueError(f"rule {self.id!r} needs at least one antecedent")
@@ -170,8 +173,8 @@ def _sorted_rules(rules: Iterable[Rule]) -> tuple[Rule, ...]:
 def _checked_facts(facts: Iterable[tuple[str, Literal]]
                    ) -> frozenset[tuple[str, Literal]]:
     facts = frozenset(facts)
-    for mode, _ in facts:
-        _check_mode(mode)
+    for mode, literal in facts:
+        _check_moded(mode, literal)
     return facts
 
 
@@ -209,6 +212,9 @@ class Claim:
     literals: tuple[Literal, ...]
 
     def __post_init__(self) -> None:
+        for literal in self.literals:
+            if not isinstance(literal, Literal):
+                raise ValueError(f"bad literal {literal!r}")
         ordered = tuple(sorted(set(self.literals), key=literal_sort_key))
         if not ordered:
             raise ValueError("claim needs at least one literal")

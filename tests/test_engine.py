@@ -9,7 +9,7 @@ from trialogic import (
     SIGMA_MINUS, SUBSTANTIAL, TAGS, UNDETERMINED, Antecedent,
     WEAKLY_PERMITTED, DefeasibleTheory, Literal, Rule, TaggedLiteral,
     compute_conclusions, holds, initial_state, lit, parse_query,
-    standards_met, strength_order, weakly_permitted,
+    parse_theory, standards_met, strength_order, weakly_permitted,
 )
 from trialogic import engine
 from trialogic.corpus import ATOM_POOL, random_theory
@@ -61,8 +61,9 @@ class TestFactsAndVacuity:
 
 
 class TestUnmentionedLiteral:
-    """A literal whose atom no fact or rule mentions has no row and
-    answers as refuted everywhere, as if it had an all-refuted row."""
+    """A literal whose atom no fact or rule mentions is not numbered by
+    the index and answers as refuted everywhere, as an all-refuted row
+    would."""
 
     @pytest.mark.parametrize("text", ["zz", "~zz"])
     def test_every_answer(self, s3, text):
@@ -499,6 +500,26 @@ class TestNewlyDetermined:
     def test_no_change_is_empty(self, s1):
         table = compute_conclusions(s1.theory_for({"r1"}))
         assert table.newly_determined(table) == ()
+
+    LEAVING = ("fact f.\n"
+               "rule c1: f => a.\n"
+               "rule r0: ~b => ~b.\n")
+
+    def test_literal_that_leaves_the_theory(self):
+        # without r0, ~b is refuted at every tag; with it, undetermined
+        setup = parse_theory(self.LEAVING)
+        theory = setup.union_theory()
+        index = engine.TheoryIndex(theory.facts, theory.rules)
+        leaves = [TaggedLiteral(MINUS, tag, EVIDENTIAL, lit("~b"))
+                  for tag in TAGS]
+        for without, with_r0 in (
+                (compute_conclusions(index, {"c1"}),
+                 compute_conclusions(index, {"c1", "r0"})),
+                (compute_conclusions(setup.theory_for({"c1"})),
+                 compute_conclusions(setup.theory_for({"c1", "r0"})))):
+            assert with_r0.status(DELTA, EVIDENTIAL, lit("~b")) == UNDETERMINED
+            assert list(without.newly_determined(with_r0)) == leaves
+            assert with_r0.newly_determined(without) == ()
 
 
 class TestStandards:

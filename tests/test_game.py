@@ -439,7 +439,7 @@ class TestIncrementalTables:
             fresh = compute_conclusions(setup.theory_for(rule_ids))
             assert table == full
             assert table == fresh
-            assert table.rows() == fresh.rows()
+            assert table.rows() == full.rows()
             assert _statuses(table, claims) == _statuses(full, claims)
             assert _statuses(table, claims) == _statuses(fresh, claims)
 
@@ -818,10 +818,16 @@ def _union_literals(setup):
 
 
 def _assert_same_table(table, fresh, literals):
+    """``table``, over the whole setup's index, has a row for every
+    literal of the setup; ``fresh`` numbers only the literals of its own
+    theory.  Their rows are equal, and every other row is refuted."""
     assert table == fresh
     assert fresh == table
-    assert table.rows() == fresh.rows()
-    assert table.literals == fresh.literals
+    rows = table.rows()
+    assert [row for row in rows if row[0] in fresh.literals] == fresh.rows()
+    assert all(status == REFUTED for literal, _, _, status in rows
+               if literal not in fresh.literals)
+    assert fresh.literals <= table.literals
     for literal in literals:
         assert table.is_determined(literal) == fresh.is_determined(literal)
     assert _statuses(table, literals) == _statuses(fresh, literals)
@@ -870,14 +876,15 @@ class TestIndexParity:
         "game pr: p1.\n"
         "game def: d1.\n")
 
-    def test_literal_only_an_inactive_rule_mentions_has_no_row(
+    def test_literal_only_an_inactive_rule_mentions_is_refuted(
             self, computed):
         setup = parse_theory(self.SETUP)
         state = initial_state(setup)
         table = state.conclusions
         zz = lit("zz")
-        assert zz not in table.literals
-        assert zz not in {literal for literal, *_ in table.rows()}
+        assert zz in table.literals
+        assert [row for row in table.rows() if row[0] == zz] == [
+            (zz, mode, tag, REFUTED) for mode in MODES for tag in TAGS]
         assert table.status(DELTA, EVIDENTIAL, zz) == REFUTED
         assert table.is_determined(zz)
         _assert_same_table(table, compute_conclusions(

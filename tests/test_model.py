@@ -57,6 +57,11 @@ class TestAntecedent:
         with pytest.raises(ValueError, match="bad sign"):
             Antecedent(EVIDENTIAL, lit("a"), sign="*", tag=DELTA)
 
+    @pytest.mark.parametrize("literal", ["a", ("a", True), None])
+    def test_literal_must_be_a_literal(self, literal):
+        with pytest.raises(ValueError, match="bad literal"):
+            Antecedent(EVIDENTIAL, literal)
+
     def test_annotated_flag(self):
         plain = Antecedent(EVIDENTIAL, lit("a"))
         assert not plain.annotated
@@ -73,6 +78,11 @@ class TestRule:
         with pytest.raises(ValueError):
             rule("R1", ["a"], EVIDENTIAL, "b")
 
+    @pytest.mark.parametrize("head", ["b", ("b", True), None])
+    def test_head_must_be_a_literal(self, head):
+        with pytest.raises(ValueError, match="bad literal"):
+            Rule("r1", (Antecedent(EVIDENTIAL, lit("a")),), EVIDENTIAL, head)
+
 
 class TestClaim:
     def test_sorted_and_deduplicated(self):
@@ -82,6 +92,12 @@ class TestClaim:
     def test_nonempty(self):
         with pytest.raises(ValueError):
             Claim(())
+
+    @pytest.mark.parametrize("literals", [("a",), (lit("a"), ("b", True))])
+    def test_literals_must_be_literals(self, literals):
+        # a plain string used to end in AttributeError while sorting
+        with pytest.raises(ValueError, match="bad literal"):
+            Claim(literals)
 
 
 class TestTheory:
@@ -151,6 +167,13 @@ class TestTheory:
         with pytest.raises(ValueError, match="bad mode"):
             DefeasibleTheory(frozenset({(mode, lit("a"))}), ())
 
+    @pytest.mark.parametrize("literal", ["a", ("a", True)])
+    def test_bad_fact_literal(self, literal):
+        # a fact on a plain string used to construct and fail later,
+        # inside the engine, as an AttributeError
+        with pytest.raises(ValueError, match="bad literal"):
+            DefeasibleTheory(frozenset({(EVIDENTIAL, literal)}), ())
+
     def test_modal_fact_conflict_warned(self):
         theory = DefeasibleTheory(
             frozenset({(OBLIGATION, lit("b")), (OBLIGATION, lit("~b"))}),
@@ -211,6 +234,11 @@ class TestGameSetup:
     def test_bad_fact_mode(self):
         with pytest.raises(ValueError, match="bad mode"):
             GameSetup(facts=frozenset({("evidential", lit("a"))}),
+                      common_rules=(), pr_rules=(), def_rules=())
+
+    def test_bad_fact_literal(self):
+        with pytest.raises(ValueError, match="bad literal"):
+            GameSetup(facts=frozenset({(EVIDENTIAL, "a")}),
                       common_rules=(), pr_rules=(), def_rules=())
 
     def test_with_standards(self):
