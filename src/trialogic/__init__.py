@@ -21,9 +21,8 @@ _EXPORTS = {
         "validate_setup", "validate_theory", "with_standards"),
     "engine": (
         "BRD", "DIALECTICAL_VALIDITY", "PREPONDERANCE", "SCINTILLA",
-        "STANDARDS", "SUBSTANTIAL", "CoherenceError", "ConclusionTable",
-        "StandardsReport", "compute_conclusions", "holds", "standards_met",
-        "strength_order"),
+        "STANDARDS", "SUBSTANTIAL", "ConclusionTable", "StandardsReport",
+        "compute_conclusions", "holds", "standards_met", "strength_order"),
     "dsl": (
         "ParseError", "ParseFailure", "parse_moves", "parse_query",
         "parse_theory", "serialize_theory"),

@@ -124,16 +124,6 @@ def _wanted(sign: str) -> str:
     raise ValueError(f"bad sign {sign!r}")
 
 
-class CoherenceError(RuntimeError):
-    """Both a positive tag and its negation became derivable.
-
-    The engine never raises it: it settles each key from one Kleene
-    value, which cannot hold both signs (see ``_condition``).  The name
-    stays exported for callers that catch it; the tests check the
-    kernel against the two-valued conditions instead.
-    """
-
-
 class ConclusionTable:
     """Status of every tagged, moded literal of a theory.
 
@@ -192,6 +182,12 @@ class ConclusionTable:
     def derived(self, sign: str, tag: str, mode: str, literal: Literal) -> bool:
         wanted = _wanted(sign)
         return self.status(tag, mode, literal) == wanted
+
+    def holding(self, keys: Iterable[tuple[int, int, str]]) -> int:
+        """How many of ``keys`` hold here, each a ``(cell, tag index,
+        wanted status)`` over the index the table was built on."""
+        rows = self._rows
+        return sum(rows[cell][tag] == wanted for cell, tag, wanted in keys)
 
     def query(self, q: TaggedLiteral) -> str:
         """Status of a signed query: proved when exactly the asked

@@ -35,30 +35,40 @@ from the kept table with one rule fewer, copying its rows by cell id
 and re-evaluating only the cells that rule can reach; with no such
 table kept it is computed in full.
 
+Each player's goal is compiled once per game too: ``_Tables`` turns
+``claim_conditions`` into ``(cell, tag index, wanted status)`` keys over
+the index, and every claim question the game and ``strategy`` ask
+reads those keys off a table's rows (``ConclusionTable.holding``).  A
+claim literal the index does not number reads as refuted at every tag,
+as in ``ConclusionTable``.  ``claim_established`` and ``claim_refuted``
+answer the same questions of any table.
+
 Claim questions are answered on sliced tables.  Accepted openings,
-robustness and adjudication ask only whether the claim is established
-or refuted, so they read the table of a key restricted to the rules
-``_Tables.keep`` names: every common rule plus the claim's backward
-cone.  The cone, whose cells always come with their opposites, starts
-from the cells of each claim atom in both modes; a rule headed at a
-cell in it joins, and adds the cell of each antecedent.  For any key K,
-the claim cells have the same statuses in the tables of K and of K
+robustness, adjudication and greedy play's goal coverage ask only how
+the claim stands, so they read the table of a key restricted to the
+rules ``_Tables.keep`` names: every common rule plus the claim's
+backward cone.  The cone, whose cells always come with their opposites,
+starts from the cells of each claim atom in both modes; a rule headed at
+a cell in it joins, and adds the cell of each antecedent.  For any key
+K, the claim cells have the same statuses in the tables of K and of K
 restricted to the kept rules.  The conditions of a cell ``(mode, l)``
 read only facts and the cells named by antecedents of the rules headed
 at ``(mode, l)`` or ``(mode, ~l)``, and superiority acts only between
 the rules of one such head-cell pair.  Each cell coming with its
 opposite, the cone's cells therefore read only cone cells, through the
-same rules and pairs in both theories, and the least fixpoint
-restricted to them is the same.  Both tables are masks over the
-game's one index, so each has a row for every cone cell.  So any
-question over the subsets of a pool equals the same question over the
-subsets of its kept part.  One function, ``_achievable``, asks it
-for adjudication (each player in turn) and for robustness: it walks
-the subsets of the kept part of a pool, the empty one standing for a
-disclosure of rules outside the cone only.  This is the backward twin
-of the forward cone ``engine`` re-evaluates when a table grows.  Moves,
-their targets and the end-of-game test read full tables, since a rule
-outside the cone still changes statuses and still empties a pool.
+same rules and pairs in both theories, and the least fixpoint restricted
+to them is the same.  Both tables are masks over the game's one index,
+so each has a row for every cone cell.  So any question over the subsets
+of a pool equals the same question over the subsets of its kept part.
+One function, ``_achievable``, asks it for adjudication (each player in
+turn) and for robustness: it walks the subsets of the kept part of a
+pool, the empty one standing for a disclosure of rules outside the cone
+only.  This is the backward twin of the forward cone ``engine``
+re-evaluates when a table grows.  Moves, their targets and the
+end-of-game test read full tables, since a rule outside the cone still
+changes statuses and still empties a pool; so greedy play reads a
+candidate's full table only once its sliced table has shown that the
+candidate raises the mover's coverage.
 
 A support bound answers the prosecutor's subset searches when none can
 succeed.  Take the Horn closure of the index's cells under the mask of
@@ -95,8 +105,8 @@ from typing import Iterable, Iterator, Sequence
 from .dsl import parse_moves  # noqa: F401  (moves files are read in dsl)
 from .engine import ConclusionTable, TheoryIndex, compute_conclusions, opposite
 from .model import (
-    DEF, EVIDENTIAL, MODES, OBLIGATION, PLUS, PR, MINUS, REFUTED, GameSetup,
-    Literal, Move, TaggedLiteral, literal_sort_key,
+    DEF, EVIDENTIAL, MODES, OBLIGATION, PLAYERS, PLUS, PR, MINUS, PROVED,
+    REFUTED, TAGS, GameSetup, Literal, Move, TaggedLiteral, literal_sort_key,
 )
 
 PR_SUCCEEDS = "pr_succeeds"
@@ -193,9 +203,14 @@ class _Tables:
     and superiority, which keeps every table of the game: each is a rule
     mask over it, and every graph question the game asks walks its
     cells and rule positions.  It also holds the ids of the rules claim
-    questions keep: the common rules and the claim's cone."""
+    questions keep (the common rules and the claim's cone), and each
+    player's goal compiled once over the index (``_goal``).  ``met``
+    reads a goal's keys off a table's rows, and every claim question of
+    the game and of ``strategy`` goes through it; with no claim, each
+    raises ``ValueError``.  ``sliced`` is the table such a question
+    reads for a key."""
 
-    __slots__ = ("index", "keep")
+    __slots__ = ("index", "keep", "goals")
 
     def __init__(self, setup: GameSetup):
         self.index = TheoryIndex(setup.facts, setup.all_rules(),
@@ -203,6 +218,49 @@ class _Tables:
         claim = setup.claim.literals if setup.claim else ()
         self.keep = _claim_cone(self.index, claim) \
             | {r.id for r in setup.common_rules}
+        self.goals = None if setup.claim is None else {
+            player: _goal(self.index, setup, player) for player in PLAYERS}
+
+    def met(self, table: ConclusionTable, player: str) -> int:
+        """How many conditions of ``player``'s goal hold in ``table``, a
+        table over the index."""
+        if self.goals is None:
+            raise ValueError("setup has no claim to prosecute")
+        keys, fixed, _ = self.goals[player]
+        return fixed + table.holding(keys)
+
+    def established(self, table: ConclusionTable) -> bool:
+        """``claim_established`` of a table over the index."""
+        return self.met(table, PR) == self.goals[PR][2]
+
+    def refuted(self, table: ConclusionTable) -> bool:
+        """``claim_refuted`` of a table over the index."""
+        return self.met(table, DEF) > 0
+
+    def sliced(self, rule_ids: frozenset[str]) -> ConclusionTable:
+        """The table of ``rule_ids`` restricted to the kept rules, which
+        answers every claim question as the table of ``rule_ids`` does."""
+        return conclusions_for(rule_ids & self.keep, self)
+
+
+def _goal(index: TheoryIndex, setup: GameSetup, player: str
+          ) -> tuple[tuple[tuple[int, int, str], ...], int, int]:
+    """``player``'s goal over ``index`` as ``(keys, fixed, size)``: the
+    ``(cell, tag index, wanted status)`` key of each condition whose
+    literal the index numbers, how many of the other conditions hold
+    (such a literal reads as refuted at every tag, as in
+    ``ConclusionTable``), and the number of conditions."""
+    keys = []
+    fixed = size = 0
+    for sign, tag, mode, literal in claim_conditions(setup, player):
+        wanted = PROVED if sign == PLUS else REFUTED
+        cell = index.cell(mode, literal)
+        size += 1
+        if cell is None:
+            fixed += wanted == REFUTED
+        else:
+            keys.append((cell, TAGS.index(tag), wanted))
+    return tuple(keys), fixed, size
 
 
 def _claim_cone(index: TheoryIndex, claim_literals: Iterable[Literal]
@@ -328,13 +386,11 @@ def _achievable(setup: GameSetup, tables: _Tables,
     if player == PR:
         if not _supportable(setup, tables, common_ids | kept):
             return False
-        goal = claim_established
+        goal = tables.established
     else:
-        goal = claim_refuted
-    return any(
-        goal(conclusions_for((common_ids | disclosed) & tables.keep, tables),
-             setup)
-        for disclosed in subsets(kept, include_empty=kept != pool))
+        goal = tables.refuted
+    return any(goal(tables.sliced(common_ids | disclosed))
+               for disclosed in subsets(kept, include_empty=kept != pool))
 
 
 def _claim_gaps(table: ConclusionTable, setup: GameSetup) -> list[str]:
@@ -389,9 +445,8 @@ def _open(state: GameState, opening: frozenset[str]) -> GameState:
         raise ValueError(
             "opening rules not in the pr pool: " + ", ".join(sorted(stray)))
     nxt, _ = step(state, opening)
-    gaps = _claim_gaps(nxt.conclusions, state.setup)
-    if gaps:
-        raise OpeningRejected(gaps)
+    if not state.tables.established(nxt.conclusions):
+        raise OpeningRejected(_claim_gaps(nxt.conclusions, state.setup))
     # an opening that discloses nothing prosecutes from common rules
     # alone; it is not a pass
     return replace(nxt, consecutive_passes=0)
@@ -407,9 +462,7 @@ def accepted_openings(start: GameState
     if not _supportable(start.setup, tables, start.common_ids | start.pr_ids):
         return
     for opening in subsets(start.pr_ids):
-        if claim_established(conclusions_for(
-                (start.common_ids | opening) & tables.keep, tables),
-                start.setup):
+        if tables.established(tables.sliced(start.common_ids | opening)):
             yield opening, _open(start, opening)
 
 
@@ -482,9 +535,9 @@ def apply_move(state: GameState, move: Move) -> GameState:
 def termination_status(state: GameState) -> str:
     """The strict end-of-game test.  The defence's condition is checked
     first, so degenerate theories where both hold resolve that way."""
-    setup = state.setup
-    good = claim_established(state.conclusions, setup)
-    bad = claim_refuted(state.conclusions, setup)
+    tables = state.tables
+    good = tables.established(state.conclusions)
+    bad = tables.refuted(state.conclusions)
     if not state.pr_ids and bad:
         return DEF_SUCCEEDS
     if not state.def_ids and good:
@@ -505,8 +558,8 @@ def adjudicate_pools(setup: GameSetup, common_ids: frozenset[str],
     first) decides.
     """
     table = conclusions_for(common_ids, tables)
-    good = claim_established(table, setup)
-    bad = claim_refuted(table, setup)
+    good = tables.established(table)
+    bad = tables.refuted(table)
     pr_defeated = not good and not _achievable(
         setup, tables, common_ids, pr_ids, PR)
     def_defeated = not bad and not _achievable(

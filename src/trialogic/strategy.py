@@ -14,8 +14,14 @@ Three distinct questions live here and they are not the same:
 
 Automatic play offers two deliberately simple policies: greedy minimal
 disclosure (smallest accepted opening, then smallest move that improves
-the mover's goal coverage, else pass) and full disclosure (everything
-at once, then passes).
+the mover's goal coverage, else pass) and full disclosure (everything at
+once, then passes).  Coverage counts the mover's goal conditions that
+hold, read through the game's compiled goal keys.  Greedy play reads it
+on each candidate's sliced table, whose claim cells have the statuses of
+the full table's (see ``game``), and calls ``step`` for the full table
+and its legal targets only on a candidate whose coverage rose.  Both
+tests filter the same ``subsets`` order, so the move is the one that
+testing legality first would pick.
 
 Every search here moves through ``game.step`` and scores positions with
 ``game.settle``, so it plays by the same rules as a scripted game.  Each
@@ -39,12 +45,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .engine import ConclusionTable
 from .game import (
     DEF_SUCCEEDS, ONGOING, PR_SUCCEEDS, STALLED, TERMINAL_OUTCOMES,
     GameState, GameTrace, Move, OpeningRejected, _achievable, _supportable,
-    accepted_openings, adjudicate, claim_conditions, claim_established,
-    initial_state, open_game, play_move, settle, step, subsets,
+    accepted_openings, adjudicate, initial_state, open_game, play_move,
+    settle, step, subsets,
 )
 from .model import DEF, PR, GameSetup
 
@@ -177,27 +182,23 @@ def analyze(setup: GameSetup, bound: int = DEFAULT_BOUND) -> Analysis:
         WINNER_FOR_OUTCOME[outcome], _minimal_opening(start), explored)
 
 
-def _coverage(table: ConclusionTable, setup: GameSetup, player: str) -> int:
-    """How many conditions of ``player``'s goal hold in ``table``."""
-    return sum(table.derived(*condition)
-               for condition in claim_conditions(setup, player))
-
-
 def _policy_move(state: GameState, policy: str) -> Move:
     mover = state.mover
     pool = state.pr_ids if mover == PR else state.def_ids
     if policy == FULL_DISCLOSURE:
         candidates = [pool] if pool else []
     else:
-        candidates = subsets(pool, include_empty=False)
-    baseline = _coverage(state.conclusions, state.setup, mover)
+        # coverage reads only claim cells, so the sliced table answers
+        # it; only a candidate that raises it pays for its full table
+        tables = state.tables
+        baseline = tables.met(state.conclusions, mover)
+        candidates = (
+            disclosed for disclosed in subsets(pool, include_empty=False)
+            if tables.met(tables.sliced(state.common_ids | disclosed), mover)
+            > baseline)
     for disclosed in candidates:
         nxt, targets = step(state, disclosed)
         if not targets:
-            continue
-        if (policy == GREEDY_MINIMAL
-                and _coverage(nxt.conclusions, state.setup, mover)
-                <= baseline):
             continue
         # the cells the move decided itself, else every legal target
         own = targets & {(entry.mode, entry.literal)
@@ -223,7 +224,7 @@ def auto_play(setup: GameSetup, policy: str = GREEDY_MINIMAL) -> GameTrace:
     if (policy == FULL_DISCLOSURE
             and _supportable(setup, state.tables,
                              state.common_ids | state.pr_ids)
-            and claim_established(state.table_after(state.pr_ids), setup)):
+            and state.tables.established(state.table_after(state.pr_ids))):
         opening: Optional[frozenset[str]] = state.pr_ids
     else:
         opening = next(accepted_openings(state), (None, None))[0]

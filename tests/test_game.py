@@ -15,7 +15,7 @@ from trialogic import (
 )
 from trialogic.engine import TheoryIndex
 
-from conftest import established_setup
+from conftest import established_setup, load
 
 
 # Seeds whose ``established_setup(seed, max_rules=14, deontic_ratio=0.5)``
@@ -452,7 +452,7 @@ class TestIncrementalTables:
 
     def test_greedy_play_grows_all_but_the_first_table(self, computed):
         auto_play(established_setup(71, max_rules=20, deontic_ratio=0.5))
-        assert [run.grown for run in computed] == [False] + [True] * 158
+        assert [run.grown for run in computed] == [False] + [True] * 46
 
     def test_unknown_rule_id_is_no_parent(self, computed, s1):
         state = initial_state(s1)
@@ -605,14 +605,14 @@ class TestClaimSlicing:
         # game tree and once for the minimal opening; the claim is one
         # the support bound lets through
         read = []
-        established = game.claim_established
+        established = game._Tables.established
 
-        def recording(table, setup):
+        def recording(tables, table):
             if sys._getframe(1).f_code.co_name == "accepted_openings":
                 read.append(table)
-            return established(table, setup)
+            return established(tables, table)
 
-        monkeypatch.setattr(game, "claim_established", recording)
+        monkeypatch.setattr(game._Tables, "established", recording)
         start = initial_state(established_setup(seed, max_rules=20))
         assert 2 ** len(start.pr_ids) == openings
         list(game.accepted_openings(start))
@@ -644,6 +644,15 @@ class TestClaimSlicing:
             == ("p1",)
         assert len(computed) == 2
 
+    def test_greedy_play_screens_coverage_on_sliced_tables(self, computed):
+        # the start and the opening: no other candidate raises either
+        # side's coverage on its sliced table, which is one of those
+        # two; computing each candidate's full table first took 2,048
+        trace = auto_play(self._pruning_setup())
+        assert [record.rule_ids for record in trace.records] == \
+            [("p1",), (), ()]
+        assert len(computed) == 2
+
     def test_adjudication_walks_only_the_kept_pools(self, computed):
         # the current table answers both pools' out-of-cone rules;
         # walking the whole defence pool would compute 1,023 tables
@@ -653,6 +662,66 @@ class TestClaimSlicing:
         computed.clear()
         assert adjudicate(state) == PR_SUCCEEDS
         assert computed == []
+
+
+def _with_claim(setup, *literals):
+    return replace(setup, claim=Claim(tuple(lit(text) for text in literals)))
+
+
+# The claim literal ``nowhere`` is one no rule or fact mentions.
+_GOAL_SETUPS = (
+    [established_setup(seed, max_rules=14, deontic_ratio=0.5)
+     for seed in GROWN_SEEDS]
+    + [setup for setup in corpus.setups(12) if setup.claim is not None]
+    + [_with_claim(established_setup(24, max_rules=14, deontic_ratio=0.5),
+                   *claim)
+       for claim in (("nowhere",), ("~nowhere", "a"))]
+    + [_with_claim(load("s1.ddt"), "b", "nowhere"),
+       _with_claim(load("s2.ddt"), "~nowhere")])
+
+
+class TestCompiledGoals:
+    """Each player's goal, compiled once per game into keys over the
+    game's index, reads every table the game reaches as the public claim
+    checks and the per-condition counts read it."""
+
+    @pytest.mark.parametrize("setup", _GOAL_SETUPS)
+    def test_keys_read_as_the_claim_checks(self, monkeypatch, setup):
+        starts = []
+        start_of = strategy.initial_state
+
+        def recording(setup):
+            starts.append(start_of(setup))
+            return starts[-1]
+
+        monkeypatch.setattr(strategy, "initial_state", recording)
+        analyze(setup)
+        for policy in POLICIES:
+            auto_play(setup, policy)
+        # every table of the game, full and sliced, is kept by its index
+        reached = [(start.tables, table) for start in starts
+                   for table in start.tables.index.tables.values()]
+        assert len(starts) == 3
+        for tables, table in reached:
+            assert tables.established(table) == \
+                game.claim_established(table, setup)
+            assert tables.refuted(table) == game.claim_refuted(table, setup)
+            for player in (PR, DEF):
+                assert tables.met(table, player) == sum(
+                    table.derived(*condition)
+                    for condition in game.claim_conditions(setup, player))
+
+    def test_literal_no_rule_mentions_is_refuted(self, s1):
+        # the opening r1, r4 establishes b and leaves it unrefuted;
+        # nowhere reads as refuted at every tag in both modes
+        met = []
+        for claim in (("b",), ("b", "nowhere")):
+            start = initial_state(_with_claim(s1, *claim))
+            table = start.table_after(frozenset({"r1", "r4"}))
+            tables = start.tables
+            met.append((tables.established(table), tables.refuted(table),
+                        tables.met(table, PR), tables.met(table, DEF)))
+        assert met == [(True, False, 2, 0), (False, True, 2, 2)]
 
 
 _ATOMS = ("a", "b", "c")

@@ -12,7 +12,7 @@ import trialogic
 
 PUBLIC = {
     "Analysis", "Antecedent", "Argument", "AttackGraph", "BRD",
-    "BoundExceeded", "Claim", "CoherenceError", "ConclusionTable", "DEF",
+    "BoundExceeded", "Claim", "ConclusionTable", "DEF",
     "DEFAULT_BOUND", "DEF_SUCCEEDS", "DELTA", "DIALECTICAL_VALIDITY",
     "DefeasibleTheory", "DualityReport", "EVIDENTIAL", "EquivalenceReport",
     "FULL_DISCLOSURE", "GREEDY_MINIMAL", "GameSetup", "GameState",

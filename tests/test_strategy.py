@@ -9,7 +9,8 @@ from trialogic import (
     WINNER_FOR_OUTCOME, Analysis, Antecedent, BoundExceeded, Claim,
     GameSetup, OpeningRejected, Rule, analyze, auto_play, corpus,
     exhaustive_winner, game, lit, minimal_winning_opening,
-    opening_is_winning, parse_moves, parse_theory, run_game, with_standards,
+    opening_is_winning, parse_moves, parse_theory, run_game, strategy,
+    with_standards,
 )
 
 from conftest import established_setup
@@ -365,6 +366,63 @@ class TestOneTransition:
             result = analyze(setup)
             assert result.winner == exhaustive_winner(setup)
             assert result.minimal_opening == minimal_winning_opening(setup)
+
+
+def _reference_policy_move(state, policy):
+    """``strategy._policy_move`` computing each candidate's full table
+    first and counting coverage condition by condition off
+    ``game.claim_conditions``, the order before coverage was screened on
+    sliced tables."""
+    mover = state.mover
+    pool = state.pr_ids if mover == PR else state.def_ids
+
+    def coverage(table):
+        return sum(table.derived(*condition)
+                   for condition in game.claim_conditions(state.setup, mover))
+
+    if policy == FULL_DISCLOSURE:
+        candidates = [pool] if pool else []
+    else:
+        candidates = game.subsets(pool, include_empty=False)
+    baseline = coverage(state.conclusions)
+    for disclosed in candidates:
+        nxt, targets = game.step(state, disclosed)
+        if not targets:
+            continue
+        if policy == GREEDY_MINIMAL and coverage(nxt.conclusions) <= baseline:
+            continue
+        own = targets & {(entry.mode, entry.literal)
+                         for entry in nxt.newly_determined}
+        return game.Move(mover, disclosed, own or targets)
+    return game.Move(mover, frozenset())
+
+
+class TestGreedyScreen:
+    """Greedy play screens coverage on sliced tables before it computes
+    a candidate's full table; the move it picks is the same."""
+
+    @pytest.mark.parametrize("make", [
+        corpus.random_setup,
+        lambda seed: established_setup(seed, max_rules=14, deontic_ratio=0.5),
+        lambda seed: established_setup(seed, max_rules=20, deontic_ratio=0.5),
+    ], ids=["random", "established14", "established20"])
+    def test_traces_equal_the_full_table_reference(self, monkeypatch, make):
+        played = 0
+        for seed in range(400):
+            setup = make(seed)
+            if setup is None or setup.claim is None:
+                continue
+            trace = auto_play(setup, GREEDY_MINIMAL)
+            with monkeypatch.context() as patched:
+                patched.setattr(strategy, "_policy_move",
+                                _reference_policy_move)
+                reference = auto_play(setup, GREEDY_MINIMAL)
+            assert trace.outcome == reference.outcome
+            assert trace.initial_conclusions == reference.initial_conclusions
+            assert [_record_fields(r) for r in trace.records] == \
+                [_record_fields(r) for r in reference.records]
+            played += len(trace.records) > 1
+        assert played
 
 
 class TestOneCachePerCall:
