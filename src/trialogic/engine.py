@@ -31,27 +31,33 @@ lists (Maher, "Propositional defeasible logic has linear complexity",
 TPLP 1(6), 2001).  Literals are numbered in ``literal_sort_key`` order,
 so ``l`` and ``~l`` are ids ``2a`` and ``2a + 1`` of atom ``a``, and a
 cell, one moded literal ``(mode, l)``, is ``2 * id(l) + mode``: the
-cell of the opposite literal is ``cell ^ 2`` (``opposite``), its atom
-``cell >> 2``, and other modules find a cell with ``TheoryIndex.cell``.
+cell of the opposite literal is ``cell ^ 2``, its atom ``cell >> 2``,
+and other modules find a cell with ``TheoryIndex.cell``.
 The index holds the facts by cell, each rule's head cell and its
 antecedents as ``(cell, tag index, wanted status)``, the rules headed
 at each cell (``heads``), the rules that read each cell (``readers``)
 and, for each rule, the rules that beat it; it is compiled in one
 pass over the rules.  A game compiles its whole setup once and passes
 ``compute_conclusions`` that index with the ids of the rules to
-activate; a one-shot theory it compiles itself, once per call.
+activate.  ``compute_conclusions`` compiles a one-shot theory whole,
+once per call.  The one-literal questions, ``holds``, ``standards_met``
+and ``permission.weakly_permitted``, compile only the facts, the
+superiority pairs and the rules of the asked cell's backward cone
+(``cone``, which also states why that table answers alike).
 
 A table is the least fixpoint over an index restricted to a rule mask
 (``TheoryIndex.mask``), the rules of one theory.  It holds one row of
 four statuses per cell of the index.  A cell that no fact and no active
 rule heads is refuted at every tag, as is a literal the index does not
-number.  An agenda over cell ids builds it, seeded with every cell.  A
-cell is evaluated again only after a cell that an active rule
-supporting or attacking it reads has settled a tag, so a chain of rules
-costs time linear in its length whatever order its literals sort in.
-Every condition is monotone in the statuses derived so far, hence the
-table is the single least fixpoint of those conditions and does not
-depend on evaluation order.
+number.  An agenda over cell ids builds it, seeded with every cell.
+Seeding reads each open cell's inputs once for the table: whether its
+opposite is a fact, and its active supporting and attacking rules.  A
+cell is evaluated again only after a cell that one of those rules reads
+has settled a tag, and only while a tag of its own is open, so a chain
+of rules costs time linear in its length whatever order its literals
+sort in.  Every condition is monotone in the statuses derived so far,
+hence the table is the single least fixpoint of those conditions and
+does not depend on evaluation order.
 
 The index keeps every table built over it (``TheoryIndex.tables``).  A
 new table grows from the kept table of the same rule ids less one rule
@@ -70,16 +76,16 @@ Proof standards map onto the tags: scintilla of evidence is
 sigma_minus, substantial evidence (clear and convincing) is sigma,
 preponderance is partial, beyond reasonable doubt is delta, and
 dialectical validity is delta computed with the superiority relation
-stripped.  ``standards_met`` compiles its theory once and reads
-dialectical validity on a view of that index (``TheoryIndex.stripped``)
-that shares every list but ``beaten_by``.
+stripped.  ``standards_met`` compiles the literal's cone once and
+reads dialectical validity on a view of that index
+(``TheoryIndex.stripped``) that shares every list but ``beaten_by``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .model import (
     DELTA, EVIDENTIAL, MINUS, MODES, PARTIAL, PLUS, PROVED, REFUTED, SIGMA,
@@ -230,6 +236,25 @@ class ConclusionTable:
                 if status is not None and status != was]
         return tuple(fresh)
 
+    def targets(self, old: "ConclusionTable"
+                ) -> frozenset[tuple[str, Literal]]:
+        """Each ``(mode, l)`` such that ``old`` determines ``l`` in some
+        mode and the cell of ``l`` or of ``~l`` in that mode has a status
+        here that it did not have in ``old``: the targets a move from
+        ``old`` to this table could declare (``game.step``)."""
+        literals, rows, old_rows = self._aligned(old)
+        found = set()
+        for cell, (row, before) in enumerate(zip(rows, old_rows)):
+            if row == before or not any(
+                    status is not None and status != was
+                    for status, was in zip(row, before)):
+                continue
+            mode = cell & 1
+            for i in (cell >> 1, (cell >> 1) ^ 1):
+                if any(old_rows[2 * i]) or any(old_rows[2 * i + 1]):
+                    found.add((MODES[mode], literals[i]))
+        return frozenset(found)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConclusionTable):
             return NotImplemented
@@ -356,11 +381,6 @@ class TheoryIndex:
         return active
 
 
-def opposite(cell: int) -> int:
-    """The cell of the complementary literal in the same mode."""
-    return cell ^ 2
-
-
 def _state(rows: list, antecedents: tuple, ambient: int) -> int:
     """1 once every antecedent holds at the statuses derived so far, -1
     once one has failed, 0 otherwise.  Each antecedent is ``(cell, tag
@@ -470,19 +490,22 @@ def _evaluate(index: TheoryIndex, active, rows: list, agenda: list) -> None:
     """Run the agenda, cell ids in ascending order, to the fixpoint over
     the rules ``active`` marks, writing statuses into ``rows``.
 
-    Two kinds of agenda cell are settled before the agenda runs, since
-    their conditions read no status: a fact proves every tag, and a cell
-    no active rule supports has the value -1 at every tag (an empty
-    max), so every tag is refuted.  Every other cell starts with an open
-    row.  Popping a cell whose row is already settled does nothing;
-    otherwise it reads whether its opposite is a fact and its active
-    rules once, then asks ``_condition`` once for each unsettled tag,
-    writing proved for the value 1, refuted for -1 and nothing for 0.
-    The conditions of a cell read only facts and the cells named by
+    Seeding reads each agenda cell's inputs once for the whole table:
+    whether its opposite is a fact, its active supporters and its
+    active attackers.  Two kinds of cell are settled there, since their
+    conditions read no status: a fact proves every tag, and a cell with
+    no active supporter has the value -1 at every tag (an empty max), so
+    every tag is refuted.  Every other cell starts with an open row and
+    keeps its inputs.  Popping a cell asks ``_condition`` once for each
+    open tag, writing proved for the value 1, refuted for -1 and nothing
+    for 0; once no tag is open the cell drops its inputs.  The
+    conditions of a cell read only facts and the cells named by
     antecedents of the rules headed at it or at its opposite, so when a
     tag of a cell settles, the head cells ``h`` and ``h ^ 2`` of its
-    active readers are exactly the cells to queue again; a cell already
-    waiting is not queued twice.
+    active readers are exactly the cells whose conditions read it.  Of
+    those, the ones that still hold inputs, agenda cells with an open
+    tag, are queued again, and a cell already waiting is not queued
+    twice.  A cell is thus open whenever it is popped.
 
     Why the order cannot matter: statuses are only ever added, so a
     rule's ``_state`` only ever moves from 0 to 1 or -1, and the Kleene
@@ -492,52 +515,59 @@ def _evaluate(index: TheoryIndex, active, rows: list, agenda: list) -> None:
     under the conditions (a key's ``+tag`` when its value is 1, its
     ``-tag`` when it is -1); one value never holds both signs.  Every
     status the agenda writes is in L, by induction on the writes.  When
-    the agenda is empty every cell has been evaluated since its inputs
-    last changed, so no condition derives anything beyond what is
-    written.  The written statuses are therefore closed, contain L, and
-    equal it.  For a grown table the agenda holds only the cone, and
-    every row kept from the parent belongs to a cell outside it, which
-    reads only cells outside it through unchanged rules, so the smaller
-    theory's least fixpoint already closes it and the argument applies
-    to the cone alone.
+    the agenda is empty every open cell has been evaluated since its
+    inputs last changed, and a settled row has nothing left to derive,
+    so no condition derives anything beyond what is written.  The
+    written statuses are therefore closed, contain L, and equal it.
+    For a grown table the agenda holds only the cone, and every row kept
+    from the parent belongs to a cell outside it, which reads only cells
+    outside it through unchanged rules, so the smaller theory's least
+    fixpoint already closes it and the argument applies to the cone
+    alone.
     """
     fact, heads, readers, head = (index.fact, index.heads, index.readers,
                                   index.head)
     condition = _condition
+    tags = range(len(TAGS))
+    inputs = [None] * len(rows)
     queued = bytearray(len(rows))
     pending = []
     for cell in agenda:
         if fact[cell]:
             rows[cell] = _PROVED_ROW
-        elif not any(active[r] for r in heads[cell]):
+            continue
+        supporters = [r for r in heads[cell] if active[r]]
+        if not supporters:
             rows[cell] = _UNSUPPORTED_ROW
-        else:
-            rows[cell] = [None] * len(TAGS)
-            queued[cell] = 1
-            pending.append(cell)
+            continue
+        opposed = cell ^ 2
+        inputs[cell] = (fact[opposed], supporters,
+                        [r for r in heads[opposed] if active[r]])
+        rows[cell] = [None] * len(TAGS)
+        queued[cell] = 1
+        pending.append(cell)
     agenda = deque(pending)
     while agenda:
         cell = agenda.popleft()
         queued[cell] = 0
         row = rows[cell]
-        if None not in row:
-            continue
-        opposed = cell ^ 2
-        inputs = (fact[opposed],
-                  [r for r in heads[cell] if active[r]],
-                  [r for r in heads[opposed] if active[r]])
-        settled = False
-        for tag in range(len(TAGS)):
+        cell_inputs = inputs[cell]
+        settled = still_open = False
+        for tag in tags:
             if row[tag] is None:
-                value = condition(tag, inputs, rows, index)
+                value = condition(tag, cell_inputs, rows, index)
                 if value:
                     row[tag] = PROVED if value == 1 else REFUTED
                     settled = True
+                else:
+                    still_open = True
         if settled:
+            if not still_open:
+                inputs[cell] = None
             for r in readers[cell]:
                 if active[r]:
                     for reader in (head[r], head[r] ^ 2):
-                        if not queued[reader]:
+                        if not queued[reader] and inputs[reader] is not None:
                             queued[reader] = 1
                             agenda.append(reader)
 
@@ -595,9 +625,64 @@ def compute_conclusions(theory: Union[DefeasibleTheory, TheoryIndex],
     return table
 
 
+def cone(rules: Sequence[Rule], cells: Iterable[tuple[str, str]]
+         ) -> tuple[Rule, ...]:
+    """The rules of the backward cone of ``cells``, in ``rules`` order.
+
+    Each cell is a ``(mode, atom)`` pair, standing for the cell of the
+    atom's literal in that mode together with its opposite.  A rule
+    headed at a cell of the cone joins it, and adds the cell of each of
+    its antecedents.
+
+    Why the cone answers for its cells: the conditions of a cell
+    ``(mode, l)`` read only facts and the cells named by antecedents of
+    the rules headed at ``(mode, l)`` or ``(mode, ~l)``, and superiority
+    acts only between the rules of one such head-cell pair.  Each cell
+    coming with its opposite, the cone's cells read only cone cells,
+    through the same rules and pairs, in any theory that holds the
+    cone's rules, the same facts and the same pairs among those rules.
+    The least fixpoint restricted to those cells is the same in each.
+    So over one index, the cone cells have the same statuses in the
+    tables of a rule set K and of K restricted to the cone, which is
+    how ``game`` slices its claim questions.  A one-shot question
+    compiles an index of the facts, the superiority pairs and the cone
+    alone (``cone_index``).  There an asked cell the smaller index does
+    not number reads as refuted at every tag, and that is exactly how
+    the whole theory's table reads it: such a cell has no fact and no
+    rule headed at it, since every such rule is in the cone.
+    """
+    headed: dict[tuple[str, str], list[int]] = {}
+    for r, rule in enumerate(rules):
+        headed.setdefault((rule.head_mode, rule.head.atom), []).append(r)
+    seen = set(cells)
+    work = list(seen)
+    kept = bytearray(len(rules))
+    while work:
+        for r in headed.get(work.pop(), ()):
+            kept[r] = 1
+            for ant in rules[r].antecedents:
+                cell = (ant.mode, ant.literal.atom)
+                if cell not in seen:
+                    seen.add(cell)
+                    work.append(cell)
+    return tuple(rule for rule, on in zip(rules, kept) if on)
+
+
+def cone_index(theory: DefeasibleTheory, mode: str,
+               literal: Literal) -> TheoryIndex:
+    """The facts, the superiority pairs and the rules of the cone of
+    ``(mode, literal)``, compiled: its table answers for that cell as
+    the table of the whole theory does (see ``cone``)."""
+    return TheoryIndex(theory.facts,
+                       cone(theory.rules, ((mode, literal.atom),)),
+                       theory.superiority)
+
+
 def holds(theory: DefeasibleTheory, query: TaggedLiteral) -> str:
-    """Status of one signed tagged query against a theory."""
-    return compute_conclusions(theory).query(query)
+    """Status of one signed tagged query against a theory, on the
+    table of the queried cell's cone."""
+    return compute_conclusions(
+        cone_index(theory, query.mode, query.literal)).query(query)
 
 
 @dataclass(frozen=True)
@@ -611,15 +696,15 @@ def standards_met(theory: DefeasibleTheory, literal: Literal,
                   mode: str = EVIDENTIAL) -> StandardsReport:
     """Which proof standards a literal meets in the given mode.
 
-    The theory is compiled once.  Dialectical validity is read at delta
-    on the stripped view of that index, which shares every list but
-    ``beaten_by`` and keeps its own tables.  When no superiority pair
-    takes effect the stripped table is the table itself, so it is
-    reused.
+    Only the cone of ``(mode, literal)`` is compiled (``cone_index``),
+    once.  Dialectical validity is read at delta on the stripped view of
+    that index, which shares every list but ``beaten_by`` and keeps its
+    own tables.  When no superiority pair among the cone's rules takes
+    effect the stripped table is the table itself, so it is reused.
     """
     if mode not in MODES:
         raise ValueError(f"bad mode {mode!r}")
-    index = TheoryIndex(theory.facts, theory.rules, theory.superiority)
+    index = cone_index(theory, mode, literal)
     table = compute_conclusions(index)
     met = [
         standard for standard in (SCINTILLA, SUBSTANTIAL, PREPONDERANCE, BRD)

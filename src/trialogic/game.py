@@ -29,11 +29,11 @@ Every state reached from it carries the same ``_Tables``.  The index
 keeps the game's tables, so a theory that several moves, checks or
 searches reach is computed once.  Every table of the game is a rule
 mask over the index (the key's rules, read through
-``TheoryIndex.mask``), and the claim cone and support bound below walk
-its cells.  A table the index does not keep yet grows, in ``engine``,
-from the kept table with one rule fewer, copying its rows by cell id
-and re-evaluating only the cells that rule can reach; with no such
-table kept it is computed in full.
+``TheoryIndex.mask``), and the support bound below walks its cells.  A
+table the index does not keep yet grows, in ``engine``, from the kept
+table with one rule fewer, copying its rows by cell id and
+re-evaluating only the cells that rule can reach; with no such table
+kept it is computed in full.
 
 Each player's goal is compiled once per game too: ``_Tables`` turns
 ``claim_conditions`` into ``(cell, tag index, wanted status)`` keys over
@@ -46,29 +46,21 @@ answer the same questions of any table.
 Claim questions are answered on sliced tables.  Accepted openings,
 robustness, adjudication and greedy play's goal coverage ask only how
 the claim stands, so they read the table of a key restricted to the
-rules ``_Tables.keep`` names: every common rule plus the claim's
-backward cone.  The cone, whose cells always come with their opposites,
-starts from the cells of each claim atom in both modes; a rule headed at
-a cell in it joins, and adds the cell of each antecedent.  For any key
-K, the claim cells have the same statuses in the tables of K and of K
-restricted to the kept rules.  The conditions of a cell ``(mode, l)``
-read only facts and the cells named by antecedents of the rules headed
-at ``(mode, l)`` or ``(mode, ~l)``, and superiority acts only between
-the rules of one such head-cell pair.  Each cell coming with its
-opposite, the cone's cells therefore read only cone cells, through the
-same rules and pairs in both theories, and the least fixpoint restricted
-to them is the same.  Both tables are masks over the game's one index,
-so each has a row for every cone cell.  So any question over the subsets
-of a pool equals the same question over the subsets of its kept part.
-One function, ``_achievable``, asks it for adjudication (each player in
-turn) and for robustness: it walks the subsets of the kept part of a
-pool, the empty one standing for a disclosure of rules outside the cone
-only.  This is the backward twin of the forward cone ``engine``
-re-evaluates when a table grows.  Moves, their targets and the
-end-of-game test read full tables, since a rule outside the cone still
-changes statuses and still empties a pool; so greedy play reads a
-candidate's full table only once its sliced table has shown that the
-candidate raises the mover's coverage.
+rules ``_Tables.keep`` names: every common rule plus ``engine.cone`` of
+each claim atom in both modes.  For any key K, the claim cells have the
+same statuses in the tables of K and of K restricted to the kept rules;
+the argument is stated once, at ``engine.cone``.  Both tables are masks
+over the game's one index, so each has a row for every cone cell.  So
+any question over the subsets of a pool equals the same question over
+the subsets of its kept part.  One function, ``_achievable``, asks it
+for adjudication (each player in turn) and for robustness: it walks the
+subsets of the kept part of a pool, the empty one standing for a
+disclosure of rules outside the cone only.  This is the backward twin
+of the forward cone ``engine`` re-evaluates when a table grows.  Moves,
+their targets and the end-of-game test read full tables, since a rule
+outside the cone still changes statuses and still empties a pool; so
+greedy play reads a candidate's full table only once its sliced table
+has shown that the candidate raises the mover's coverage.
 
 A support bound answers the prosecutor's subset searches when none can
 succeed.  Take the Horn closure of the index's cells under the mask of
@@ -98,12 +90,13 @@ the ``Move`` list that ``run_game`` plays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .dsl import parse_moves  # noqa: F401  (moves files are read in dsl)
-from .engine import ConclusionTable, TheoryIndex, compute_conclusions, opposite
+from .engine import ConclusionTable, TheoryIndex, compute_conclusions, cone
 from .model import (
     DEF, EVIDENTIAL, MODES, OBLIGATION, PLAYERS, PLUS, PR, MINUS, PROVED,
     REFUTED, TAGS, GameSetup, Literal, Move, TaggedLiteral, literal_sort_key,
@@ -122,9 +115,10 @@ class GameState:
 
     ``tables`` is the game's ``_Tables``, whose index keeps the game's
     conclusion tables, shared by every state reached from the same
-    ``initial_state``.
-    ``newly_determined`` holds the conclusions the move into this state
-    determined (none after a pass and at the start).
+    ``initial_state``.  ``previous`` is the table before the move into
+    this state, None after a pass, after an empty opening and at the
+    start.  ``newly_determined``, the conclusions that move determined,
+    is computed from it when first read.
     """
 
     setup: GameSetup
@@ -135,7 +129,13 @@ class GameState:
     consecutive_passes: int
     conclusions: ConclusionTable
     tables: _Tables = field(repr=False)
-    newly_determined: tuple[TaggedLiteral, ...] = ()
+    previous: Optional[ConclusionTable] = field(default=None, repr=False)
+
+    @cached_property
+    def newly_determined(self) -> tuple[TaggedLiteral, ...]:
+        if self.previous is None:
+            return ()
+        return self.conclusions.newly_determined(self.previous)
 
     @property
     def mover(self) -> str:
@@ -216,8 +216,10 @@ class _Tables:
         self.index = TheoryIndex(setup.facts, setup.all_rules(),
                                  setup.superiority)
         claim = setup.claim.literals if setup.claim else ()
-        self.keep = _claim_cone(self.index, claim) \
-            | {r.id for r in setup.common_rules}
+        cone_rules = cone(setup.all_rules(), {
+            (mode, literal.atom) for literal in claim for mode in MODES})
+        self.keep = frozenset(
+            r.id for r in cone_rules + setup.common_rules)
         self.goals = None if setup.claim is None else {
             player: _goal(self.index, setup, player) for player in PLAYERS}
 
@@ -261,25 +263,6 @@ def _goal(index: TheoryIndex, setup: GameSetup, player: str
         else:
             keys.append((cell, TAGS.index(tag), wanted))
     return tuple(keys), fixed, size
-
-
-def _claim_cone(index: TheoryIndex, claim_literals: Iterable[Literal]
-                ) -> frozenset[str]:
-    """Ids of the rules whose head cell the claim cells reach backwards
-    through antecedents, a cell taken together with its opposite."""
-    work = [index.cell(mode, literal)
-            for literal in claim_literals for mode in MODES]
-    cells = set()
-    cone = set()
-    while work:
-        cell = work.pop()
-        if cell is None or cell in cells:
-            continue
-        cells.update((cell, opposite(cell)))
-        for r in index.heads[cell] + index.heads[opposite(cell)]:
-            cone.add(r)
-            work.extend(ant for ant, _, _ in index.antecedents[r])
-    return frozenset(index.rules[r].id for r in cone)
 
 
 def conclusions_for(rule_ids: Iterable[str], cache: _Tables
@@ -414,29 +397,34 @@ def initial_state(setup: GameSetup) -> GameState:
     )
 
 
+def _moved(state: GameState, disclosed: frozenset[str],
+           passes: int) -> GameState:
+    """The state once the mover discloses ``disclosed`` (nothing: a
+    pass), with ``passes`` passes in a row."""
+    if not disclosed:
+        return GameState(state.setup, state.turn + 1, state.common_ids,
+                         state.pr_ids, state.def_ids, passes,
+                         state.conclusions, state.tables)
+    return GameState(state.setup, state.turn + 1,
+                     state.common_ids | disclosed, state.pr_ids - disclosed,
+                     state.def_ids - disclosed, passes,
+                     state.table_after(disclosed), state.tables,
+                     state.conclusions)
+
+
 def step(state: GameState, disclosed: frozenset[str]
          ) -> tuple[GameState, frozenset[tuple[str, Literal]]]:
     """The state after the mover discloses ``disclosed`` (nothing: a
     pass), and the targets that move could legally declare: every
     (mode, literal) that had some determined status before the move
     and of which ``(mode, literal)`` or ``(mode, ~literal)`` gains a
-    newly determined status.  Ownership is the caller's to check."""
+    newly determined status (``ConclusionTable.targets``).  Ownership
+    is the caller's to check."""
     if not disclosed:
-        return replace(state, turn=state.turn + 1,
-                       consecutive_passes=state.consecutive_passes + 1,
-                       newly_determined=()), frozenset()
-    old = state.conclusions
-    new = state.table_after(disclosed)
-    newly = new.newly_determined(old)
-    nxt = replace(
-        state, turn=state.turn + 1, common_ids=state.common_ids | disclosed,
-        pr_ids=state.pr_ids - disclosed, def_ids=state.def_ids - disclosed,
-        consecutive_passes=0, conclusions=new, newly_determined=newly)
-    changed = {(entry.mode, entry.literal) for entry in newly}
-    return nxt, frozenset(
-        (mode, target) for mode, literal in changed
-        for target in (literal, literal.complement())
-        if old.is_determined(target))
+        return _moved(state, disclosed, state.consecutive_passes + 1), \
+            frozenset()
+    nxt = _moved(state, disclosed, 0)
+    return nxt, nxt.conclusions.targets(state.conclusions)
 
 
 def _open(state: GameState, opening: frozenset[str]) -> GameState:
@@ -444,12 +432,12 @@ def _open(state: GameState, opening: frozenset[str]) -> GameState:
     if stray:
         raise ValueError(
             "opening rules not in the pr pool: " + ", ".join(sorted(stray)))
-    nxt, _ = step(state, opening)
-    if not state.tables.established(nxt.conclusions):
-        raise OpeningRejected(_claim_gaps(nxt.conclusions, state.setup))
     # an opening that discloses nothing prosecutes from common rules
     # alone; it is not a pass
-    return replace(nxt, consecutive_passes=0)
+    nxt = _moved(state, opening, 0)
+    if not state.tables.established(nxt.conclusions):
+        raise OpeningRejected(_claim_gaps(nxt.conclusions, state.setup))
+    return nxt
 
 
 def accepted_openings(start: GameState

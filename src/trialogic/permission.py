@@ -6,6 +6,12 @@ tags make sense here; support is too weak to read anything into its
 failure, and obligations proved at support alone can conflict, so the
 duality that makes the reading sound does not hold there.
 
+``weakly_permitted`` asks one cell, the obligation of the complement,
+so it checks the tag first and then compiles only that cell's backward
+cone (``engine.cone_index``), whose table reads the cell as the whole
+theory's table does.  A theory with no deontic rule leaves that cone
+empty, so the obligation is proved by a fact or refuted at every tag.
+
 The game variant answers from a finished trace: the court's record is
 whatever theory the parties ended up disclosing, so permission is read
 off the terminal conclusion table, and only for claim literals.
@@ -16,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .engine import compute_conclusions
+from .engine import compute_conclusions, cone_index
 from .model import (
     DELTA, MINUS, OBLIGATION, PARTIAL, PLUS, PROVED, REFUTED, UNDETERMINED,
     DefeasibleTheory, Literal, TaggedLiteral,
@@ -38,11 +44,14 @@ class PermissionStatus:
     witness: Optional[TaggedLiteral]
 
 
-def _permission_from_table(table, literal: Literal,
-                           tag: str) -> PermissionStatus:
+def _check_tag(tag: str) -> None:
     if tag not in PERMISSION_TAGS:
         raise ValueError(
             f"permission is defined for tags {PERMISSION_TAGS}, not {tag!r}")
+
+
+def _permission_from_table(table, literal: Literal,
+                           tag: str) -> PermissionStatus:
     prohibition = table.status(tag, OBLIGATION, literal.complement())
     if prohibition == REFUTED:
         witness = TaggedLiteral(MINUS, tag, OBLIGATION, literal.complement())
@@ -55,7 +64,9 @@ def _permission_from_table(table, literal: Literal,
 
 def weakly_permitted(theory: DefeasibleTheory, literal: Literal,
                      tag: str = PARTIAL) -> PermissionStatus:
-    return _permission_from_table(compute_conclusions(theory), literal, tag)
+    _check_tag(tag)
+    index = cone_index(theory, OBLIGATION, literal.complement())
+    return _permission_from_table(compute_conclusions(index), literal, tag)
 
 
 def game_weakly_permitted(trace: GameTrace, literal: Literal,
@@ -71,6 +82,7 @@ def game_weakly_permitted(trace: GameTrace, literal: Literal,
     claim = trace.setup.claim
     if claim is None or literal not in claim.literals:
         raise ValueError(f"{literal} is not part of the claim")
+    _check_tag(tag)
     return _permission_from_table(trace.final_conclusions, literal, tag)
 
 

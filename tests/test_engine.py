@@ -7,7 +7,7 @@ from trialogic import (
     BRD, DELTA, DIALECTICAL_VALIDITY, EVIDENTIAL, MINUS, MODES, OBLIGATION,
     PARTIAL, PLUS, PREPONDERANCE, PROVED, REFUTED, SCINTILLA, SIGMA,
     SIGMA_MINUS, SUBSTANTIAL, TAGS, UNDETERMINED, Antecedent,
-    WEAKLY_PERMITTED, DefeasibleTheory, Literal, Rule, TaggedLiteral,
+    NOT_PERMITTED, WEAKLY_PERMITTED, DefeasibleTheory, Literal, Rule, TaggedLiteral,
     compute_conclusions, holds, initial_state, lit, parse_query,
     parse_theory, standards_met, strength_order, weakly_permitted,
 )
@@ -608,14 +608,28 @@ class TestStandards:
                 assert getattr(view, name) is getattr(index, name), name
         assert any(index.beaten_by)
         assert view.beaten_by == [()] * len(index.rules)
-        # both tables have the key of every rule id; each index keeps
-        # its own, and the base table is the theory's full table
+        # the index holds the facts, the pairs and the cone of (O, b):
+        # the two deontic rules, not r1, which heads (E, b)
+        assert {rule.id for rule in index.rules} == {"r4", "r10"}
+        # both tables have the key of the cone's ids; each index keeps
+        # its own, and the base table is the cone theory's full table
         key = frozenset(index.positions)
         assert list(index.tables) == list(view.tables) == [key]
-        assert index.tables[key] == compute_conclusions(theory)
+        rules = engine.cone(theory.rules, [(OBLIGATION, "b")])
+        assert index.tables[key] == compute_conclusions(
+            DefeasibleTheory(theory.facts, rules, theory.superiority))
         assert view.tables[key] == compute_conclusions(
-            DefeasibleTheory(theory.facts, theory.rules))
+            DefeasibleTheory(theory.facts, rules))
         assert index.tables[key] != view.tables[key]
+        # and the asked cell reads as in the whole theory's tables
+        whole = compute_conclusions(theory)
+        whole_stripped = compute_conclusions(
+            DefeasibleTheory(theory.facts, theory.rules))
+        for tag in TAGS:
+            assert index.tables[key].status(tag, OBLIGATION, lit("b")) == \
+                whole.status(tag, OBLIGATION, lit("b"))
+            assert view.tables[key].status(tag, OBLIGATION, lit("b")) == \
+                whole_stripped.status(tag, OBLIGATION, lit("b"))
 
     def test_reports_with_superiority_match_stripped_theory(self):
         checked = 0
@@ -660,6 +674,75 @@ class TestStandards:
                         expected.append(DIALECTICAL_VALIDITY)
                     report = standards_met(theory, literal, mode)
                     assert report.met == tuple(expected), (seed, literal)
+
+
+class TestOneShotCones:
+    """The one-literal questions compile only the asked cell's cone, and
+    answer as the whole theory's tables do."""
+
+    # (random_theory keywords) of each class checked
+    CLASSES = (
+        dict(allow_annotations=True),
+        dict(),
+        dict(max_atoms=16, max_rules=40),
+        dict(allow_superiority=False, stratified=True),
+    )
+
+    @staticmethod
+    def _reference(full, stripped, literal, mode):
+        """The standards, the permission status at each tag and the
+        status of every query of ``(mode, literal)``, read off the
+        theory's full table and its table with superiority stripped."""
+        met = [standard
+               for standard in (SCINTILLA, SUBSTANTIAL, PREPONDERANCE, BRD)
+               if full.status(engine.STANDARD_TAG[standard], mode,
+                              literal) == PROVED]
+        if stripped.status(DELTA, mode, literal) == PROVED:
+            met.append(DIALECTICAL_VALIDITY)
+        permission = []
+        for tag in (DELTA, PARTIAL):
+            prohibition = full.status(tag, OBLIGATION, literal.complement())
+            permission.append({REFUTED: WEAKLY_PERMITTED,
+                               PROVED: NOT_PERMITTED}.get(prohibition,
+                                                          UNDETERMINED))
+        queries = [full.query(TaggedLiteral(sign, tag, mode, literal))
+                   for sign in (PLUS, MINUS) for tag in TAGS]
+        return tuple(met), permission, queries
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from(range(len(CLASSES))))
+    def test_answers_match_the_whole_theory(self, seed, cls):
+        theory = random_theory(seed, **self.CLASSES[cls])
+        full = compute_conclusions(theory)
+        stripped = compute_conclusions(
+            DefeasibleTheory(theory.facts, theory.rules))
+        # every literal the theory mentions, and one it does not
+        literals = sorted(full.literals) + [lit("unmentioned")]
+        for literal in literals:
+            for mode in MODES:
+                met, permission, queries = self._reference(
+                    full, stripped, literal, mode)
+                assert standards_met(theory, literal, mode).met == met
+                if mode == OBLIGATION:  # permission reads O of ~literal
+                    assert [weakly_permitted(theory, literal, tag).status
+                            for tag in (DELTA, PARTIAL)] == permission
+                assert [holds(theory, TaggedLiteral(sign, tag, mode, literal))
+                        for sign in (PLUS, MINUS) for tag in TAGS] == queries
+
+    def test_cone_keeps_rules_in_order_and_follows_antecedents(self):
+        theory = parse_theory(
+            "fact f.\n"
+            "rule r1: f => a.\n"
+            "rule r2: a =>O ~b.\n"
+            "rule r3: c => b.\n"
+            "rule r4: f =>O b.\n"
+            "rule r5: d => c.\n").union_theory()
+        # (O, b) takes r2 and r4, then (E, a) through r2 takes r1
+        assert [rule.id for rule in engine.cone(
+            theory.rules, [(OBLIGATION, "b")])] == ["r1", "r2", "r4"]
+        assert [rule.id for rule in engine.cone(
+            theory.rules, [(EVIDENTIAL, "b")])] == ["r3", "r5"]
+        assert engine.cone(theory.rules, [(OBLIGATION, "zz")]) == ()
 
 
 class TestStrengthOrder:

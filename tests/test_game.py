@@ -763,9 +763,9 @@ def support_setups(draw):
 
 
 def _reference_claim_cone(rules, claim_literals):
-    """``game._claim_cone`` over Rule objects: ids of the rules whose
-    head cell the claim cells reach backwards through antecedents,
-    cells taken as (mode, atom)."""
+    """The claim cone written out by hand: ids of the rules whose head
+    cell the claim cells reach backwards through antecedents, cells
+    taken as (mode, atom)."""
     headed = {}
     for rule in rules:
         headed.setdefault((rule.head_mode, rule.head.atom), []).append(rule)
@@ -806,9 +806,9 @@ def _reference_supportable(setup, keep, rule_ids):
 
 
 class TestIndexWalks:
-    """The claim cone and the support bound, walked over the cells and
-    rule positions of the game's index, agree with the same walks over
-    Rule objects."""
+    """The claim cone, walked by ``engine.cone``, and the support bound,
+    walked over the cells and rule positions of the game's index, agree
+    with the same walks written out over Rule objects."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(support_setups(), chain_setups, corpus_setups),
@@ -825,7 +825,9 @@ class TestIndexWalks:
             claimed = replace(setup, claim=Claim((literal,)))
             tables = game._Tables(claimed)
             cone = _reference_claim_cone(setup.all_rules(), (literal,))
-            assert game._claim_cone(tables.index, (literal,)) == cone
+            cells = [(mode, literal.atom) for mode in MODES]
+            assert {rule.id for rule in engine.cone(setup.all_rules(),
+                                                    cells)} == cone
             assert tables.keep == cone | common
             for rule_ids in id_sets:
                 assert game._supportable(claimed, tables, rule_ids) == \

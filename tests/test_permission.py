@@ -6,6 +6,7 @@ from trialogic import (
     Rule, check_obligation_permission, game_weakly_permitted, lit,
     parse_moves, run_game, weakly_permitted,
 )
+from trialogic import engine
 
 
 class TestTheoryPermission:
@@ -38,9 +39,39 @@ class TestTheoryPermission:
         assert result.status == UNDETERMINED
         assert result.witness is None
 
-    def test_support_tag_rejected(self, s1):
-        with pytest.raises(ValueError):
+    @staticmethod
+    def _count_compiles(monkeypatch):
+        compiled = []
+        original = engine.TheoryIndex.__init__
+
+        def counting(index, *args, **kwargs):
+            compiled.append(index)
+            original(index, *args, **kwargs)
+
+        monkeypatch.setattr(engine.TheoryIndex, "__init__", counting)
+        return compiled
+
+    def test_support_tag_rejected(self, monkeypatch, s1):
+        # before any index is compiled
+        compiled = self._count_compiles(monkeypatch)
+        with pytest.raises(ValueError, match="permission is defined"):
             weakly_permitted(s1.union_theory(), lit("b"), SIGMA)
+        assert compiled == []
+
+    def test_reverse_chain_compiles_no_rule(self, monkeypatch):
+        # an evidential chain of rules, each head sorting before its
+        # antecedent: the obligation of ~c0 has an empty cone
+        atoms = [f"c{i}" for i in range(20)]
+        rules = tuple(
+            Rule(f"r{i}", (Antecedent(EVIDENTIAL, lit(atoms[i])),),
+                 EVIDENTIAL, lit(atoms[i - 1]))
+            for i in range(1, len(atoms)))
+        theory = DefeasibleTheory(
+            frozenset({(EVIDENTIAL, lit(atoms[-1]))}), rules)
+        compiled = self._count_compiles(monkeypatch)
+        result = weakly_permitted(theory, lit(atoms[0]))
+        assert result.status == WEAKLY_PERMITTED
+        assert [index.rules for index in compiled] == [()]
 
 
 class TestGamePermission:
