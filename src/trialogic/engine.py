@@ -241,7 +241,10 @@ class ConclusionTable:
         """Each ``(mode, l)`` such that ``old`` determines ``l`` in some
         mode and the cell of ``l`` or of ``~l`` in that mode has a status
         here that it did not have in ``old``: the targets a move from
-        ``old`` to this table could declare (``game.step``)."""
+        ``old`` to this table could declare (``game.step``).  Empty,
+        with no row read, when ``old`` is this table."""
+        if old is self:
+            return frozenset()
         literals, rows, old_rows = self._aligned(old)
         found = set()
         for cell, (row, before) in enumerate(zip(rows, old_rows)):

@@ -47,20 +47,50 @@ Claim questions are answered on sliced tables.  Accepted openings,
 robustness, adjudication and greedy play's goal coverage ask only how
 the claim stands, so they read the table of a key restricted to the
 rules ``_Tables.keep`` names: every common rule plus ``engine.cone`` of
-each claim atom in both modes.  For any key K, the claim cells have the
-same statuses in the tables of K and of K restricted to the kept rules;
-the argument is stated once, at ``engine.cone``.  Both tables are masks
+each claim atom in both modes, less the inert rules (below).  For any
+key K, the claim cells have the same statuses in the tables of K and of
+K restricted to the kept rules; the argument is stated once, at
+``engine.cone``, and for the inert rules below.  Both tables are masks
 over the game's one index, so each has a row for every cone cell.  So
 any question over the subsets of a pool equals the same question over
 the subsets of its kept part.  One function, ``_achievable``, asks it
 for adjudication (each player in turn) and for robustness: it walks the
 subsets of the kept part of a pool, the empty one standing for a
-disclosure of rules outside the cone only.  This is the backward twin
-of the forward cone ``engine`` re-evaluates when a table grows.  Moves,
-their targets and the end-of-game test read full tables, since a rule
-outside the cone still changes statuses and still empties a pool; so
-greedy play reads a candidate's full table only once its sliced table
-has shown that the candidate raises the mover's coverage.
+disclosure of rules outside the kept ones only.  This is the backward
+twin of the forward cone ``engine`` re-evaluates when a table grows.
+Moves, their targets and the end-of-game test read full tables, since
+a rule outside the cone still changes statuses and still empties a
+pool; so greedy play reads a candidate's full table only once its
+sliced table has shown that the candidate raises the mover's
+coverage.
+
+No table depends on the inert rules, those that can never fire.
+``_Tables`` finds them once per game (``_inert``) as a least closure
+over the index: a cell is dead when it is not a fact and every rule
+headed at it is inert, so a cell no rule heads is dead from the start,
+and a rule is inert when a plain or ``+t`` antecedent reads a dead
+cell or a ``-t`` antecedent reads a fact cell.  A rule id is inert
+when every position it has is.  Take any rule set K.  In its table a
+dead cell is refuted at every tag and an inert rule's ``_state`` is -1
+at every ambient tag, by induction over the closure: a fact cell is
+proved at every tag, so a ``-t`` antecedent on it fails; every
+supporter of a dead cell is at -1, or it has none, so each of its
+conditions in ``engine._condition`` is -1 and the cell is refuted; and
+then a plain or ``+t`` antecedent on it fails.  In ``_condition`` a
+rule at -1 changes nothing: as a supporter it is the identity of max,
+as an attacker it gives -s = 1, the identity of min, and as a beater
+it is again the identity of max.  So the least fixpoint of K is a
+fixpoint of the conditions of K minus its inert rules.  The reverse
+holds too, since the same induction runs in the table of that smaller
+set, where the inert rules of K read the same dead cells.  Each least
+fixpoint therefore contains the other, and the two tables are equal
+row for row.  ``conclusions_for`` keys every table by its ids minus the
+inert ids, so such tables share one kept table, and ``_Tables.keep``
+holds no inert id, so ``_achievable`` walks only the live kept part of
+a pool.  A disclosure of inert rules alone reaches the table before it,
+where ``ConclusionTable.targets`` reads no row.  Pools, the legality of
+moves, the search bound and ``states_explored`` in ``strategy`` still
+see every rule: only the keys of tables change.
 
 A support bound answers the prosecutor's subset searches when none can
 succeed.  Take the Horn closure of the index's cells under the mask of
@@ -202,24 +232,26 @@ class _Tables:
     ``engine.TheoryIndex``, compiled once from the setup's facts, rules
     and superiority, which keeps every table of the game: each is a rule
     mask over it, and every graph question the game asks walks its
-    cells and rule positions.  It also holds the ids of the rules claim
-    questions keep (the common rules and the claim's cone), and each
-    player's goal compiled once over the index (``_goal``).  ``met``
-    reads a goal's keys off a table's rows, and every claim question of
-    the game and of ``strategy`` goes through it; with no claim, each
-    raises ``ValueError``.  ``sliced`` is the table such a question
-    reads for a key."""
+    cells and rule positions.  It also holds the ids of the inert rules,
+    which no table's key keeps (``_inert``), the ids of the rules claim
+    questions keep (the common rules and the claim's cone, less the
+    inert ones), and each player's goal compiled once over the index
+    (``_goal``).  ``met`` reads a goal's keys off a table's rows, and
+    every claim question of the game and of ``strategy`` goes through
+    it; with no claim, each raises ``ValueError``.  ``sliced`` is the
+    table such a question reads for a key."""
 
-    __slots__ = ("index", "keep", "goals")
+    __slots__ = ("index", "inert", "keep", "goals")
 
     def __init__(self, setup: GameSetup):
         self.index = TheoryIndex(setup.facts, setup.all_rules(),
                                  setup.superiority)
+        self.inert = _inert(self.index)
         claim = setup.claim.literals if setup.claim else ()
         cone_rules = cone(setup.all_rules(), {
             (mode, literal.atom) for literal in claim for mode in MODES})
         self.keep = frozenset(
-            r.id for r in cone_rules + setup.common_rules)
+            r.id for r in cone_rules + setup.common_rules) - self.inert
         self.goals = None if setup.claim is None else {
             player: _goal(self.index, setup, player) for player in PLAYERS}
 
@@ -245,6 +277,42 @@ class _Tables:
         return conclusions_for(rule_ids & self.keep, self)
 
 
+def _inert(index: TheoryIndex) -> frozenset[str]:
+    """The inert rule ids of ``index``, the least closure the module
+    docstring defines.  Each antecedent is read once to list the rules
+    that want each cell proved, and once more when its cell dies; each
+    rule turns inert at most once."""
+    fact, head = index.fact, index.head
+    live = [len(rules) for rules in index.heads]  # live rules per head
+    proving = [[] for _ in live]
+    inert = bytearray(len(index.rules))
+    for r, antecedents in enumerate(index.antecedents):
+        for cell, _, want in antecedents:
+            if want == PROVED:
+                proving[cell].append(r)
+            elif fact[cell]:
+                inert[r] = 1
+    work = [r for r, on in enumerate(inert) if on]
+
+    def die(cell: int) -> None:
+        for r in proving[cell]:
+            if not inert[r]:
+                inert[r] = 1
+                work.append(r)
+
+    for cell, rules in enumerate(live):
+        if not rules and not fact[cell]:
+            die(cell)
+    while work:
+        h = head[work.pop()]
+        live[h] -= 1
+        if not live[h] and not fact[h]:
+            die(h)
+    return frozenset(rule_id
+                     for rule_id, positions in index.positions.items()
+                     if all(inert[r] for r in positions))
+
+
 def _goal(index: TheoryIndex, setup: GameSetup, player: str
           ) -> tuple[tuple[tuple[int, int, str], ...], int, int]:
     """``player``'s goal over ``index`` as ``(keys, fixed, size)``: the
@@ -267,10 +335,11 @@ def _goal(index: TheoryIndex, setup: GameSetup, player: str
 
 def conclusions_for(rule_ids: Iterable[str], cache: _Tables
                     ) -> ConclusionTable:
-    """Conclusion table of the theory induced by a set of rule ids: the
-    one ``cache.index`` keeps, or else one ``compute_conclusions``
-    builds, and keeps, over that index."""
-    key = frozenset(rule_ids)
+    """Conclusion table of the theory induced by a set of rule ids, kept
+    under those ids less the inert ones, which change no table: the one
+    ``cache.index`` keeps, or else one ``compute_conclusions`` builds,
+    and keeps, over that index."""
+    key = frozenset(rule_ids) - cache.inert
     table = cache.index.tables.get(key)
     if table is None:
         table = compute_conclusions(cache.index, key)
@@ -363,8 +432,8 @@ def _achievable(setup: GameSetup, tables: _Tables,
     of ``common_ids``, achieves ``player``'s goal: the claim established
     for pr (unless the support bound rules it out), refuted for def.
     Only the kept part of the pool is walked; its empty subset stands
-    for a disclosure of rules outside the cone alone, tried when the
-    pool holds such rules."""
+    for a disclosure of rules outside the cone or inert alone, tried
+    when the pool holds such rules."""
     kept = pool & tables.keep
     if player == PR:
         if not _supportable(setup, tables, common_ids | kept):
@@ -443,9 +512,9 @@ def _open(state: GameState, opening: frozenset[str]) -> GameState:
 def accepted_openings(start: GameState
                       ) -> Iterator[tuple[frozenset[str], GameState]]:
     """Every opening from ``start`` that establishes the claim, smallest
-    first, with the state it opens.  Openings that agree on the claim's
-    cone share a sliced key, and so a cached table.  None is tried when
-    the support bound rules them all out."""
+    first, with the state it opens.  Openings that agree on the live
+    rules of the claim's cone share a sliced key, and so a cached table.
+    None is tried when the support bound rules them all out."""
     tables = start.tables
     if not _supportable(start.setup, tables, start.common_ids | start.pr_ids):
         return

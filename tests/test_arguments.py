@@ -168,15 +168,28 @@ class TestEquivalence:
             (OBLIGATION, lit("a"), UNDETERMINED, True),)
 
     def test_stratified_seed_971_disagrees(self):
-        # The one known disagreement: the engine's sigma ignores the
-        # opposing fact ~c, so c, c => ~d blocks d at delta, while the
-        # oracle lets the fact [~c] defeat the argument for c and
-        # justifies d.  Pinned until the semantics is settled.
+        # A known disagreement: the engine's sigma ignores the opposing
+        # fact ~c, so c, c => ~d blocks d at delta, while the oracle
+        # lets the fact [~c] defeat the argument for c and justifies d.
+        # Pinned until the semantics is settled.
         theory = random_theory(971, allow_superiority=False,
                                stratified=True)
         report = delta_equivalence_check(theory)
         assert report.authoritative
         assert report.discrepancies == (("E", lit("d"), "refuted", True),)
+
+    def test_stratified_seed_403915_disagrees(self):
+        # The class of seed 971, within the seeds the property below
+        # draws: c is supported by a => c and opposed by the fact ~c.
+        # The engine's sigma ignores that fact, so c =>O ~e blocks
+        # b =>O e at delta, while the oracle lets [~c] defeat the
+        # argument for c and justifies O e.  Such seeds make the
+        # property below fail now and then; pinned with seed 971.
+        theory = random_theory(403915, allow_superiority=False,
+                               stratified=True)
+        report = delta_equivalence_check(theory)
+        assert report.authoritative
+        assert report.discrepancies == (("O", lit("e"), "refuted", True),)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
