@@ -53,62 +53,65 @@ K restricted to the kept rules; the argument is stated once, at
 ``engine.cone``, and for the inert rules below.  Both tables are masks
 over the game's one index, so each has a row for every cone cell.  So
 any question over the subsets of a pool equals the same question over
-the subsets of its kept part.  One function, ``_achievable``, asks it
-for adjudication (each player in turn) and for robustness: it walks the
-subsets of the kept part of a pool, the empty one standing for a
+the subsets of its kept part.  One method, ``_Tables.achievable``, asks
+it for adjudication (each player in turn) and for robustness: it walks
+the subsets of the kept part of a pool, the empty one standing for a
 disclosure of rules outside the kept ones only.  This is the backward
 twin of the forward cone ``engine`` re-evaluates when a table grows.
-Moves, their targets and the end-of-game test read full tables, since
-a rule outside the cone still changes statuses and still empties a
-pool; so greedy play reads a candidate's full table only once its
-sliced table has shown that the candidate raises the mover's
-coverage.
+``accepted_openings`` asks the pr question of every subset of the pr
+pool and yields the openings alone; a caller that needs an opened state
+plays the opening through ``apply_move``.  Moves, their targets and the
+end-of-game test read full tables, since a rule outside the cone still
+changes statuses and still empties a pool; so greedy play reads a
+candidate's full table only once its sliced table has shown that the
+candidate raises the mover's coverage.
 
 No table depends on the inert rules, those that can never fire.
 ``_Tables`` finds them once per game (``_inert``) as a least closure
 over the index: a cell is dead when it is not a fact and every rule
 headed at it is inert, so a cell no rule heads is dead from the start,
-and a rule is inert when a plain or ``+t`` antecedent reads a dead
-cell or a ``-t`` antecedent reads a fact cell.  A rule id is inert
-when every position it has is.  Take any rule set K.  In its table a
-dead cell is refuted at every tag and an inert rule's ``_state`` is -1
-at every ambient tag, by induction over the closure: a fact cell is
-proved at every tag, so a ``-t`` antecedent on it fails; every
-supporter of a dead cell is at -1, or it has none, so each of its
-conditions in ``engine._condition`` is -1 and the cell is refuted; and
-then a plain or ``+t`` antecedent on it fails.  In ``_condition`` a
-rule at -1 changes nothing: as a supporter it is the identity of max,
-as an attacker it gives -s = 1, the identity of min, and as a beater
-it is again the identity of max.  So the least fixpoint of K is a
-fixpoint of the conditions of K minus its inert rules.  The reverse
-holds too, since the same induction runs in the table of that smaller
-set, where the inert rules of K read the same dead cells.  Each least
-fixpoint therefore contains the other, and the two tables are equal
-row for row.  ``conclusions_for`` keys every table by its ids minus the
-inert ids, so such tables share one kept table, and ``_Tables.keep``
-holds no inert id, so ``_achievable`` walks only the live kept part of
-a pool.  A disclosure of inert rules alone reaches the table before it,
-where ``ConclusionTable.targets`` reads no row.  Pools, the legality of
-moves, the search bound and ``states_explored`` in ``strategy`` still
-see every rule: only the keys of tables change.
+and a rule is inert when a plain or ``+t`` antecedent reads a dead cell
+or a ``-t`` antecedent reads a fact cell.  A rule id is inert when every
+position it has is.  Take any rule set K.  In its table a dead cell is
+refuted at every tag and an inert rule's ``_state`` is -1 at every
+ambient tag, by induction over the closure: a fact cell is proved at
+every tag, so a ``-t`` antecedent on it fails; every supporter of a
+dead cell is at -1, or it has none, so each of its conditions in
+``engine._condition`` is -1 and the cell is refuted; and then a plain
+or ``+t`` antecedent on it fails.  In ``_condition`` a rule at -1
+changes nothing: as a supporter it is the identity of max, as an
+attacker it gives -s = 1, the identity of min, and as a beater it is
+again the identity of max.  So the least fixpoint of K is a fixpoint of
+the conditions of K minus its inert rules.  The reverse holds too, since
+the same induction runs in the table of that smaller set, where the
+inert rules of K read the same dead cells.  Each least fixpoint
+therefore contains the other, and the two tables are equal row for
+row.  ``conclusions_for`` keys every table by its ids minus the inert
+ids, so such tables share one kept table, and ``_Tables.keep`` holds no
+inert id, so ``_Tables.achievable`` walks only the live kept part of a
+pool.  A disclosure of inert rules alone reaches the table before it,
+where ``ConclusionTable.targets`` reads no row, so the exhaustive
+search in ``strategy`` skips such a disclosure unplayed.  Pools, the
+legality of moves, the search bound and ``states_explored`` in
+``strategy`` still see every rule: only the keys of tables change.
 
-A support bound answers the prosecutor's subset searches when none can
-succeed.  Take the Horn closure of the index's cells under the mask of
-the kept common and pr rules: it starts from the fact cells, and each
-rule adds its head cell once each antecedent cell is in, counting a
-``-t`` antecedent as met.  It
-holds every cell proved at sigma_minus in the table of any subset of
-those rules.  ``+sigma_minus`` of a cell needs a fact or a
-supporting rule whose antecedents hold at sigma_minus
-(``engine._condition``): a plain antecedent by ``+sigma_minus`` of its
-cell, and a ``+t`` one by ``+t``, which implies ``+sigma_minus`` by
-the inclusion ladder (a3).  So by induction over the order in which the
-fixpoint derives statuses, each such cell is in the closure of that
-subset, and the closure only grows with the rules.  Every positive tag
-implies ``+sigma_minus`` (a3 again), so when a pr claim condition's
-cell, ``(E, l)`` or ``(O, ~l)``, is outside the closure of the common
-rules and the whole pr pool, no subset establishes the claim in its
-sliced table, nor so in its full one (see above):
+A support bound, ``_Tables.supportable``, answers the prosecutor's
+subset searches when none can succeed.  Take the Horn closure of the
+index's cells under the mask of the kept common and pr rules: it starts
+from the fact cells, and each rule adds its head cell once each
+antecedent cell is in, counting a ``-t`` antecedent as met.  It holds
+every cell proved at sigma_minus in the table of any subset of those
+rules.  ``+sigma_minus`` of a cell needs a fact or a supporting rule
+whose antecedents hold at sigma_minus (``engine._condition``): a plain
+antecedent by ``+sigma_minus`` of its cell, and a ``+t`` one by
+``+t``, which implies ``+sigma_minus`` by the inclusion ladder (a3).
+So by induction over the order in which the fixpoint derives statuses,
+each such cell is in the closure of that subset, and the closure only
+grows with the rules.  Every positive tag implies ``+sigma_minus`` (a3
+again), so when a cell of the compiled pr goal, ``(E, l)`` or
+``(O, ~l)``, is outside the closure of the common rules and the whole
+pr pool, or the index numbers no cell for it, no subset establishes the
+claim in its sliced table, nor so in its full one (see above):
 ``accepted_openings`` yields nothing and adjudication finds pr defeated
 without a table per subset.  There is no such bound for the defence.
 Its goal includes negative tags, which a rule added can take away as
@@ -238,8 +241,10 @@ class _Tables:
     inert ones), and each player's goal compiled once over the index
     (``_goal``).  ``met`` reads a goal's keys off a table's rows, and
     every claim question of the game and of ``strategy`` goes through
-    it; with no claim, each raises ``ValueError``.  ``sliced`` is the
-    table such a question reads for a key."""
+    it; ``sliced`` is the table such a question reads for a key.  The
+    claim searches live here too: ``supportable``, the support bound
+    over the pr goal's cells, and ``achievable``, the walk over the
+    subsets of a pool.  With no claim, each raises ``ValueError``."""
 
     __slots__ = ("index", "inert", "keep", "goals")
 
@@ -248,7 +253,7 @@ class _Tables:
                                  setup.superiority)
         self.inert = _inert(self.index)
         claim = setup.claim.literals if setup.claim else ()
-        cone_rules = cone(setup.all_rules(), {
+        cone_rules = cone(self.index.rules, {
             (mode, literal.atom) for literal in claim for mode in MODES})
         self.keep = frozenset(
             r.id for r in cone_rules + setup.common_rules) - self.inert
@@ -275,6 +280,47 @@ class _Tables:
         """The table of ``rule_ids`` restricted to the kept rules, which
         answers every claim question as the table of ``rule_ids`` does."""
         return conclusions_for(rule_ids & self.keep, self)
+
+    def supportable(self, rule_ids: frozenset[str]) -> bool:
+        """The support bound: whether every cell of the pr goal is in the
+        Horn closure of the fact cells under the kept rules of
+        ``rule_ids``.  False means no subset of them establishes the
+        claim."""
+        if self.goals is None:
+            raise ValueError("setup has no claim to prosecute")
+        keys, _, size = self.goals[PR]
+        index = self.index
+        closed = {cell for cell, fact in enumerate(index.fact) if fact}
+        pending = [r for r, on in enumerate(index.mask(rule_ids & self.keep))
+                   if on]
+        grew = True
+        while grew:
+            grew = False
+            for r in pending:
+                head = index.head[r]
+                if head not in closed and all(
+                        want == REFUTED or cell in closed
+                        for cell, _, want in index.antecedents[r]):
+                    closed.add(head)
+                    grew = True
+        # a pr literal the index does not number is never proved
+        return len(keys) == size and all(cell in closed
+                                         for cell, _, _ in keys)
+
+    def achievable(self, common_ids: frozenset[str], pool: frozenset[str],
+                   player: str) -> bool:
+        """Whether disclosing some nonempty part of ``pool`` at once, on
+        top of ``common_ids``, achieves ``player``'s goal: the claim
+        established for pr (unless the support bound rules it out),
+        refuted for def.  Only the kept part of the pool is walked; its
+        empty subset stands for a disclosure of rules outside the cone
+        or inert alone, tried when the pool holds such rules."""
+        kept = pool & self.keep
+        if player == PR and not self.supportable(common_ids | kept):
+            return False
+        goal = self.established if player == PR else self.refuted
+        return any(goal(self.sliced(common_ids | disclosed))
+                   for disclosed in subsets(kept, include_empty=kept != pool))
 
 
 def _inert(index: TheoryIndex) -> frozenset[str]:
@@ -395,54 +441,10 @@ def claim_refuted(table: ConclusionTable, setup: GameSetup) -> bool:
                for condition in claim_conditions(setup, DEF))
 
 
-def _supportable(setup: GameSetup, tables: _Tables,
-                 rule_ids: frozenset[str]) -> bool:
-    """The support bound: whether every cell a pr claim condition reads
-    is in the Horn closure of the fact cells under the kept rules of
-    ``rule_ids``.  False means no subset of them establishes the
-    claim."""
-    index = tables.index
-    closed = {cell for cell, fact in enumerate(index.fact) if fact}
-    pending = [r for r, on in enumerate(index.mask(rule_ids & tables.keep))
-               if on]
-    grew = True
-    while grew:
-        grew = False
-        for r in pending:
-            head = index.head[r]
-            if head not in closed and all(
-                    want == REFUTED or cell in closed
-                    for cell, _, want in index.antecedents[r]):
-                closed.add(head)
-                grew = True
-    return all(index.cell(mode, literal) in closed
-               for _, _, mode, literal in claim_conditions(setup, PR))
-
-
 _GAP_FOR_MODE = {
     EVIDENTIAL: "claim literal {} is not proved evidentially",
     OBLIGATION: "obligation of {} is not proved",
 }
-
-
-def _achievable(setup: GameSetup, tables: _Tables,
-                common_ids: frozenset[str], pool: frozenset[str],
-                player: str) -> bool:
-    """Whether disclosing some nonempty part of ``pool`` at once, on top
-    of ``common_ids``, achieves ``player``'s goal: the claim established
-    for pr (unless the support bound rules it out), refuted for def.
-    Only the kept part of the pool is walked; its empty subset stands
-    for a disclosure of rules outside the cone or inert alone, tried
-    when the pool holds such rules."""
-    kept = pool & tables.keep
-    if player == PR:
-        if not _supportable(setup, tables, common_ids | kept):
-            return False
-        goal = tables.established
-    else:
-        goal = tables.refuted
-    return any(goal(tables.sliced(common_ids | disclosed))
-               for disclosed in subsets(kept, include_empty=kept != pool))
 
 
 def _claim_gaps(table: ConclusionTable, setup: GameSetup) -> list[str]:
@@ -509,18 +511,17 @@ def _open(state: GameState, opening: frozenset[str]) -> GameState:
     return nxt
 
 
-def accepted_openings(start: GameState
-                      ) -> Iterator[tuple[frozenset[str], GameState]]:
-    """Every opening from ``start`` that establishes the claim, smallest
-    first, with the state it opens.  Openings that agree on the live
-    rules of the claim's cone share a sliced key, and so a cached table.
-    None is tried when the support bound rules them all out."""
+def accepted_openings(start: GameState) -> Iterator[frozenset[str]]:
+    """Every opening from ``start`` that establishes the claim, in
+    ``subsets`` order, so smallest first.  Openings that agree on the
+    live rules of the claim's cone share a sliced key, and so a cached
+    table.  None is tried when the support bound rules them all out."""
     tables = start.tables
-    if not _supportable(start.setup, tables, start.common_ids | start.pr_ids):
+    if not tables.supportable(start.common_ids | start.pr_ids):
         return
     for opening in subsets(start.pr_ids):
         if tables.established(tables.sliced(start.common_ids | opening)):
-            yield opening, _open(start, opening)
+            yield opening
 
 
 def open_game(setup: GameSetup, opening_ids: Iterable[str]) -> GameState:
@@ -604,23 +605,20 @@ def termination_status(state: GameState) -> str:
     return ONGOING
 
 
-def adjudicate_pools(setup: GameSetup, common_ids: frozenset[str],
-                     pr_ids: frozenset[str], def_ids: frozenset[str],
-                     tables: _Tables) -> str:
+def adjudicate_pools(common_ids: frozenset[str], pr_ids: frozenset[str],
+                     def_ids: frozenset[str], tables: _Tables) -> str:
     """Settle a stalled exchange.
 
     A player is defeated when their goal fails in the current theory and
-    no part of their remaining pool would achieve it (``_achievable``).
-    If neither or both are defeated the current claim status (defence
-    first) decides.
+    no part of their remaining pool would achieve it
+    (``_Tables.achievable``).  If neither or both are defeated the
+    current claim status (defence first) decides.
     """
     table = conclusions_for(common_ids, tables)
     good = tables.established(table)
     bad = tables.refuted(table)
-    pr_defeated = not good and not _achievable(
-        setup, tables, common_ids, pr_ids, PR)
-    def_defeated = not bad and not _achievable(
-        setup, tables, common_ids, def_ids, DEF)
+    pr_defeated = not good and not tables.achievable(common_ids, pr_ids, PR)
+    def_defeated = not bad and not tables.achievable(common_ids, def_ids, DEF)
     if pr_defeated and def_defeated:
         return STALLED
     if pr_defeated:
@@ -635,8 +633,8 @@ def adjudicate_pools(setup: GameSetup, common_ids: frozenset[str],
 
 
 def adjudicate(state: GameState) -> str:
-    return adjudicate_pools(state.setup, state.common_ids, state.pr_ids,
-                            state.def_ids, state.tables)
+    return adjudicate_pools(state.common_ids, state.pr_ids, state.def_ids,
+                            state.tables)
 
 
 def settle(state: GameState) -> str:

@@ -27,17 +27,22 @@ Every search here moves through ``game.step`` and scores positions with
 ``game.settle``, so it plays by the same rules as a scripted game.  Each
 public entry point starts from one ``game.initial_state`` and every
 state it reaches shares that state's table cache; ``analyze`` runs both
-of its searches from the same start.
+of its searches from the same start.  Robustness and the support bound
+are that cache's own claim searches (``game._Tables.achievable`` and
+``supportable``), which read the game's compiled goals.
 
 The exhaustive search cuts at the optimum.  At a position it plays the
 pass first, which needs no table, then the legal disclosures in
 ``subsets`` order, and stops as soon as an outcome is the mover's best;
 at the root it stops at the first accepted opening that the prosecutor
-wins.  The memo stays exact: the game graph is acyclic (pools only
-shrink, and two passes end the game), so a position's value is fixed
-whatever order its children are evaluated in, and a cut drops only
-children that cannot beat an outcome already found.  Every memo entry
-is thus the true value of its position, not a bound on it.
+wins.  A disclosure of inert rules alone (see ``game``) reaches the
+table its position already has, so it has no legal target, and the
+search skips it without a ``step``.  The memo stays exact: the game
+graph is acyclic (pools only shrink, and two passes end the game), so a
+position's value is fixed whatever order its children are evaluated in,
+and a cut drops only children that cannot beat an outcome already
+found.  Every memo entry is thus the true value of its position, not a
+bound on it.
 """
 
 from __future__ import annotations
@@ -47,9 +52,9 @@ from typing import Iterable, Optional
 
 from .game import (
     DEF_SUCCEEDS, ONGOING, PR_SUCCEEDS, STALLED, TERMINAL_OUTCOMES,
-    GameState, GameTrace, Move, OpeningRejected, _achievable, _supportable,
-    accepted_openings, adjudicate, initial_state, open_game, play_move,
-    settle, step, subsets,
+    GameState, GameTrace, Move, OpeningRejected, accepted_openings,
+    adjudicate, apply_move, initial_state, open_game, play_move, settle,
+    step, subsets,
 )
 from .model import DEF, PR, GameSetup
 
@@ -58,6 +63,11 @@ FULL_DISCLOSURE = "full_disclosure"
 POLICIES = (GREEDY_MINIMAL, FULL_DISCLOSURE)
 
 DEFAULT_BOUND = 20
+# The search's deepest line can pass and disclose one rule in turn, so
+# each private rule costs it up to two plies of two frames (``value``
+# and ``outcome``): 100 rules take about 400 of the interpreter's
+# default 1,000 frames, whatever ``bound`` a caller asks for.
+MAX_SEARCH_RULES = 100
 
 
 class BoundExceeded(Exception):
@@ -88,23 +98,19 @@ class Analysis:
     states_explored: int
 
 
-def _robust(opened: GameState) -> bool:
-    return not _achievable(opened.setup, opened.tables, opened.common_ids,
-                           opened.def_ids, DEF)
-
-
 def opening_is_winning(setup: GameSetup, opening_ids: Iterable[str]) -> bool:
     """Accepted and robust against every defence rebuttal."""
     try:
         opened = open_game(setup, opening_ids)
     except OpeningRejected:
         return False
-    return _robust(opened)
+    return not opened.tables.achievable(opened.common_ids, opened.def_ids, DEF)
 
 
 def _minimal_opening(start: GameState) -> Optional[tuple[str, ...]]:
-    for opening, opened in accepted_openings(start):
-        if _robust(opened):
+    for opening in accepted_openings(start):
+        if not start.tables.achievable(start.common_ids | opening,
+                                       start.def_ids - opening, DEF):
             return tuple(sorted(opening))
     return None
 
@@ -122,9 +128,11 @@ _PREFERENCE = {
 
 def _search_start(setup: GameSetup, bound: int) -> GameState:
     """The start of an exhaustive search, once the setup is within the
-    bound and has a claim; a refused search computes no table."""
+    bound (and ``MAX_SEARCH_RULES``) and has a claim; a refused search
+    computes no table."""
     total = len({r.id for r in setup.pr_rules}) \
         + len({r.id for r in setup.def_rules})
+    bound = min(bound, MAX_SEARCH_RULES)
     if total > bound:
         raise BoundExceeded(total, bound)
     if setup.claim is None:
@@ -150,9 +158,12 @@ def _exhaustive(start: GameState) -> tuple[str, int]:
         preference = _PREFERENCE[state.mover]
         best = outcome(step(state, frozenset())[0])
         pool = state.pr_ids if state.mover == PR else state.def_ids
+        inert = state.tables.inert
         for disclosed in subsets(pool, include_empty=False):
             if not preference[best]:
                 break
+            if disclosed <= inert:  # reaches the table it starts from
+                continue
             nxt, targets = step(state, disclosed)
             if targets:
                 best = min(best, outcome(nxt), key=preference.get)
@@ -160,9 +171,9 @@ def _exhaustive(start: GameState) -> tuple[str, int]:
         return best
 
     root_outcomes = []
-    for _, opened in accepted_openings(start):
+    for opening in accepted_openings(start):
         explored += 1
-        root_outcomes.append(outcome(opened))
+        root_outcomes.append(outcome(apply_move(start, Move(PR, opening))))
         if root_outcomes[-1] == PR_SUCCEEDS:
             break
     if not root_outcomes:
@@ -222,12 +233,11 @@ def auto_play(setup: GameSetup, policy: str = GREEDY_MINIMAL) -> GameTrace:
     # the support bound first: when it rules every opening out, the
     # whole pool's table cannot establish the claim either
     if (policy == FULL_DISCLOSURE
-            and _supportable(setup, state.tables,
-                             state.common_ids | state.pr_ids)
+            and state.tables.supportable(state.common_ids | state.pr_ids)
             and state.tables.established(state.table_after(state.pr_ids))):
         opening: Optional[frozenset[str]] = state.pr_ids
     else:
-        opening = next(accepted_openings(state), (None, None))[0]
+        opening = next(accepted_openings(state), None)
     if opening is None:
         trace.outcome = adjudicate(state)
         return trace

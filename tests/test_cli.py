@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -377,6 +378,24 @@ class TestModuleEntryPoint:
         assert (result.returncode, result.stdout, result.stderr) == \
             (3, b"", b"7 private rules exceed the exhaustive search bound "
                      b"of 3\n")
+
+    def test_deep_setup_under_a_large_bound_exits_3(self, tmp_path):
+        # 302 private rules: the search would need about four stack
+        # frames per rule, so it is refused whatever the bound
+        path = tmp_path / "deep.ddt"
+        path.write_text(
+            "fact f.\nfact O ~b.\nrule p0: f => b.\nrule p1: f => y.\n"
+            + "".join(f"rule d{i}: f => x{i}.\n" for i in range(300))
+            + "claim: b.\ngame pr: p0, p1.\ngame def: "
+            + ", ".join(f"d{i}" for i in range(300)) + ".\n")
+        started = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "trialogic", "game", "analyze",
+             str(path), "--bound", "1000"], capture_output=True)
+        assert time.perf_counter() - started < 1
+        assert (result.returncode, result.stdout, result.stderr) == \
+            (3, b"", b"302 private rules exceed the exhaustive search bound "
+                     b"of 100\n")
 
 
 # Runs ``python -m trialogic`` with the given arguments and prints the

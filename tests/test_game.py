@@ -790,7 +790,7 @@ def _reference_claim_cone(rules, claim_literals):
 
 
 def _reference_supportable(setup, keep, rule_ids):
-    """``game._supportable`` over Rule objects: the Horn closure of
+    """``game._Tables.supportable`` over Rule objects: the Horn closure of
     cells (mode, literal) from the facts under the kept rules of
     ``rule_ids``, a ``-t`` antecedent counting as met."""
     rules = setup.rule_by_id()
@@ -866,7 +866,7 @@ class TestIndexWalks:
             assert tables.inert == inert
             assert tables.keep == (cone | common) - inert
             for rule_ids in id_sets:
-                assert game._supportable(claimed, tables, rule_ids) == \
+                assert tables.supportable(rule_ids) == \
                     _reference_supportable(claimed, tables.keep, rule_ids)
 
 
@@ -969,8 +969,7 @@ class TestSupportBound:
         if setup.claim is None:
             return
         start = initial_state(setup)
-        if game._supportable(setup, start.tables,
-                             start.common_ids | start.pr_ids):
+        if start.tables.supportable(start.common_ids | start.pr_ids):
             return
         assert not any(
             game.claim_established(start.table_after(opening), setup)
@@ -985,9 +984,8 @@ class TestSupportBound:
             "claim: b.\n"
             "game pr: p1.\n")
         start = initial_state(setup)
-        assert game._supportable(setup, start.tables, start.pr_ids)
-        assert [opening for opening, _ in game.accepted_openings(start)] \
-            == [frozenset({"p1"})]
+        assert start.tables.supportable(start.pr_ids)
+        assert list(game.accepted_openings(start)) == [frozenset({"p1"})]
 
     def test_analyze_of_unsupportable_claim_computes_one_table(
             self, computed):
@@ -995,11 +993,43 @@ class TestSupportBound:
         setup = corpus.random_setup(273, max_rules=20)
         start = initial_state(setup)
         assert len(start.pr_ids) == 11
-        assert not game._supportable(setup, start.tables,
-                                     start.common_ids | start.pr_ids)
+        assert not start.tables.supportable(start.common_ids | start.pr_ids)
         computed.clear()
         assert analyze(setup).minimal_opening is None
         assert len(computed) == 1
+
+
+# (seed, annotated) pairs whose ``established_setup(seed, max_rules=14,
+# deontic_ratio=0.5, allow_annotations=annotated)`` accepts some but not
+# every opening, or has pr rules outside the kept ones; few corpus and
+# support setups accept any opening.
+_OPENING_SEEDS = ((24, False), (28, False), (166, False), (212, False),
+                  (216, False), (252, False), (259, False), (275, False),
+                  (386, False), (37, True), (138, True), (164, True),
+                  (185, True))
+opening_setups = st.sampled_from(_OPENING_SEEDS).map(
+    lambda pair: established_setup(pair[0], max_rules=14, deontic_ratio=0.5,
+                                   allow_annotations=pair[1]))
+
+
+class TestAcceptedOpenings:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(support_setups(), corpus_setups, opening_setups))
+    def test_accepted_openings_are_the_subsets_open_game_accepts(self,
+                                                                 setup):
+        # each opening opened on its own start, so on full tables of a
+        # fresh index, with no slicing and no support bound
+        if setup.claim is None:
+            return
+        start = initial_state(setup)
+        accepted = []
+        for opening in game.subsets(start.pr_ids):
+            try:
+                open_game(setup, opening)
+            except OpeningRejected:
+                continue
+            accepted.append(opening)
+        assert list(game.accepted_openings(start)) == accepted
 
 
 def _union_literals(setup):

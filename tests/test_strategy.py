@@ -116,6 +116,23 @@ class TestExhaustive:
         setup = established_setup(71, max_rules=20, deontic_ratio=0.5)
         assert analyze(setup) == Analysis(PR, (), 129)
 
+    def test_search_skips_disclosures_of_inert_rules_only(self,
+                                                          monkeypatch):
+        # 23 of this setup's ids are inert, and a disclosure of those
+        # alone reaches the table it starts from, with no legal target
+        setup = established_setup(291, max_rules=26, deontic_ratio=0.5)
+        step = game.step
+        inert_only = []
+
+        def recording(state, disclosed):
+            if disclosed and disclosed <= state.tables.inert:
+                inert_only.append(disclosed)
+            return step(state, disclosed)
+
+        monkeypatch.setattr(strategy, "step", recording)
+        assert analyze(setup) == Analysis(PR, ("r14",), 3)
+        assert inert_only == []
+
 
 _RANKING = {PR: (PR_SUCCEEDS, STALLED, DEF_SUCCEEDS),
             DEF: (DEF_SUCCEEDS, STALLED, PR_SUCCEEDS)}
@@ -196,8 +213,9 @@ class TestCutSearch:
             "claim: b.\n"
             "game pr: h1, h2, r1, r2.\ngame def: d1.\n")
         start = game.initial_state(setup)
-        first, opened = next(game.accepted_openings(start))
+        first = next(game.accepted_openings(start))
         assert first == {"h1", "h2"}
+        opened = game.open_game(setup, first)
         assert game.step(opened, frozenset({"d1"}))[1]
         assert exhaustive_winner(setup) == _uncut_winner(setup) == PR
         assert analyze(setup).minimal_opening == ("r1", "r2")
