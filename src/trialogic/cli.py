@@ -186,12 +186,14 @@ def _render_trace(args, trace: GameTrace) -> None:
     for number, record in enumerate(trace.records, start=1):
         if record.rule_ids:
             played = "plays " + ", ".join(record.rule_ids)
-            targets = "; targets " + ", ".join(
-                f"{mode} {literal}" for mode, literal in record.targets)
+        elif number == 1:  # an opening is never a pass
+            played = "opens with no rules"
         else:
             played = "passes"
-            targets = ""
-        print(f"{number}. {record.player} {played}{targets}")
+        if record.targets:
+            played += "; targets " + ", ".join(
+                f"{mode} {literal}" for mode, literal in record.targets)
+        print(f"{number}. {record.player} {played}")
         if record.newly_determined:
             shown = ", ".join(
                 entry.render_glyph() for entry in record.newly_determined)
@@ -245,10 +247,24 @@ def _cmd_game_analyze(args) -> int:
         print(f"winner: {result.winner}")
         if result.minimal_opening is None:
             print("minimal opening: none")
+        elif not result.minimal_opening:
+            print("minimal opening: no rules")
         else:
             print("minimal opening: " + ", ".join(result.minimal_opening))
         print(f"states explored: {result.states_explored}")
     return 0
+
+
+def _bound(text: str) -> int:
+    """A ``--bound`` value: a count of rules, so 0 or more."""
+    try:
+        bound = int(text)
+    except ValueError:
+        bound = -1
+    if bound < 0:
+        raise argparse.ArgumentTypeError(
+            f"not a count of rules: {text!r}")
+    return bound
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_parser = game_commands.add_parser(
         "analyze", parents=[shared],
         help="exhaustive winner and minimal winning opening")
-    analyze_parser.add_argument("--bound", type=int,
+    analyze_parser.add_argument("--bound", type=_bound,
                                 help="private-rule limit for the search")
     analyze_parser.set_defaults(func=_cmd_game_analyze)
 

@@ -468,33 +468,29 @@ def initial_state(setup: GameSetup) -> GameState:
     )
 
 
-def _moved(state: GameState, disclosed: frozenset[str],
-           passes: int) -> GameState:
-    """The state once the mover discloses ``disclosed`` (nothing: a
-    pass), with ``passes`` passes in a row."""
-    if not disclosed:
-        return GameState(state.setup, state.turn + 1, state.common_ids,
-                         state.pr_ids, state.def_ids, passes,
-                         state.conclusions, state.tables)
-    return GameState(state.setup, state.turn + 1,
-                     state.common_ids | disclosed, state.pr_ids - disclosed,
-                     state.def_ids - disclosed, passes,
-                     state.table_after(disclosed), state.tables,
-                     state.conclusions)
-
-
 def step(state: GameState, disclosed: frozenset[str]
          ) -> tuple[GameState, frozenset[tuple[str, Literal]]]:
-    """The state after the mover discloses ``disclosed`` (nothing: a
-    pass), and the targets that move could legally declare: every
-    (mode, literal) that had some determined status before the move
-    and of which ``(mode, literal)`` or ``(mode, ~literal)`` gains a
-    newly determined status (``ConclusionTable.targets``).  Ownership
-    is the caller's to check."""
+    """The state after the mover discloses ``disclosed``, and the targets
+    that move could legally declare: every (mode, literal) that had some
+    determined status before the move and of which ``(mode, literal)``
+    or ``(mode, ~literal)`` gains a newly determined status
+    (``ConclusionTable.targets``).  Disclosing nothing after the opening
+    is a pass, which keeps the table and adds one to the passes in a
+    row; every other move, an opening of no rules included, sets them
+    to 0.  An opening reports no targets, since the claim judges it.
+    Ownership is the caller's to check."""
     if not disclosed:
-        return _moved(state, disclosed, state.consecutive_passes + 1), \
-            frozenset()
-    nxt = _moved(state, disclosed, 0)
+        passes = state.consecutive_passes + 1 if state.turn else 0
+        return GameState(state.setup, state.turn + 1, state.common_ids,
+                         state.pr_ids, state.def_ids, passes,
+                         state.conclusions, state.tables), frozenset()
+    nxt = GameState(state.setup, state.turn + 1,
+                    state.common_ids | disclosed, state.pr_ids - disclosed,
+                    state.def_ids - disclosed, 0,
+                    state.table_after(disclosed), state.tables,
+                    state.conclusions)
+    if not state.turn:
+        return nxt, frozenset()
     return nxt, nxt.conclusions.targets(state.conclusions)
 
 
@@ -503,9 +499,7 @@ def _open(state: GameState, opening: frozenset[str]) -> GameState:
     if stray:
         raise ValueError(
             "opening rules not in the pr pool: " + ", ".join(sorted(stray)))
-    # an opening that discloses nothing prosecutes from common rules
-    # alone; it is not a pass
-    nxt = _moved(state, opening, 0)
+    nxt, _ = step(state, opening)
     if not state.tables.established(nxt.conclusions):
         raise OpeningRejected(_claim_gaps(nxt.conclusions, state.setup))
     return nxt
@@ -551,12 +545,9 @@ def _attempt(state: GameState, move: Move):
             return LegalityReport(True), _open(state, move.rule_ids)
         except OpeningRejected as rejected:
             return LegalityReport(False, rejected.reasons), None
-    if move.is_pass:
-        if move.targets:
-            return LegalityReport(
-                False, ("a pass declares no targets",)), None
-        return LegalityReport(True), step(state, move.rule_ids)[0]
-    if not move.targets:
+    if move.is_pass and move.targets:
+        return LegalityReport(False, ("a pass declares no targets",)), None
+    if not move.is_pass and not move.targets:
         return LegalityReport(
             False, ("a non-pass move must declare at least one target",)), None
 

@@ -114,6 +114,11 @@ def _check_moded(mode: str, literal: Literal) -> None:
         raise ValueError(f"bad literal {literal!r}")
 
 
+def _check_rule_id(rule_id: str) -> None:
+    if not (isinstance(rule_id, str) and ATOM_RE.fullmatch(rule_id)):
+        raise ValueError(f"bad rule id {rule_id!r}")
+
+
 def _check_tag(tag: str) -> None:
     if tag not in TAGS:
         raise ValueError(f"bad tag {tag!r}")
@@ -158,8 +163,7 @@ class Rule:
     head: Literal
 
     def __post_init__(self) -> None:
-        if not ATOM_RE.fullmatch(self.id):
-            raise ValueError(f"bad rule id {self.id!r}")
+        _check_rule_id(self.id)
         _check_moded(self.head_mode, self.head)
         object.__setattr__(self, "antecedents", tuple(self.antecedents))
         if not self.antecedents:
@@ -279,7 +283,9 @@ class GameSetup:
 class Move:
     """One turn: disclosed rule ids plus declared target literals.
 
-    An empty rule set is a pass and declares no targets.
+    An empty rule set is a pass and declares no targets.  Each rule id
+    must be one a ``Rule`` could have, and each target a (mode, literal)
+    pair.
     """
 
     player: str
@@ -289,8 +295,16 @@ class Move:
     def __post_init__(self) -> None:
         if self.player not in PLAYERS:
             raise ValueError(f"bad player {self.player!r}")
+        if isinstance(self.rule_ids, str):  # not a set of one-letter ids
+            raise ValueError(f"bad rule ids {self.rule_ids!r}")
         object.__setattr__(self, "rule_ids", frozenset(self.rule_ids))
         object.__setattr__(self, "targets", frozenset(self.targets))
+        for rule_id in self.rule_ids:
+            _check_rule_id(rule_id)
+        for target in self.targets:
+            if not (isinstance(target, tuple) and len(target) == 2):
+                raise ValueError(f"bad target {target!r}")
+            _check_moded(*target)
 
     @property
     def is_pass(self) -> bool:

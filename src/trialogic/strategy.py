@@ -15,13 +15,15 @@ Three distinct questions live here and they are not the same:
 Automatic play offers two deliberately simple policies: greedy minimal
 disclosure (smallest accepted opening, then smallest move that improves
 the mover's goal coverage, else pass) and full disclosure (everything at
-once, then passes).  Coverage counts the mover's goal conditions that
-hold, read through the game's compiled goal keys.  Greedy play reads it
-on each candidate's sliced table, whose claim cells have the statuses of
-the full table's (see ``game``), and calls ``step`` for the full table
-and its legal targets only on a candidate whose coverage rose.  Both
-tests filter the same ``subsets`` order, so the move is the one that
-testing legality first would pick.
+once, then passes, except that pr opens with the smallest accepted
+opening when its whole pool does not establish the claim).  Coverage
+counts the mover's goal conditions that hold, read through the game's
+compiled goal keys.  Greedy play reads it on each candidate's sliced
+table, whose claim cells have the statuses of the full table's (see
+``game``), and calls ``step`` for the full table and its legal targets
+only on a candidate whose coverage rose.  Both tests filter the same
+``subsets`` order, so the move is the one that testing legality first
+would pick.
 
 Every search here moves through ``game.step`` and scores positions with
 ``game.settle``, so it plays by the same rules as a scripted game.  Each
@@ -64,9 +66,10 @@ POLICIES = (GREEDY_MINIMAL, FULL_DISCLOSURE)
 
 DEFAULT_BOUND = 20
 # The search's deepest line can pass and disclose one rule in turn, so
-# each private rule costs it up to two plies of two frames (``value``
-# and ``outcome``): 100 rules take about 400 of the interpreter's
-# default 1,000 frames, whatever ``bound`` a caller asks for.
+# each private rule costs it up to two plies of one ``value`` frame:
+# at 100 rules its deepest ``settle`` lies 199 frames below the caller
+# of ``analyze``, a fifth of the interpreter's default 1,000 frames,
+# whatever ``bound`` a caller asks for.
 MAX_SEARCH_RULES = 100
 
 
@@ -130,6 +133,8 @@ def _search_start(setup: GameSetup, bound: int) -> GameState:
     """The start of an exhaustive search, once the setup is within the
     bound (and ``MAX_SEARCH_RULES``) and has a claim; a refused search
     computes no table."""
+    if bound < 0:
+        raise ValueError(f"search bound {bound} is negative")
     total = len({r.id for r in setup.pr_rules}) \
         + len({r.id for r in setup.def_rules})
     bound = min(bound, MAX_SEARCH_RULES)
@@ -144,19 +149,18 @@ def _exhaustive(start: GameState) -> tuple[str, int]:
     memo: dict = {}
     explored = 0
 
-    def outcome(state: GameState) -> str:
-        settled = settle(state)
-        return value(state) if settled == ONGOING else settled
-
     def value(state: GameState) -> str:
         nonlocal explored
+        settled = settle(state)
+        if settled != ONGOING:
+            return settled
         key = (state.pr_ids, state.def_ids, state.mover,
                state.consecutive_passes)
         if key in memo:
             return memo[key]
         explored += 1
         preference = _PREFERENCE[state.mover]
-        best = outcome(step(state, frozenset())[0])
+        best = value(step(state, frozenset())[0])
         pool = state.pr_ids if state.mover == PR else state.def_ids
         inert = state.tables.inert
         for disclosed in subsets(pool, include_empty=False):
@@ -166,14 +170,14 @@ def _exhaustive(start: GameState) -> tuple[str, int]:
                 continue
             nxt, targets = step(state, disclosed)
             if targets:
-                best = min(best, outcome(nxt), key=preference.get)
+                best = min(best, value(nxt), key=preference.get)
         memo[key] = best
         return best
 
     root_outcomes = []
     for opening in accepted_openings(start):
         explored += 1
-        root_outcomes.append(outcome(apply_move(start, Move(PR, opening))))
+        root_outcomes.append(value(apply_move(start, Move(PR, opening))))
         if root_outcomes[-1] == PR_SUCCEEDS:
             break
     if not root_outcomes:

@@ -228,6 +228,53 @@ class TestGameAuto:
         assert lines[-1] == "outcome: def_succeeds"
 
 
+# The common rules r1 and r2 establish the claim, so pr may open with
+# none of its rules; no fixture holds such a setup.
+_COMMON_CLAIM = ("fact a.\nrule r1: a => b.\nrule r2: a =>O ~b.\n"
+                 "rule p1: a => q.\nrule d1: a => z.\n"
+                 "claim: b.\ngame pr: p1.\ngame def: d1.\n")
+
+
+class TestEmptyOpening:
+    """An opening of no rules reads as an opening, not a pass."""
+
+    @pytest.fixture
+    def common_claim(self, tmp_path):
+        path = tmp_path / "common.ddt"
+        path.write_text(_COMMON_CLAIM)
+        return path
+
+    def test_auto_trace_shows_the_opening(self, capsys, common_claim):
+        code, out, _ = invoke(capsys, "game", "auto", common_claim)
+        assert code == 0
+        assert out == ("1. pr opens with no rules; targets E b, O ~b\n"
+                       "2. def passes\n"
+                       "3. pr passes\n"
+                       "outcome: pr_succeeds\n")
+
+    def test_scripted_trace_shows_the_opening(self, capsys, common_claim,
+                                              tmp_path):
+        moves = tmp_path / "open.moves"
+        moves.write_text("pr: pass.\ndef: pass.\n")
+        code, out, _ = invoke(
+            capsys, "game", "run", common_claim, "--moves", moves)
+        assert code == 0
+        assert out.splitlines()[:2] == [
+            "1. pr opens with no rules; targets E b, O ~b", "2. def passes"]
+
+    def test_analyze_names_an_empty_minimal_opening(self, capsys,
+                                                    common_claim):
+        code, out, _ = invoke(capsys, "game", "analyze", common_claim)
+        assert code == 0
+        assert out == ("winner: pr\n"
+                       "minimal opening: no rules\n"
+                       "states explored: 3\n")
+        code, out, _ = invoke(
+            capsys, "game", "analyze", common_claim, "--json")
+        assert out == ('{"winner":"pr","minimal_opening":[],'
+                       '"states_explored":3}\n')
+
+
 class TestGameAnalyze:
     def test_json_shape(self, capsys, s1_path):
         code, out, _ = invoke(capsys, "game", "analyze", s1_path, "--json")
@@ -302,6 +349,19 @@ class TestExitCodes:
         assert code == 3
         assert err == ("7 private rules exceed the exhaustive search "
                        "bound of 3\n")
+        assert computed == []
+
+    @pytest.mark.parametrize("bound", ["-1", "x"])
+    def test_bound_must_count_rules(self, capsys, tmp_path, computed, bound):
+        # no private rules: a negative bound used to be reported as
+        # exceeded, with exit 3
+        path = tmp_path / "common.ddt"
+        path.write_text("fact a.\nrule r1: a => b.\nclaim: b.\n")
+        with pytest.raises(SystemExit) as exited:
+            run(["game", "analyze", str(path), "--bound", bound])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --bound: not a count of rules: '{bound}'\n")
         assert computed == []
 
 
@@ -380,7 +440,7 @@ class TestModuleEntryPoint:
                      b"of 3\n")
 
     def test_deep_setup_under_a_large_bound_exits_3(self, tmp_path):
-        # 302 private rules: the search would need about four stack
+        # 302 private rules: the search would need about two stack
         # frames per rule, so it is refused whatever the bound
         path = tmp_path / "deep.ddt"
         path.write_text(

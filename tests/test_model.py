@@ -221,6 +221,24 @@ class TestGameSetup:
         with pytest.raises(ValueError, match="bad player"):
             Move("judge", frozenset())
 
+    @pytest.mark.parametrize("rule_ids", [{"r4a", 3}, {"R1"}, {"r 1"}, "ab"])
+    def test_move_rule_ids_are_rule_ids(self, rule_ids):
+        # mixed ids used to raise TypeError when a legality check sorted
+        # them for its ownership message, and a string was split into
+        # one-letter ids
+        with pytest.raises(ValueError, match="bad rule id"):
+            Move(DEF, rule_ids, {(EVIDENTIAL, lit("b"))})
+
+    @pytest.mark.parametrize("target, message", [
+        ((EVIDENTIAL, "b"), "bad literal"),
+        (("X", lit("b")), "bad mode"),
+        ("Eb", "bad target"),
+        ((EVIDENTIAL, lit("b"), OBLIGATION), "bad target"),
+    ])
+    def test_move_targets_are_moded_literals(self, target, message):
+        with pytest.raises(ValueError, match=message):
+            Move(DEF, {"r4a"}, {target})
+
     def test_pool_overlap_is_error(self):
         clash = GameSetup(
             facts=frozenset(),

@@ -1,10 +1,14 @@
-"""The command line examples of ``README.md`` print what it shows.
+"""The examples of ``README.md`` print what it shows.
 
 The README's ``case.ddt`` is the ``s1.ddt`` fixture.  Each ``$ trialogic
 ... case.ddt`` example whose output the README shows in full, with no
 ``...`` line, runs against that fixture and must print exactly that.
+The library example runs beside a copy of it, and each expression
+statement evaluates to what the comment after it shows.
 """
 
+import ast
+import re
 import shlex
 from pathlib import Path
 
@@ -59,3 +63,21 @@ def test_example_prints_what_the_readme_shows(capsys, command, output):
             for word in shlex.split(command)[1:]]
     assert run(argv) == 0
     assert capsys.readouterr().out == output
+
+
+def test_library_example_evaluates_to_its_comments(monkeypatch, tmp_path):
+    [source] = [block[len("python\n"):] for block in _blocks()
+                if block.startswith("python\n")]
+    (tmp_path / CASE).write_bytes((FIXTURES / "s1.ddt").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    shown = []
+    for statement in ast.parse(source).body:
+        if isinstance(statement, ast.Expr):
+            code = compile(ast.Expression(statement.value), "README", "eval")
+            shown.append(repr(eval(code, namespace)))
+        else:
+            exec(compile(ast.Module([statement], []), "README", "exec"),
+                 namespace)
+    assert shown == re.findall(r"# ('.*')", source) == [
+        "'refuted'", "'not_permitted'", "'pr_succeeds'"]

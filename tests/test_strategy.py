@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import pytest
@@ -104,6 +105,8 @@ class TestExhaustive:
         for search in (analyze, exhaustive_winner):
             with pytest.raises(BoundExceeded):
                 search(s1, bound=3)
+            with pytest.raises(ValueError, match="negative"):
+                search(s1, bound=-1)
             with pytest.raises(ValueError, match="no claim"):
                 search(s4)
         assert computed == []
@@ -132,6 +135,35 @@ class TestExhaustive:
         monkeypatch.setattr(strategy, "step", recording)
         assert analyze(setup) == Analysis(PR, ("r14",), 3)
         assert inert_only == []
+
+    @pytest.mark.parametrize("defence", [25, 50])
+    def test_search_costs_one_frame_per_ply(self, monkeypatch, defence):
+        # the deepest line alternates one defence rule and a pr pass, so
+        # it is two plies per private rule; the search stops where that
+        # line first empties the defence pool
+        setup = parse_theory(
+            "fact f.\nfact O ~b.\nrule p0: f => b.\nrule p1: f => y.\n"
+            + "".join(f"rule d{i}: f => x{i}.\n" for i in range(defence))
+            + "claim: b.\ngame pr: p0, p1.\ngame def: "
+            + ", ".join(f"d{i}" for i in range(defence)) + ".\n")
+        caller, settle, deepest = sys._getframe(), game.settle, [0]
+
+        class DefencePoolEmptied(Exception):
+            pass
+
+        def recording(state):
+            depth, frame = 0, sys._getframe()
+            while frame is not caller:
+                frame, depth = frame.f_back, depth + 1
+            deepest[0] = max(deepest[0], depth)
+            if not state.def_ids:
+                raise DefencePoolEmptied
+            return settle(state)
+
+        monkeypatch.setattr(strategy, "settle", recording)
+        with pytest.raises(DefencePoolEmptied):
+            analyze(setup, bound=defence + 2)
+        assert deepest[0] <= 2 * (defence + 2) + 5
 
 
 _RANKING = {PR: (PR_SUCCEEDS, STALLED, DEF_SUCCEEDS),
