@@ -141,6 +141,7 @@ class _Parser:
         self.errors: list[ParseError] = errors
         self.facts: list[tuple[str, Literal]] = []
         self.rules: list[Rule] = []
+        self.rule_ids: set[str] = set()
         self.sup: list[tuple[_Token, _Token]] = []
         self.claim: Optional[list[Literal]] = None
         self.sections: dict[str, list[tuple[str, _Token]]] = {}
@@ -243,10 +244,11 @@ class _Parser:
         self.advance()
         head_mode = OBLIGATION if arrow.kind == "DARROW" else EVIDENTIAL
         head = self.literal()
-        if any(r.id == name.value for r in self.rules):
+        if name.value in self.rule_ids:
             self.errors.append(ParseError(
                 name.span, f"duplicate rule id {name.value!r}"))
             return
+        self.rule_ids.add(name.value)
         self.rules.append(Rule(name.value, tuple(antecedents), head_mode, head))
 
     def sup_stmt(self) -> None:

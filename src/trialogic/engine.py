@@ -34,16 +34,47 @@ cell, one moded literal ``(mode, l)``, is ``2 * id(l) + mode``: the
 cell of the opposite literal is ``cell ^ 2``, its atom ``cell >> 2``,
 and other modules find a cell with ``TheoryIndex.cell``.
 The index holds the facts by cell, each rule's head cell and its
-antecedents as ``(cell, tag index, wanted status)``, the rules headed
-at each cell (``heads``), the rules that read each cell (``readers``)
-and, for each rule, the rules that beat it; it is compiled in one
-pass over the rules.  A game compiles its whole setup once and passes
+antecedents as ``(cell, tag index, wanted status)``, the live rules
+(below) headed at each cell (``heads``) and reading each cell
+(``readers``) and, for each live rule, the live rules that beat it; it
+is compiled in one pass over the rules, once their head cells are
+known.  A game compiles its whole setup once and passes
 ``compute_conclusions`` that index with the ids of the rules to
 activate.  ``compute_conclusions`` compiles a one-shot theory whole,
 once per call.  The one-literal questions, ``holds``, ``standards_met``
 and ``permission.weakly_permitted``, compile only the facts, the
 superiority pairs and the rules of the asked cell's backward cone
 (``cone``, which also states why that table answers alike).
+
+The compile also finds the inert rules, those that can never fire, as
+a least closure over the cells: a cell is dead when it is not a fact
+and every rule headed at it is inert, so a cell no rule heads is dead
+from the start, and a rule is inert when a plain or ``+t`` antecedent
+reads a dead cell or a ``-t`` antecedent reads a fact cell.  The
+closure runs once per compile, in the pass over the antecedents: a
+rule that wants a cell no fact or rule supports proved, or a fact
+refuted, is inert at once, and each cell left with no live rule then
+kills the rules that want it proved.  Only live rules are listed in
+``heads``, ``readers`` and ``beaten_by``; every other list keeps every
+rule, so a table still has one row per cell, and a dead cell settles
+as the fixpoint is seeded.  One-shot answers thus skip inert rules as
+game tables do.  Why no table changes: take any rule set K over the
+index.  In the least fixpoint of K's conditions a dead cell is refuted
+at every tag and an inert rule's ``_state`` is -1 at every ambient
+tag, by induction over the closure: a fact cell is proved at every
+tag, so a ``-t`` antecedent on it fails; every rule of K headed at a
+dead cell is inert and so at -1, or there is none, so each of the
+cell's conditions in ``_condition`` is -1 and the cell is refuted; and
+then a plain or ``+t`` antecedent on it fails.  In ``_condition`` a
+rule at -1 changes nothing: as a supporter it is the identity of max,
+as an attacker it gives -s = 1, the identity of min, and as a beater
+it is again the identity of max.  So the least fixpoint of K is a
+fixpoint of the conditions of K minus its inert rules.  The reverse
+holds too, since the same induction runs in the fixpoint of that
+smaller set, where the inert rules of K read the same dead cells.
+Each least fixpoint therefore contains the other, and the two are
+equal row for row.  A one-shot table is K = all rules; a game's table
+is the K of its key.
 
 A table is the least fixpoint over an index restricted to a rule mask
 (``TheoryIndex.mask``), the rules of one theory.  It holds one row of
@@ -277,23 +308,27 @@ class TheoryIndex:
     ``rules`` keeps the given order and numbers the rules by position;
     ``positions`` maps a rule id to its positions.  By cell: ``fact``
     (1 for a fact), ``heads`` and ``readers`` (the positions of the
-    rules headed at it and of those reading it, one shared empty tuple
-    where there are none).  By rule position: ``head`` (its head cell),
-    ``antecedents`` (as ``(cell, tag index, wanted status)``, the tag
-    index None for a plain antecedent) and ``beaten_by`` (the positions
-    of the rules that beat it, kept only between complementary head
-    cells, the only pairs a condition reads).  ``tables`` keeps every
-    table built over the index, keyed by the frozenset of ids asked for.
+    live rules headed at it and of those reading it, one shared empty
+    tuple where there are none).  By rule position: ``head`` (its head
+    cell), ``antecedents`` (as ``(cell, tag index, wanted status)``, the
+    tag index None for a plain antecedent), ``inert`` (1 for an inert
+    rule, see the module docstring) and ``beaten_by`` (the positions of
+    the live rules that beat a live rule, kept only between
+    complementary head cells, the only pairs a condition reads).
+    ``tables`` keeps every table built over the index, keyed by the
+    frozenset of ids asked for.
 
-    The compile is one pass over the facts and rules: cells come from
-    a per-atom base (``4 * atom``, +2 for the negative literal, +1 for
-    mode O), and ``readers`` lists a rule once per cell however often
-    the rule reads it.  A fact, head or antecedent in an unknown mode
-    raises ``KeyError``.
+    The compile reads every head cell first, then makes one pass over
+    the rules that also starts the inert closure, which ends over the
+    few cells it kills: cells come from a per-atom base (``4 * atom``,
+    +2 for the negative literal, +1 for mode O), and ``readers`` lists
+    a rule once per cell however often the rule reads it.  A fact, head
+    or antecedent in an unknown mode raises ``KeyError``.
     """
 
     __slots__ = ("rules", "positions", "literals", "ids", "fact", "head",
-                 "antecedents", "heads", "readers", "beaten_by", "tables")
+                 "antecedents", "inert", "heads", "readers", "beaten_by",
+                 "tables")
 
     def __init__(self, facts: Iterable[tuple[str, Literal]],
                  rules: Iterable[Rule],
@@ -323,36 +358,82 @@ class TheoryIndex:
                  + mode[fact_mode]] = 1
 
         self.positions = positions = {}
-        self.head = head = []
+        self.head = head = [base[rule.head.atom] + sign[rule.head.positive]
+                            + mode[rule.head_mode] for rule in rules]
+        supported = bytearray(fact)  # 0 where no fact or rule is headed
+        for h in head:
+            supported[h] = 1
         self.antecedents = antecedents = []
         self.heads = heads = [()] * cells
         self.readers = readers = [()] * cells
+        self.inert = inert = bytearray(len(rules))
+        gone = []  # the rules inert at once
+        negated = set()  # (cell, position) of each -t antecedent
         tag_index = _TAG_INDEX
         for r, rule in enumerate(rules):
             positions[rule.id] = positions.get(rule.id, ()) + (r,)
-            literal = rule.head
-            h = base[literal.atom] + sign[literal.positive] \
-                + mode[rule.head_mode]
-            head.append(h)
-            heads[h] += (r,)
             read = []
+            live = True
             for ant in rule.antecedents:
                 literal = ant.literal
                 c = base[literal.atom] + sign[literal.positive] \
                     + mode[ant.mode]
-                read.append((c, tag_index.get(ant.tag),
-                             REFUTED if ant.sign == MINUS else PROVED))
+                if ant.sign == MINUS:
+                    read.append((c, tag_index[ant.tag], REFUTED))
+                    negated.add((c, r))
+                    live = live and not fact[c]
+                else:
+                    read.append((c, tag_index.get(ant.tag), PROVED))
+                    live = live and supported[c]
                 # r is the largest position so far, so a cell this rule
                 # already reads ends with r
                 cell_readers = readers[c]
-                if not cell_readers or cell_readers[-1] != r:
+                if live and (not cell_readers or cell_readers[-1] != r):
                     readers[c] = cell_readers + (r,)
             antecedents.append(tuple(read))
+            if live:
+                heads[head[r]] += (r,)
+            else:
+                inert[r] = 1
+                gone.append(r)
+                for c, _, _ in read:
+                    cell_readers = readers[c]
+                    if cell_readers and cell_readers[-1] == r:
+                        readers[c] = cell_readers[:-1]
+
+        # The rest of the least inert closure.  So far a rule is inert
+        # when it wants a cell that no fact or rule supports proved, or
+        # wants a fact refuted, and lists hold the other rules.  A cell
+        # dies once it is no fact and lists no rule, and then every
+        # rule that wants it proved turns inert and leaves the lists.
+        dead = [h for h in {head[r] for r in gone}
+                if not heads[h] and not fact[h]]
+        while dead:
+            c = dead.pop()
+            kept = ()  # the rules that read c only as -t
+            for r in readers[c]:
+                if negated and (c, r) in negated and all(
+                        cell != c or want == REFUTED
+                        for cell, _, want in antecedents[r]):
+                    kept += (r,)
+                    continue
+                inert[r] = 1
+                for cell, _, _ in antecedents[r]:
+                    cell_readers = readers[cell]
+                    if cell != c and r in cell_readers:
+                        readers[cell] = tuple(s for s in cell_readers
+                                              if s != r)
+                h = head[r]
+                heads[h] = tuple(s for s in heads[h] if s != r)
+                if not heads[h] and not fact[h]:
+                    dead.append(h)
+            readers[c] = kept
+
         beaten: dict[int, set[int]] = {}
         for stronger, weaker in superiority:
             for s in positions.get(stronger, ()):
                 for w in positions.get(weaker, ()):
-                    if head[s] == head[w] ^ 2:
+                    if head[s] == head[w] ^ 2 and not (inert[s] or inert[w]):
                         beaten.setdefault(w, set()).add(s)
         self.beaten_by = [frozenset(beaten[r]) if r in beaten else ()
                           for r in range(len(rules))]
@@ -702,8 +783,9 @@ def standards_met(theory: DefeasibleTheory, literal: Literal,
     Only the cone of ``(mode, literal)`` is compiled (``cone_index``),
     once.  Dialectical validity is read at delta on the stripped view of
     that index, which shares every list but ``beaten_by`` and keeps its
-    own tables.  When no superiority pair among the cone's rules takes
-    effect the stripped table is the table itself, so it is reused.
+    own tables.  When no superiority pair between live rules of the cone
+    takes effect (``beaten_by``) the stripped table is the table itself,
+    so it is reused.
     """
     if mode not in MODES:
         raise ValueError(f"bad mode {mode!r}")

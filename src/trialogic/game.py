@@ -3,12 +3,14 @@
 The prosecutor opens by disclosing a subset of their private rules that
 makes the whole claim provable at the configured standards: every claim
 literal evidentially, and the obligation of its complement deontically.
-Play then alternates.  A non-pass move discloses private rules and
-declares at least one target literal; it is legal when every target had
-some determined status before the move (in any mode, at any tag) and
-gains some newly determined status in its declared mode, for the
-literal or its complement, once the rules migrate.  A pass is always
-legal.
+The opening may declare as targets only the ``(mode, literal)`` of
+these conditions, and when it declares none it targets all of them; a
+target outside them makes the opening an illegal move.  Play then
+alternates.  A non-pass move discloses private rules and declares at
+least one target literal; it is legal when every target had some
+determined status before the move (in any mode, at any tag) and gains
+some newly determined status in its declared mode, for the literal or
+its complement, once the rules migrate.  A pass is always legal.
 
 The game ends as soon as the defence's condition holds while the
 prosecutor has nothing left (some claim literal refuted evidentially or
@@ -47,53 +49,42 @@ Claim questions are answered on sliced tables.  Accepted openings,
 robustness, adjudication and greedy play's goal coverage ask only how
 the claim stands, so they read the table of a key restricted to the
 rules ``_Tables.keep`` names: every common rule plus ``engine.cone`` of
-each claim atom in both modes, less the inert rules (below).  For any
-key K, the claim cells have the same statuses in the tables of K and of
-K restricted to the kept rules; the argument is stated once, at
-``engine.cone``, and for the inert rules below.  Both tables are masks
-over the game's one index, so each has a row for every cone cell.  So
-any question over the subsets of a pool equals the same question over
-the subsets of its kept part.  One method, ``_Tables.achievable``, asks
-it for adjudication (each player in turn) and for robustness: it walks
-the subsets of the kept part of a pool, the empty one standing for a
-disclosure of rules outside the kept ones only.  This is the backward
-twin of the forward cone ``engine`` re-evaluates when a table grows.
-``accepted_openings`` asks the pr question of every subset of the pr
-pool and yields the openings alone; a caller that needs an opened state
-plays the opening through ``apply_move``.  Moves, their targets and the
-end-of-game test read full tables, since a rule outside the cone still
-changes statuses and still empties a pool; so greedy play reads a
-candidate's full table only once its sliced table has shown that the
-candidate raises the mover's coverage.
+each claim atom in both modes over the live rules, less the inert rules
+(below).  For any key K, the claim cells have the same statuses in the
+tables of K and of K restricted to the kept rules; the argument is
+stated once, at ``engine.cone``, and for the inert rules below.  Both
+tables are masks over the game's one index, so each has a row for every
+cone cell.  So any question over the subsets of a pool equals the same
+question over the subsets of its kept part.  One method,
+``_Tables.achievable``, asks it for adjudication (each player in turn)
+and for robustness: it walks the subsets of the kept part of a pool,
+the empty one standing for a disclosure of rules outside the kept ones
+only.  This is the backward twin of the forward cone ``engine``
+re-evaluates when a table grows.  ``accepted_openings`` asks the pr
+question of every subset of the pr pool and yields the openings alone;
+a caller that needs an opened state plays the opening through
+``apply_move``.  Moves, their targets and the end-of-game test read
+full tables, since a rule outside the cone still changes statuses and
+still empties a pool; so greedy play reads a candidate's full table
+only once its sliced table has shown that the candidate raises the
+mover's coverage.
 
-No table depends on the inert rules, those that can never fire.
-``_Tables`` finds them once per game (``_inert``) as a least closure
-over the index: a cell is dead when it is not a fact and every rule
-headed at it is inert, so a cell no rule heads is dead from the start,
-and a rule is inert when a plain or ``+t`` antecedent reads a dead cell
-or a ``-t`` antecedent reads a fact cell.  A rule id is inert when every
-position it has is.  Take any rule set K.  In its table a dead cell is
-refuted at every tag and an inert rule's ``_state`` is -1 at every
-ambient tag, by induction over the closure: a fact cell is proved at
-every tag, so a ``-t`` antecedent on it fails; every supporter of a
-dead cell is at -1, or it has none, so each of its conditions in
-``engine._condition`` is -1 and the cell is refuted; and then a plain
-or ``+t`` antecedent on it fails.  In ``_condition`` a rule at -1
-changes nothing: as a supporter it is the identity of max, as an
-attacker it gives -s = 1, the identity of min, and as a beater it is
-again the identity of max.  So the least fixpoint of K is a fixpoint of
-the conditions of K minus its inert rules.  The reverse holds too, since
-the same induction runs in the table of that smaller set, where the
-inert rules of K read the same dead cells.  Each least fixpoint
-therefore contains the other, and the two tables are equal row for
-row.  ``conclusions_for`` keys every table by its ids minus the inert
-ids, so such tables share one kept table, and ``_Tables.keep`` holds no
-inert id, so ``_Tables.achievable`` walks only the live kept part of a
-pool.  A disclosure of inert rules alone reaches the table before it,
-where ``ConclusionTable.targets`` reads no row, so the exhaustive
-search in ``strategy`` skips such a disclosure unplayed.  Pools, the
-legality of moves, the search bound and ``states_explored`` in
-``strategy`` still see every rule: only the keys of tables change.
+No table depends on the inert rules, those that can never fire: the
+game's index finds them as it compiles, and ``engine`` states why the
+table of any rule set K equals the table of K less its inert rules.
+``_inert`` reads the ids of which every position is inert.
+``conclusions_for`` keys every table by its ids minus the inert ids, so
+tables that differ only in inert rules share one kept table.  The claim
+cone is taken over the live rules only, since a rule that reaches a
+claim cell only through an inert rule cannot move it: the table of K is
+that of its live rules, whose claim cells the live cone answers for.
+So ``_Tables.keep`` holds no inert id, and ``_Tables.achievable`` walks
+only the live kept part of a pool.  A disclosure of inert rules alone
+reaches the table before it, where ``ConclusionTable.targets`` reads no
+row, so the exhaustive search in ``strategy`` skips such a disclosure
+unplayed.  Pools, the legality of moves, the search bound and
+``states_explored`` in ``strategy`` still see every rule: only the keys
+of tables change.
 
 A support bound, ``_Tables.supportable``, answers the prosecutor's
 subset searches when none can succeed.  Take the Horn closure of the
@@ -237,23 +228,26 @@ class _Tables:
     mask over it, and every graph question the game asks walks its
     cells and rule positions.  It also holds the ids of the inert rules,
     which no table's key keeps (``_inert``), the ids of the rules claim
-    questions keep (the common rules and the claim's cone, less the
-    inert ones), and each player's goal compiled once over the index
-    (``_goal``).  ``met`` reads a goal's keys off a table's rows, and
-    every claim question of the game and of ``strategy`` goes through
-    it; ``sliced`` is the table such a question reads for a key.  The
-    claim searches live here too: ``supportable``, the support bound
-    over the pr goal's cells, and ``achievable``, the walk over the
-    subsets of a pool.  With no claim, each raises ``ValueError``."""
+    questions keep (the common rules and the claim's cone over the
+    live rules, less the inert ones), and each player's goal compiled
+    once over the index (``_goal``).  ``met`` reads a goal's keys off a
+    table's rows, and every claim question of the game and of
+    ``strategy`` goes through it; ``sliced`` is the table such a
+    question reads for a key.  The claim searches live here too:
+    ``supportable``, the support bound over the pr goal's cells, and
+    ``achievable``, the walk over the subsets of a pool.  With no claim,
+    each raises ``ValueError``."""
 
     __slots__ = ("index", "inert", "keep", "goals")
 
     def __init__(self, setup: GameSetup):
-        self.index = TheoryIndex(setup.facts, setup.all_rules(),
-                                 setup.superiority)
-        self.inert = _inert(self.index)
+        self.index = index = TheoryIndex(setup.facts, setup.all_rules(),
+                                         setup.superiority)
+        self.inert = _inert(index)
         claim = setup.claim.literals if setup.claim else ()
-        cone_rules = cone(self.index.rules, {
+        live = [rule for rule, inert in zip(index.rules, index.inert)
+                if not inert]
+        cone_rules = cone(live, {
             (mode, literal.atom) for literal in claim for mode in MODES})
         self.keep = frozenset(
             r.id for r in cone_rules + setup.common_rules) - self.inert
@@ -324,36 +318,9 @@ class _Tables:
 
 
 def _inert(index: TheoryIndex) -> frozenset[str]:
-    """The inert rule ids of ``index``, the least closure the module
-    docstring defines.  Each antecedent is read once to list the rules
-    that want each cell proved, and once more when its cell dies; each
-    rule turns inert at most once."""
-    fact, head = index.fact, index.head
-    live = [len(rules) for rules in index.heads]  # live rules per head
-    proving = [[] for _ in live]
-    inert = bytearray(len(index.rules))
-    for r, antecedents in enumerate(index.antecedents):
-        for cell, _, want in antecedents:
-            if want == PROVED:
-                proving[cell].append(r)
-            elif fact[cell]:
-                inert[r] = 1
-    work = [r for r, on in enumerate(inert) if on]
-
-    def die(cell: int) -> None:
-        for r in proving[cell]:
-            if not inert[r]:
-                inert[r] = 1
-                work.append(r)
-
-    for cell, rules in enumerate(live):
-        if not rules and not fact[cell]:
-            die(cell)
-    while work:
-        h = head[work.pop()]
-        live[h] -= 1
-        if not live[h] and not fact[h]:
-            die(h)
+    """The inert rule ids of ``index``: those of which every position is
+    inert (``TheoryIndex.inert``)."""
+    inert = index.inert
     return frozenset(rule_id
                      for rule_id, positions in index.positions.items()
                      if all(inert[r] for r in positions))
@@ -426,6 +393,13 @@ def claim_conditions(setup: GameSetup, player: str
             yield MINUS, ev, EVIDENTIAL, literal
 
 
+def _claim_targets(setup: GameSetup) -> set[tuple[str, Literal]]:
+    """The ``(mode, literal)`` of each pr claim condition: the targets an
+    opening may declare, and those it has when it declares none."""
+    return {(mode, literal)
+            for _, _, mode, literal in claim_conditions(setup, PR)}
+
+
 def claim_established(table: ConclusionTable, setup: GameSetup) -> bool:
     """Every claim literal proved evidentially and the obligation of its
     complement proved deontically, at the configured standards."""
@@ -494,11 +468,25 @@ def step(state: GameState, disclosed: frozenset[str]
     return nxt, nxt.conclusions.targets(state.conclusions)
 
 
-def _open(state: GameState, opening: frozenset[str]) -> GameState:
+def _open(state: GameState, opening: frozenset[str],
+          targets: frozenset[tuple[str, Literal]] = frozenset()
+          ) -> GameState:
+    """The state after the opening ``opening``, which declares
+    ``targets``.  Raises ``ValueError`` for a rule outside the pr pool,
+    ``IllegalMove`` for a target outside the claim's conditions, and
+    ``OpeningRejected`` when the claim is not established."""
     stray = opening - state.pr_ids
     if stray:
         raise ValueError(
             "opening rules not in the pr pool: " + ", ".join(sorted(stray)))
+    claimed = _claim_targets(state.setup)
+    stray_targets = [target for target in _sorted_targets(targets)
+                     if target not in claimed]
+    if stray_targets:
+        raise IllegalMove(0, PR, (
+            "opening targets outside the claim's conditions: "
+            + ", ".join(f"{mode} {literal}"
+                        for mode, literal in stray_targets),))
     nxt, _ = step(state, opening)
     if not state.tables.established(nxt.conclusions):
         raise OpeningRejected(_claim_gaps(nxt.conclusions, state.setup))
@@ -527,7 +515,8 @@ def open_game(setup: GameSetup, opening_ids: Iterable[str]) -> GameState:
 
 def _attempt(state: GameState, move: Move):
     """Shared legality check.  Returns (report, next_state or None); an
-    opening is judged as ``open_game`` judges it, targets or none."""
+    opening is judged as ``open_game`` judges it, and may declare only
+    the claim's ``(mode, literal)`` conditions as targets."""
     reasons: list[str] = []
     if move.player != state.mover:
         reasons.append(
@@ -542,8 +531,9 @@ def _attempt(state: GameState, move: Move):
         return LegalityReport(False, tuple(reasons)), None
     if state.turn == 0:
         try:
-            return LegalityReport(True), _open(state, move.rule_ids)
-        except OpeningRejected as rejected:
+            return LegalityReport(True), _open(state, move.rule_ids,
+                                               move.targets)
+        except (OpeningRejected, IllegalMove) as rejected:
             return LegalityReport(False, rejected.reasons), None
     if move.is_pass and move.targets:
         return LegalityReport(False, ("a pass declares no targets",)), None
@@ -572,9 +562,10 @@ def legal_move(state: GameState, move: Move) -> LegalityReport:
 
 
 def apply_move(state: GameState, move: Move) -> GameState:
-    """The state after ``move``; an opening raises as ``open_game``."""
+    """The state after ``move``; an opening raises as ``open_game``, and
+    ``IllegalMove`` for a target outside the claim's conditions."""
     if state.turn == 0 and move.player == PR:
-        return _open(state, move.rule_ids)
+        return _open(state, move.rule_ids, move.targets)
     report, nxt = _attempt(state, move)
     if not report.legal:
         raise IllegalMove(state.turn, move.player, report.reasons)
@@ -643,15 +634,15 @@ def _sorted_targets(targets) -> tuple[tuple[str, Literal], ...]:
 
 def play_move(trace: GameTrace, state: GameState, move: Move) -> GameState:
     """Validate ``move`` at ``state``, append its record to ``trace`` and
-    settle the trace's outcome.  The first move is the opening; when it
-    declares no targets they default to the claim."""
+    settle the trace's outcome.  The first move is the opening; it may
+    declare only the claim's conditions as targets, and when it declares
+    none they default to all of them."""
     if state.turn == 0 and move.player != PR:
         raise IllegalMove(0, move.player, ("the opening move belongs to pr",))
     nxt = apply_move(state, move)
     targets = move.targets
     if state.turn == 0 and not targets:
-        targets = {(mode, literal)
-                   for _, _, mode, literal in claim_conditions(state.setup, PR)}
+        targets = _claim_targets(state.setup)
     trace.records.append(TurnRecord(
         move.player, tuple(sorted(move.rule_ids)), _sorted_targets(targets),
         nxt.newly_determined, nxt.conclusions))

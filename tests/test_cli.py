@@ -421,6 +421,9 @@ class TestModuleEntryPoint:
         ("pr: r1, r4.\ndef: r6 targets E b.\n",
          b"illegal move at turn 1 (def): target postcondition: the move "
          b"determines nothing new about b in mode E\n"),
+        ("pr: r1, r4 targets E zz, O q.\ndef: pass.\npr: pass.\n",
+         b"illegal move at turn 0 (pr): opening targets outside the "
+         b"claim's conditions: E zz, O q\n"),
     ])
     def test_refused_game_exits_2(self, s1_path, tmp_path, moves, stderr):
         path = tmp_path / "refused.moves"

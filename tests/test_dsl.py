@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -73,6 +75,24 @@ class TestParseErrors:
 
     def test_duplicate_rule(self):
         self.expect("rule r1: a => b. rule r1: a => c.", "duplicate rule id")
+
+    def test_duplicate_rule_reported_once_at_its_second_declaration(self):
+        with pytest.raises(ParseFailure) as exc:
+            parse_theory("rule r1: a => b.\nrule r2: b => c.\n"
+                         "rule r1: a => c.\nrule r3: c => d.\n")
+        assert [e.render() for e in exc.value.errors] == [
+            "3:6: duplicate rule id 'r1'"]
+
+    def test_long_chain_parses_in_linear_time(self):
+        # a duplicate check that scans the earlier rules takes minutes
+        # here; a set of the ids declared so far takes well under 5 s
+        n = 20_000
+        text = "fact x0.\n" + "".join(f"rule r{i}: x{i} => x{i + 1}.\n"
+                                      for i in range(n))
+        start = time.perf_counter()
+        setup = parse_theory(text)
+        assert time.perf_counter() - start < 5
+        assert len(setup.common_rules) == n
 
     def test_unknown_superiority_reference(self):
         self.expect("rule r1: a => b. sup r9 > r1.", "unknown rule id 'r9'")

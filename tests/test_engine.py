@@ -14,6 +14,8 @@ from trialogic import (
 from trialogic import engine
 from trialogic.corpus import ATOM_POOL, random_theory
 
+from conftest import reference_inert, unpruned_rows
+
 # tag order from strongest positive proof to weakest
 _CHAIN = (DELTA, PARTIAL, SIGMA, SIGMA_MINUS)
 
@@ -257,8 +259,10 @@ class TestIndex:
 
 def _reference_index(facts, rules, superiority):
     """The fields of ``engine.TheoryIndex`` built plainly: a Literal
-    lookup per occurrence and a set of read cells per rule.  The
-    reference for the one-pass compile."""
+    lookup per occurrence, a set of read cells per rule, and the inert
+    closure over Rule objects (``reference_inert``), whose rules leave
+    ``heads``, ``readers`` and ``beaten_by``.  The reference for the
+    one-pass compile."""
     facts, rules = tuple(facts), tuple(rules)
     atoms = {literal.atom for _, literal in facts}
     for rule in rules:
@@ -271,32 +275,36 @@ def _reference_index(facts, rules, superiority):
     fact = bytearray(cells)
     for mode, literal in facts:
         fact[2 * ids[literal] + MODES.index(mode)] = 1
+    inert = reference_inert(frozenset(facts), rules)
     positions, head, antecedents = {}, [], []
     heads, readers = [()] * cells, [()] * cells
     for r, rule in enumerate(rules):
         positions[rule.id] = positions.get(rule.id, ()) + (r,)
         h = 2 * ids[rule.head] + MODES.index(rule.head_mode)
         head.append(h)
-        heads[h] += (r,)
         read = tuple((2 * ids[ant.literal] + MODES.index(ant.mode),
                       None if ant.tag is None else TAGS.index(ant.tag),
                       REFUTED if ant.sign == MINUS else PROVED)
                      for ant in rule.antecedents)
         antecedents.append(read)
+        if r in inert:
+            continue
+        heads[h] += (r,)
         for c in {c for c, _, _ in read}:
             readers[c] += (r,)
     beaten = {}
     for stronger, weaker in superiority:
         for s in positions.get(stronger, ()):
             for w in positions.get(weaker, ()):
-                if head[s] == head[w] ^ 2:
+                if head[s] == head[w] ^ 2 and not {s, w} & inert:
                     beaten.setdefault(w, set()).add(s)
     beaten_by = [frozenset(beaten[r]) if r in beaten else ()
                  for r in range(len(rules))]
     return {"literals": literals, "ids": ids, "fact": fact,
             "positions": positions, "head": head,
-            "antecedents": antecedents, "heads": heads,
-            "readers": readers, "beaten_by": beaten_by}
+            "antecedents": antecedents,
+            "inert": bytearray(r in inert for r in range(len(rules))),
+            "heads": heads, "readers": readers, "beaten_by": beaten_by}
 
 
 class TestCompile:
@@ -309,6 +317,9 @@ class TestCompile:
         rules = list(theory.rules)
         first = rules[0]
         ant = first.antecedents[0]
+        plain = Antecedent(ant.mode, ant.literal)
+        # a fact under the rules that read ``plain``, so they are live
+        facts = theory.facts | {(ant.mode, ant.literal)}
         other_mode = MODES[1 - MODES.index(first.head_mode)]
         rules += [
             # reads one cell twice, plain and annotated
@@ -317,6 +328,10 @@ class TestCompile:
                  first.head_mode, first.head.complement()),
             # complementary head literal in the other mode
             Rule(first.id + "o", (ant,), other_mode,
+                 first.head.complement()),
+            # a live complementary pair
+            Rule(first.id + "y", (plain,), first.head_mode, first.head),
+            Rule(first.id + "z", (plain,), first.head_mode,
                  first.head.complement()),
         ]
         # an id repeated across pools, as in a setup's rules
@@ -327,11 +342,12 @@ class TestCompile:
         names = sorted({rule.id for rule in rules})
         superiority = data.draw(st.sets(st.tuples(st.sampled_from(names),
                                                   st.sampled_from(names))))
-        superiority |= {(first.id + "x", first.id),  # effective
+        superiority |= {(first.id + "x", first.id),  # effective unless inert
+                        (first.id + "y", first.id + "z"),  # effective
                         (first.id + "o", first.id),  # inert: cross-mode
                         ("zz", first.id)}            # inert: unknown id
-        index = engine.TheoryIndex(theory.facts, rules, superiority)
-        reference = _reference_index(theory.facts, rules, superiority)
+        index = engine.TheoryIndex(facts, rules, superiority)
+        reference = _reference_index(facts, rules, superiority)
         assert any(index.beaten_by)
         for name, expected in reference.items():
             assert getattr(index, name) == expected, name
@@ -597,6 +613,29 @@ class TestStandards:
         assert len(calls) == 1
         assert DIALECTICAL_VALIDITY in report.met
 
+    def test_one_table_when_the_only_pair_has_an_inert_side(
+            self, monkeypatch):
+        # r2 > r1 would let r2 beat r1, but nothing supports x, so r2 can
+        # never fire and the pair has no effect
+        theory = parse_theory("fact a.\n"
+                              "rule r1: a => b.\n"
+                              "rule r2: x => ~b.\n"
+                              "sup r2 > r1.\n").union_theory()
+        views = []
+        stripped = engine.TheoryIndex.stripped
+
+        def counting(index):
+            views.append(index)
+            return stripped(index)
+
+        monkeypatch.setattr(engine.TheoryIndex, "stripped", counting)
+        calls = self._count_tables(monkeypatch)
+        report = standards_met(theory, lit("b"))
+        assert views == []
+        assert len(calls) == 1
+        assert report.met == (SCINTILLA, SUBSTANTIAL, PREPONDERANCE, BRD,
+                              DIALECTICAL_VALIDITY)
+
     def test_stripped_view_shares_the_index(self, monkeypatch, s3):
         calls = self._count_tables(monkeypatch)
         theory = s3.union_theory()
@@ -743,6 +782,45 @@ class TestOneShotCones:
         assert [rule.id for rule in engine.cone(
             theory.rules, [(EVIDENTIAL, "b")])] == ["r3", "r5"]
         assert engine.cone(theory.rules, [(OBLIGATION, "zz")]) == ()
+
+
+class TestInertRules:
+    """A one-shot table skips the inert rules: it is the least fixpoint
+    of the conditions of every rule, and it and the one-literal
+    questions answer as the theory with its inert rules deleted."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6),
+           st.sampled_from(range(len(TestOneShotCones.CLASSES))))
+    def test_one_shot_answers_skip_inert_rules(self, seed, cls):
+        theory = random_theory(seed, **TestOneShotCones.CLASSES[cls])
+        table = compute_conclusions(theory)
+        mentioned = {literal for _, literal in theory.facts}
+        for rule in theory.rules:
+            mentioned.add(rule.head)
+            mentioned.update(ant.literal for ant in rule.antecedents)
+        assert table.literals == mentioned | {
+            literal.complement() for literal in mentioned}
+        assert table.rows() == unpruned_rows(theory.facts, theory.rules,
+                                             theory.superiority)
+        inert = reference_inert(theory.facts, theory.rules)
+        live = tuple(rule for r, rule in enumerate(theory.rules)
+                     if r not in inert)
+        pruned = compute_conclusions(
+            DefeasibleTheory(theory.facts, live, theory.superiority))
+        stripped = compute_conclusions(DefeasibleTheory(theory.facts, live))
+        for literal in sorted(table.literals):
+            for mode in MODES:
+                assert [table.status(tag, mode, literal) for tag in TAGS] \
+                    == [pruned.status(tag, mode, literal) for tag in TAGS]
+                met, permission, queries = TestOneShotCones._reference(
+                    pruned, stripped, literal, mode)
+                assert standards_met(theory, literal, mode).met == met
+                if mode == OBLIGATION:  # permission reads O of ~literal
+                    assert [weakly_permitted(theory, literal, tag).status
+                            for tag in (DELTA, PARTIAL)] == permission
+                assert [holds(theory, TaggedLiteral(sign, tag, mode, literal))
+                        for sign in (PLUS, MINUS) for tag in TAGS] == queries
 
 
 class TestStrengthOrder:

@@ -15,7 +15,9 @@ from trialogic import (
 )
 from trialogic.engine import TheoryIndex
 
-from conftest import established_setup, load
+from conftest import (
+    established_setup, load, reference_inert, unpruned_rows,
+)
 
 
 # Seeds whose ``established_setup(seed, max_rules=14, deontic_ratio=0.5)``
@@ -120,6 +122,33 @@ class TestOpeningMove:
     def test_opening_belongs_to_pr(self, s1):
         report = legal_move(initial_state(s1), move(DEF, {"r6"}))
         assert any("turn order" in r for r in report.reasons)
+
+    def test_opening_targets_outside_the_claim_are_illegal(self, s1):
+        # s1's claim b has the conditions E b and O ~b; zz and q are not
+        # even atoms of s1, and O b is b in the wrong mode
+        start = initial_state(s1)
+        opening = move(PR, {"r1", "r4"},
+                       [(EVIDENTIAL, "b"), (EVIDENTIAL, "zz"),
+                        (OBLIGATION, "q"), (OBLIGATION, "b")])
+        reason = ("opening targets outside the claim's conditions: "
+                  "E zz, O b, O q",)
+        assert legal_move(start, opening).reasons == reason
+        with pytest.raises(IllegalMove) as exc:
+            apply_move(start, opening)
+        assert (exc.value.turn, exc.value.player, exc.value.reasons) == \
+            (0, PR, reason)
+        with pytest.raises(IllegalMove) as exc:
+            run_game(s1, [opening, move(DEF, ()), move(PR, ())])
+        assert exc.value.reasons == reason
+
+    def test_opening_may_target_part_of_the_claim(self, s1):
+        # the trace keeps the targets the moves declare, and an opening
+        # that declares none targets every claim condition
+        for targets, recorded in (
+                ([(OBLIGATION, "~b")], ((OBLIGATION, lit("~b")),)),
+                ((), ((EVIDENTIAL, lit("b")), (OBLIGATION, lit("~b"))))):
+            trace = run_game(s1, [move(PR, {"r1", "r4"}, targets)])
+            assert trace.records[0].targets == recorded
 
 
 class TestNoClaim:
@@ -456,8 +485,14 @@ class TestIncrementalTables:
             assert [run.grown for run in computed] == [False] + [True] * grown
 
     def test_greedy_play_grows_all_but_the_first_table(self, computed):
-        auto_play(established_setup(71, max_rules=20, deontic_ratio=0.5))
-        assert [run.grown for run in computed] == [False] + [True] * 7
+        # seed 71's claim cone holds no live private rule, so greedy play
+        # reads one table; seed 72 has no inert rule
+        for seed, grown in ((71, 0), (72, 158)):
+            computed.clear()
+            auto_play(established_setup(seed, max_rules=20,
+                                        deontic_ratio=0.5))
+            assert [run.grown for run in computed] == \
+                [False] + [True] * grown
 
     def test_unknown_rule_id_is_no_parent(self, computed, s1):
         state = initial_state(s1)
@@ -811,29 +846,10 @@ def _reference_supportable(setup, keep, rule_ids):
 
 
 def _reference_inert(setup):
-    """``game._inert`` over Rule objects: from no inert rule, a rule
-    turns inert while a plain or ``+t`` antecedent reads a dead cell
-    (mode, literal), one that is no fact and whose every rule is already
-    inert, or a ``-t`` antecedent reads a fact.  The ids of which every
-    rule is inert."""
+    """``game._inert`` over Rule objects: the ids of which every rule is
+    inert (``reference_inert``)."""
     rules = setup.all_rules()
-    inert = set()
-
-    def dead(cell):
-        return cell not in setup.facts and all(
-            r in inert for r, rule in enumerate(rules)
-            if (rule.head_mode, rule.head) == cell)
-
-    grew = True
-    while grew:
-        grew = False
-        for r, rule in enumerate(rules):
-            if r not in inert and any(
-                    (ant.mode, ant.literal) in setup.facts
-                    if ant.sign == MINUS else dead((ant.mode, ant.literal))
-                    for ant in rule.antecedents):
-                inert.add(r)
-                grew = True
+    inert = reference_inert(setup.facts, rules)
     return frozenset(rule.id for rule in rules) - {
         rule.id for r, rule in enumerate(rules) if r not in inert}
 
@@ -849,9 +865,14 @@ class TestIndexWalks:
            st.randoms(use_true_random=False))
     def test_walks_agree_with_the_rule_level_references(self, setup, rng):
         # every literal the setup mentions, and one it does not, in
-        # turn as the claim
+        # turn as the claim; the kept rules are the claim cone over the
+        # live rules, since a rule that reaches a claim cell only through
+        # an inert rule cannot move it
         common = {rule.id for rule in setup.common_rules}
         inert = _reference_inert(setup)
+        dead = reference_inert(setup.facts, setup.all_rules())
+        live = [rule for r, rule in enumerate(setup.all_rules())
+                if r not in dead]
         ids = sorted({rule.id for rule in setup.all_rules()})
         id_sets = [frozenset(ids)] + [
             frozenset(rng.sample(ids, rng.randint(0, len(ids))))
@@ -864,7 +885,8 @@ class TestIndexWalks:
             assert {rule.id for rule in engine.cone(setup.all_rules(),
                                                     cells)} == cone
             assert tables.inert == inert
-            assert tables.keep == (cone | common) - inert
+            live_cone = _reference_claim_cone(live, (literal,))
+            assert tables.keep == (live_cone | common) - inert
             for rule_ids in id_sets:
                 assert tables.supportable(rule_ids) == \
                     _reference_supportable(claimed, tables.keep, rule_ids)
@@ -891,6 +913,9 @@ class TestInertRules:
                     rule_ids).rows()
                 for rule_ids in (key, key - inert))
             assert with_inert == without
+            # and both are the fixpoint of every rule of the key
+            assert with_inert == unpruned_rows(
+                setup.facts, setup.all_rules(), setup.superiority, key)
 
     @staticmethod
     def _inert_of(setup):
@@ -949,7 +974,7 @@ class TestInertRules:
             compute_conclusions(index, {"r1"}).rows()
 
     @pytest.mark.parametrize("seed, inert, tables",
-                             [(291, 23, 2), (463, 12, 67), (71, 12, 2),
+                             [(291, 23, 2), (463, 12, 35), (71, 12, 2),
                               (162, 0, 517)])
     def test_analyze_computes_one_table_per_live_key(self, computed, seed,
                                                      inert, tables):
