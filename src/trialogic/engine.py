@@ -41,10 +41,13 @@ is compiled in one pass over the rules, once their head cells are
 known.  A game compiles its whole setup once and passes
 ``compute_conclusions`` that index with the ids of the rules to
 activate.  ``compute_conclusions`` compiles a one-shot theory whole,
-once per call.  The one-literal questions, ``holds``, ``standards_met``
-and ``permission.weakly_permitted``, compile only the facts, the
-superiority pairs and the rules of the asked cell's backward cone
-(``cone``, which also states why that table answers alike).
+once per call, and builds its table over every rule with no mask.
+The one-literal questions, ``holds``, ``standards_met`` and
+``permission.weakly_permitted``, check the question first and then
+compile only the facts, the superiority pairs and the rules of the
+asked cell's live backward cone: the walk neither keeps nor follows a
+rule that is inert at once (below).  ``cone`` states why that table
+answers alike.
 
 The compile also finds the inert rules, those that can never fire, as
 a least closure over the cells: a cell is dead when it is not a fact
@@ -74,10 +77,13 @@ holds too, since the same induction runs in the fixpoint of that
 smaller set, where the inert rules of K read the same dead cells.
 Each least fixpoint therefore contains the other, and the two are
 equal row for row.  A one-shot table is K = all rules; a game's table
-is the K of its key.
+is the K of its key; a one-shot question's cone is walked in K = all
+rules less those inert at once, which the facts and rule heads alone
+show, before any compile.
 
 A table is the least fixpoint over an index restricted to a rule mask
-(``TheoryIndex.mask``), the rules of one theory.  It holds one row of
+(``TheoryIndex.mask``), the rules of one theory, or over every rule of
+the index, with no mask, for a whole-theory table.  It holds one row of
 four statuses per cell of the index.  A cell that no fact and no active
 rule heads is refuted at every tag, as is a literal the index does not
 number.  An agenda over cell ids builds it, seeded with every cell.
@@ -90,9 +96,11 @@ sort in.  Every condition is monotone in the statuses derived so far,
 hence the table is the single least fixpoint of those conditions and
 does not depend on evaluation order.
 
-The index keeps every table built over it (``TheoryIndex.tables``).  A
-new table grows from the kept table of the same rule ids less one rule
-r, the first such id in id order; no parent is passed in.  Only the
+The index keeps every table of a rule mask built over it
+(``TheoryIndex.tables``).  A whole-theory table is kept nowhere: its
+index is compiled for one call and then dropped.  A new table of rule
+ids grows from the kept table of the same ids less one rule r, the
+first such id in id order; no parent is passed in.  Only the
 affected cone can change: r's head cells ``h`` and ``h ^ 2`` and the
 cells that reach them through the readers of the active rules.  Every
 other cell reads only unaffected cells, keeps the same supporting and
@@ -107,7 +115,7 @@ Proof standards map onto the tags: scintilla of evidence is
 sigma_minus, substantial evidence (clear and convincing) is sigma,
 preponderance is partial, beyond reasonable doubt is delta, and
 dialectical validity is delta computed with the superiority relation
-stripped.  ``standards_met`` compiles the literal's cone once and
+stripped.  ``standards_met`` compiles the literal's live cone once and
 reads dialectical validity on a view of that index
 (``TheoryIndex.stripped``) that shares every list but ``beaten_by``.
 """
@@ -121,7 +129,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .model import (
     DELTA, EVIDENTIAL, MINUS, MODES, PARTIAL, PLUS, PROVED, REFUTED, SIGMA,
     SIGMA_MINUS, TAGS, UNDETERMINED, DefeasibleTheory, Literal, Rule,
-    TaggedLiteral, literal_sort_key,
+    TaggedLiteral, _check_moded, _check_tag, literal_sort_key,
 )
 
 # Proof standard names.
@@ -315,8 +323,8 @@ class TheoryIndex:
     rule, see the module docstring) and ``beaten_by`` (the positions of
     the live rules that beat a live rule, kept only between
     complementary head cells, the only pairs a condition reads).
-    ``tables`` keeps every table built over the index, keyed by the
-    frozenset of ids asked for.
+    ``tables`` keeps every table of rule ids built over the index,
+    keyed by the frozenset of ids asked for.
 
     The compile reads every head cell first, then makes one pass over
     the rules that also starts the inert closure, which ends over the
@@ -442,8 +450,9 @@ class TheoryIndex:
     def stripped(self) -> "TheoryIndex":
         """A view of this index with the superiority relation stripped:
         it shares every list but ``beaten_by``, which is ``()`` for each
-        rule, and keeps its own ``tables``, since a table over it has
-        the same key as the table of the same ids over this index."""
+        rule.  It keeps its own ``tables``, since a table over it has
+        the same key as the table of the same ids over this index; the
+        whole-theory table of ``standards_met`` is kept in neither."""
         view = object.__new__(TheoryIndex)
         for name in self.__slots__:
             setattr(view, name, getattr(self, name))
@@ -572,7 +581,8 @@ def _condition(tag: int, inputs: tuple, rows: list,
 
 def _evaluate(index: TheoryIndex, active, rows: list, agenda: list) -> None:
     """Run the agenda, cell ids in ascending order, to the fixpoint over
-    the rules ``active`` marks, writing statuses into ``rows``.
+    the rules ``active`` marks, or over every rule when ``active`` is
+    None, writing statuses into ``rows``.
 
     Seeding reads each agenda cell's inputs once for the whole table:
     whether its opposite is a fact, its active supporters and its
@@ -620,13 +630,17 @@ def _evaluate(index: TheoryIndex, active, rows: list, agenda: list) -> None:
         if fact[cell]:
             rows[cell] = _PROVED_ROW
             continue
-        supporters = [r for r in heads[cell] if active[r]]
+        supporters = heads[cell]
+        if supporters and active is not None:
+            supporters = [r for r in supporters if active[r]]
         if not supporters:
             rows[cell] = _UNSUPPORTED_ROW
             continue
         opposed = cell ^ 2
-        inputs[cell] = (fact[opposed], supporters,
-                        [r for r in heads[opposed] if active[r]])
+        attackers = heads[opposed]
+        if attackers and active is not None:
+            attackers = [r for r in attackers if active[r]]
+        inputs[cell] = (fact[opposed], supporters, attackers)
         rows[cell] = [None] * len(TAGS)
         queued[cell] = 1
         pending.append(cell)
@@ -649,7 +663,7 @@ def _evaluate(index: TheoryIndex, active, rows: list, agenda: list) -> None:
             if not still_open:
                 inputs[cell] = None
             for r in readers[cell]:
-                if active[r]:
+                if active is None or active[r]:
                     for reader in (head[r], head[r] ^ 2):
                         if not queued[reader] and inputs[reader] is not None:
                             queued[reader] = 1
@@ -685,38 +699,52 @@ def compute_conclusions(theory: Union[DefeasibleTheory, TheoryIndex],
     is ignored) and the superiority pairs among those rules, over a
     theory, compiled here, or over an index compiled once.
 
-    The table is computed, kept in ``index.tables`` under the ids asked
-    for and, when the index keeps the table of those ids less one rule
-    id (the first in id order), grown from it.
+    With ``rule_ids`` the table is computed over the index's mask of
+    those ids, kept in ``index.tables`` under the ids asked for and,
+    when the index keeps the table of those ids less one rule id (the
+    first in id order), grown from it.  With None it is the table of
+    every rule: the fixpoint reads ``heads`` and ``readers`` as they
+    are, with no mask, and nothing is kept.
     """
     index = theory if isinstance(theory, TheoryIndex) else TheoryIndex(
         theory.facts, theory.rules, theory.superiority)
-    key = frozenset(index.positions if rule_ids is None else rule_ids)
-    active = index.mask(key)
-    tables = index.tables
-    rows = None
-    if tables:  # a one-shot index keeps nothing to grow from
-        for rule_id in sorted(key & index.positions.keys()):
-            parent = tables.get(key - {rule_id})
-            if parent is not None:
-                rows, agenda = _grow(index, active, parent, rule_id)
-                break
+    active = rows = None
+    if rule_ids is not None:
+        key = frozenset(rule_ids)
+        active = index.mask(key)
+        tables = index.tables
+        if tables:  # an index with no table yet has nothing to grow from
+            for rule_id in sorted(key & index.positions.keys()):
+                parent = tables.get(key - {rule_id})
+                if parent is not None:
+                    rows, agenda = _grow(index, active, parent, rule_id)
+                    break
     if rows is None:
         rows = [None] * (2 * len(index.literals))
         agenda = range(len(rows))
     _evaluate(index, active, rows, agenda)
-    table = tables[key] = ConclusionTable(index.literals, index.ids, rows)
+    table = ConclusionTable(index.literals, index.ids, rows)
+    if active is not None:
+        tables[key] = table
     return table
 
 
-def cone(rules: Sequence[Rule], cells: Iterable[tuple[str, str]]
-         ) -> tuple[Rule, ...]:
-    """The rules of the backward cone of ``cells``, in ``rules`` order.
+def cone(facts: Iterable[tuple[str, Literal]], rules: Sequence[Rule],
+         cells: Iterable[tuple[str, str]]) -> tuple[Rule, ...]:
+    """The rules of the live backward cone of ``cells``, in ``rules``
+    order.
 
     Each cell is a ``(mode, atom)`` pair, standing for the cell of the
     atom's literal in that mode together with its opposite.  A rule
     headed at a cell of the cone joins it, and adds the cell of each of
-    its antecedents.
+    its antecedents, unless it is inert at once: a plain or ``+t``
+    antecedent reads a ``(mode, literal)`` that no fact and no rule of
+    ``rules`` heads, or a ``-t`` antecedent reads a fact.  Such a rule
+    is inert in any compile of ``facts`` and ``rules`` (see the module
+    docstring), so the walk neither keeps it nor follows it, and a rule
+    reached only through it stays out.  Over rules that are all live,
+    as ``game`` passes them, no rule is inert at once and the walk is
+    the plain backward cone.
 
     Why the cone answers for its cells: the conditions of a cell
     ``(mode, l)`` read only facts and the cells named by antecedents of
@@ -728,43 +756,62 @@ def cone(rules: Sequence[Rule], cells: Iterable[tuple[str, str]]
     The least fixpoint restricted to those cells is the same in each.
     So over one index, the cone cells have the same statuses in the
     tables of a rule set K and of K restricted to the cone, which is
-    how ``game`` slices its claim questions.  A one-shot question
-    compiles an index of the facts, the superiority pairs and the cone
-    alone (``cone_index``).  There an asked cell the smaller index does
-    not number reads as refuted at every tag, and that is exactly how
-    the whole theory's table reads it: such a cell has no fact and no
-    rule headed at it, since every such rule is in the cone.
+    how ``game`` slices its claim questions.  Take K to be ``rules``
+    less the rules inert at once: its table is that of ``rules``, since
+    deleting inert rules changes no row, and the walk is K's cone.  A
+    one-shot question compiles an index of the facts, the superiority
+    pairs and the cone alone (``cone_index``).  There an asked cell the
+    smaller index does not number reads as refuted at every tag, and
+    that is exactly how the whole theory's table reads it: such a cell
+    is no fact, and every rule headed at it, if any, is inert at once,
+    so the cell is dead.
     """
+    facts = frozenset(facts)
+    supported = set(facts)  # each (mode, literal) a fact or a head supports
     headed: dict[tuple[str, str], list[int]] = {}
     for r, rule in enumerate(rules):
+        supported.add((rule.head_mode, rule.head))
         headed.setdefault((rule.head_mode, rule.head.atom), []).append(r)
     seen = set(cells)
     work = list(seen)
     kept = bytearray(len(rules))
     while work:
         for r in headed.get(work.pop(), ()):
-            kept[r] = 1
+            read = []
             for ant in rules[r].antecedents:
-                cell = (ant.mode, ant.literal.atom)
-                if cell not in seen:
-                    seen.add(cell)
-                    work.append(cell)
+                moded = (ant.mode, ant.literal)
+                if (moded in facts if ant.sign == MINUS
+                        else moded not in supported):
+                    break  # inert at once
+                read.append((ant.mode, ant.literal.atom))
+            else:
+                kept[r] = 1
+                for cell in read:
+                    if cell not in seen:
+                        seen.add(cell)
+                        work.append(cell)
     return tuple(rule for rule, on in zip(rules, kept) if on)
 
 
 def cone_index(theory: DefeasibleTheory, mode: str,
                literal: Literal) -> TheoryIndex:
-    """The facts, the superiority pairs and the rules of the cone of
-    ``(mode, literal)``, compiled: its table answers for that cell as
+    """The facts, the superiority pairs and the rules of the live cone
+    of ``(mode, literal)``, compiled: its table answers for that cell as
     the table of the whole theory does (see ``cone``)."""
     return TheoryIndex(theory.facts,
-                       cone(theory.rules, ((mode, literal.atom),)),
+                       cone(theory.facts, theory.rules,
+                            ((mode, literal.atom),)),
                        theory.superiority)
 
 
 def holds(theory: DefeasibleTheory, query: TaggedLiteral) -> str:
     """Status of one signed tagged query against a theory, on the
-    table of the queried cell's cone."""
+    table of the queried cell's cone.  The query's sign, tag, mode and
+    literal are checked before any walk, and a bad one raises
+    ``ValueError``."""
+    _wanted(query.sign)
+    _check_tag(query.tag)
+    _check_moded(query.mode, query.literal)
     return compute_conclusions(
         cone_index(theory, query.mode, query.literal)).query(query)
 
@@ -780,15 +827,15 @@ def standards_met(theory: DefeasibleTheory, literal: Literal,
                   mode: str = EVIDENTIAL) -> StandardsReport:
     """Which proof standards a literal meets in the given mode.
 
-    Only the cone of ``(mode, literal)`` is compiled (``cone_index``),
-    once.  Dialectical validity is read at delta on the stripped view of
-    that index, which shares every list but ``beaten_by`` and keeps its
-    own tables.  When no superiority pair between live rules of the cone
-    takes effect (``beaten_by``) the stripped table is the table itself,
-    so it is reused.
+    The mode and literal are checked first, and a bad one raises
+    ``ValueError``.  Only the live cone of ``(mode, literal)`` is
+    compiled (``cone_index``), once.  Dialectical validity is read at
+    delta on the stripped view of that index, which shares every list
+    but ``beaten_by``.  When no superiority pair between live rules of
+    the cone takes effect (``beaten_by``) the stripped table is the
+    table itself, so it is reused.
     """
-    if mode not in MODES:
-        raise ValueError(f"bad mode {mode!r}")
+    _check_moded(mode, literal)
     index = cone_index(theory, mode, literal)
     table = compute_conclusions(index)
     met = [

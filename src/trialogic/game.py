@@ -247,7 +247,7 @@ class _Tables:
         claim = setup.claim.literals if setup.claim else ()
         live = [rule for rule, inert in zip(index.rules, index.inert)
                 if not inert]
-        cone_rules = cone(live, {
+        cone_rules = cone(setup.facts, live, {
             (mode, literal.atom) for literal in claim for mode in MODES})
         self.keep = frozenset(
             r.id for r in cone_rules + setup.common_rules) - self.inert

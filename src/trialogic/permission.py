@@ -7,10 +7,11 @@ failure, and obligations proved at support alone can conflict, so the
 duality that makes the reading sound does not hold there.
 
 ``weakly_permitted`` asks one cell, the obligation of the complement,
-so it checks the tag first and then compiles only that cell's backward
-cone (``engine.cone_index``), whose table reads the cell as the whole
-theory's table does.  A theory with no deontic rule leaves that cone
-empty, so the obligation is proved by a fact or refuted at every tag.
+so it checks the tag and the literal first and then compiles only that
+cell's live backward cone (``engine.cone_index``), whose table reads
+the cell as the whole theory's table does.  A theory with no deontic
+rule leaves that cone empty, so the obligation is proved by a fact or
+refuted at every tag.
 
 The game variant answers from a finished trace: the court's record is
 whatever theory the parties ended up disclosing, so permission is read
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Optional
 from .engine import compute_conclusions, cone_index
 from .model import (
     DELTA, MINUS, OBLIGATION, PARTIAL, PLUS, PROVED, REFUTED, UNDETERMINED,
-    DefeasibleTheory, Literal, TaggedLiteral,
+    DefeasibleTheory, Literal, TaggedLiteral, _check_moded,
 )
 
 if TYPE_CHECKING:
@@ -65,6 +66,7 @@ def _permission_from_table(table, literal: Literal,
 def weakly_permitted(theory: DefeasibleTheory, literal: Literal,
                      tag: str = PARTIAL) -> PermissionStatus:
     _check_tag(tag)
+    _check_moded(OBLIGATION, literal)
     index = cone_index(theory, OBLIGATION, literal.complement())
     return _permission_from_table(compute_conclusions(index), literal, tag)
 

@@ -108,6 +108,40 @@ def reference_inert(facts, rules) -> frozenset[int]:
     return frozenset(inert)
 
 
+def reference_cone(rules, cells) -> frozenset[str]:
+    """The backward cone written out by hand: ids of the rules whose
+    head cell ``cells`` reach backwards through antecedents, cells taken
+    as (mode, atom)."""
+    headed = {}
+    for rule in rules:
+        headed.setdefault((rule.head_mode, rule.head.atom), []).append(rule)
+    seen = set(cells)
+    work = list(seen)
+    cone = set()
+    while work:
+        for rule in headed.get(work.pop(), ()):
+            cone.add(rule.id)
+            for ant in rule.antecedents:
+                cell = (ant.mode, ant.literal.atom)
+                if cell not in seen:
+                    seen.add(cell)
+                    work.append(cell)
+    return frozenset(cone)
+
+
+def inert_at_once(facts, rules) -> frozenset[int]:
+    """The rules inert at once, written out over Rule objects: a plain
+    or ``+t`` antecedent reads a cell (mode, literal) that no fact and
+    no rule of ``rules`` heads, or a ``-t`` antecedent reads a fact.
+    Their positions in ``rules``."""
+    supported = set(facts) | {(rule.head_mode, rule.head) for rule in rules}
+    return frozenset(
+        r for r, rule in enumerate(rules) if any(
+            (ant.mode, ant.literal) in facts if ant.sign == MINUS
+            else (ant.mode, ant.literal) not in supported
+            for ant in rule.antecedents))
+
+
 def unpruned_rows(facts, rules, superiority, rule_ids=None) -> list:
     """``rows()`` of the table of the rules ``rule_ids`` names (every
     rule when None) over an index of ``rules``, as the least fixpoint

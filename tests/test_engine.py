@@ -14,7 +14,9 @@ from trialogic import (
 from trialogic import engine
 from trialogic.corpus import ATOM_POOL, random_theory
 
-from conftest import reference_inert, unpruned_rows
+from conftest import (
+    inert_at_once, reference_cone, reference_inert, unpruned_rows,
+)
 
 # tag order from strongest positive proof to weakest
 _CHAIN = (DELTA, PARTIAL, SIGMA, SIGMA_MINUS)
@@ -256,6 +258,39 @@ class TestIndex:
             assert not any(isinstance(referent, engine.TheoryIndex)
                            for referent in gc.get_referents(table))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10 ** 6),
+           st.sampled_from([dict(allow_annotations=True),
+                            dict(max_atoms=16, max_rules=40)]))
+    def test_whole_table_equals_the_table_of_every_id(self, seed, kwargs):
+        # the unmasked fixpoint reads heads and readers as they are; the
+        # masked one, with every id asked for, filters them to the same
+        theory = random_theory(seed, **kwargs)
+        index = engine.TheoryIndex(theory.facts, theory.rules,
+                                   theory.superiority)
+        masked = compute_conclusions(index, list(index.positions))
+        assert compute_conclusions(theory).rows() == masked.rows()
+
+    def test_whole_table_is_kept_nowhere(self, monkeypatch, s3):
+        compiled = []
+        original = engine.TheoryIndex.__init__
+
+        def recording(index, *args, **kwargs):
+            compiled.append(index)
+            original(index, *args, **kwargs)
+
+        monkeypatch.setattr(engine.TheoryIndex, "__init__", recording)
+        theory = s3.union_theory()
+        table = compute_conclusions(theory)
+        (index,) = compiled
+        assert index.tables == {}
+        assert compute_conclusions(index) == table
+        assert index.tables == {}
+        # a table of ids is still kept under them
+        ids = frozenset(index.positions)
+        assert compute_conclusions(index, ids) == table
+        assert list(index.tables) == [ids]
+
 
 def _reference_index(facts, rules, superiority):
     """The fields of ``engine.TheoryIndex`` built plainly: a Literal
@@ -496,6 +531,43 @@ class TestUnknownKeys:
         assert table.status(DELTA, EVIDENTIAL, lit("zz")) == REFUTED
         assert table.derived(MINUS, DELTA, OBLIGATION, lit("zz"))
 
+    @staticmethod
+    def _count_walks(monkeypatch):
+        walks = []
+        original = engine.cone
+
+        def counting(*args):
+            walks.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(engine, "cone", counting)
+        return walks
+
+    def test_holds_checks_the_query_before_the_cone(self, monkeypatch, s1):
+        walks = self._count_walks(monkeypatch)
+        theory = s1.union_theory()
+        for sign, tag, mode, literal in (
+                ("?", DELTA, EVIDENTIAL, lit("a")),
+                (PLUS, "d", EVIDENTIAL, lit("a")),
+                (MINUS, DELTA, "obligation", lit("a")),
+                (PLUS, DELTA, EVIDENTIAL, "a")):
+            with pytest.raises(ValueError,
+                               match="bad (sign|tag|mode|literal)"):
+                holds(theory, TaggedLiteral(sign, tag, mode, literal))
+        assert walks == []
+        assert holds(theory, parse_query("+d a")) == PROVED
+        assert len(walks) == 1
+
+    def test_one_shot_questions_check_the_literal_before_the_cone(
+            self, monkeypatch, s1):
+        walks = self._count_walks(monkeypatch)
+        theory = s1.union_theory()
+        with pytest.raises(ValueError, match="bad literal 'b'"):
+            standards_met(theory, "b")
+        with pytest.raises(ValueError, match="bad literal 'b'"):
+            weakly_permitted(theory, "b")
+        assert walks == []
+
     def test_standards_check_the_mode_before_any_table(self, monkeypatch,
                                                         s1):
         calls = TestStandards._count_tables(monkeypatch)
@@ -637,10 +709,18 @@ class TestStandards:
                               DIALECTICAL_VALIDITY)
 
     def test_stripped_view_shares_the_index(self, monkeypatch, s3):
-        calls = self._count_tables(monkeypatch)
+        built = []
+        original = engine.compute_conclusions
+
+        def recording(index, *args):
+            table = original(index, *args)
+            built.append((index, table))
+            return table
+
+        monkeypatch.setattr(engine, "compute_conclusions", recording)
         theory = s3.union_theory()
         standards_met(theory, lit("b"), OBLIGATION)
-        (index,), (view,) = calls
+        (index, table), (view, view_table) = built
         assert index is not view
         for name in engine.TheoryIndex.__slots__:
             if name not in ("beaten_by", "tables"):
@@ -650,24 +730,22 @@ class TestStandards:
         # the index holds the facts, the pairs and the cone of (O, b):
         # the two deontic rules, not r1, which heads (E, b)
         assert {rule.id for rule in index.rules} == {"r4", "r10"}
-        # both tables have the key of the cone's ids; each index keeps
-        # its own, and the base table is the cone theory's full table
-        key = frozenset(index.positions)
-        assert list(index.tables) == list(view.tables) == [key]
-        rules = engine.cone(theory.rules, [(OBLIGATION, "b")])
-        assert index.tables[key] == compute_conclusions(
+        # both are whole-theory tables, which neither index keeps; the
+        # base table is the cone theory's full table
+        assert index.tables == view.tables == {}
+        rules = engine.cone(theory.facts, theory.rules, [(OBLIGATION, "b")])
+        assert table == original(
             DefeasibleTheory(theory.facts, rules, theory.superiority))
-        assert view.tables[key] == compute_conclusions(
-            DefeasibleTheory(theory.facts, rules))
-        assert index.tables[key] != view.tables[key]
+        assert view_table == original(DefeasibleTheory(theory.facts, rules))
+        assert table != view_table
         # and the asked cell reads as in the whole theory's tables
-        whole = compute_conclusions(theory)
-        whole_stripped = compute_conclusions(
+        whole = original(theory)
+        whole_stripped = original(
             DefeasibleTheory(theory.facts, theory.rules))
         for tag in TAGS:
-            assert index.tables[key].status(tag, OBLIGATION, lit("b")) == \
+            assert table.status(tag, OBLIGATION, lit("b")) == \
                 whole.status(tag, OBLIGATION, lit("b"))
-            assert view.tables[key].status(tag, OBLIGATION, lit("b")) == \
+            assert view_table.status(tag, OBLIGATION, lit("b")) == \
                 whole_stripped.status(tag, OBLIGATION, lit("b"))
 
     def test_reports_with_superiority_match_stripped_theory(self):
@@ -775,13 +853,79 @@ class TestOneShotCones:
             "rule r2: a =>O ~b.\n"
             "rule r3: c => b.\n"
             "rule r4: f =>O b.\n"
-            "rule r5: d => c.\n").union_theory()
+            "rule r5: d => c.\n"
+            "rule r6: f => d0.\n").union_theory()
         # (O, b) takes r2 and r4, then (E, a) through r2 takes r1
         assert [rule.id for rule in engine.cone(
-            theory.rules, [(OBLIGATION, "b")])] == ["r1", "r2", "r4"]
+            theory.facts, theory.rules, [(OBLIGATION, "b")])] == \
+            ["r1", "r2", "r4"]
+        # r5 reads d, which no fact and no rule supports, so it is inert
+        # at once and (E, d) is never walked
         assert [rule.id for rule in engine.cone(
-            theory.rules, [(EVIDENTIAL, "b")])] == ["r3", "r5"]
-        assert engine.cone(theory.rules, [(OBLIGATION, "zz")]) == ()
+            theory.facts, theory.rules, [(EVIDENTIAL, "b")])] == ["r3"]
+        assert engine.cone(theory.facts, theory.rules,
+                           [(OBLIGATION, "zz")]) == ()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from(range(len(CLASSES))))
+    def test_pruned_cone_tables_match_the_whole_theory(self, seed, cls):
+        # the walk keeps no rule inert at once and follows none, and the
+        # cone index's table, with superiority and stripped of it, reads
+        # both cells of the asked atom as the whole theory's tables do
+        theory = random_theory(seed, **self.CLASSES[cls])
+        skipped = inert_at_once(theory.facts, theory.rules)
+        walked = [rule for r, rule in enumerate(theory.rules)
+                  if r not in skipped]
+        stripped = DefeasibleTheory(theory.facts, theory.rules)
+        whole = [compute_conclusions(theory), compute_conclusions(stripped)]
+        atoms = sorted({literal.atom for literal in whole[0].literals})
+        for atom in atoms + ["unmentioned"]:
+            for mode in MODES:
+                rules = engine.cone(theory.facts, theory.rules,
+                                    [(mode, atom)])
+                assert {rule.id for rule in rules} == reference_cone(
+                    walked, [(mode, atom)])
+                for asked in (theory, stripped):
+                    index = engine.cone_index(asked, mode, Literal(atom))
+                    assert index.rules == rules
+                    table = compute_conclusions(index)
+                    full = whole[asked is stripped]
+                    for literal in (Literal(atom), Literal(atom, False)):
+                        assert [table.status(tag, mode, literal)
+                                for tag in TAGS] == \
+                            [full.status(tag, mode, literal) for tag in TAGS]
+
+    def test_a_rule_reached_only_through_an_inert_rule_is_left_out(self):
+        # r1 reads x, which nothing supports, so it is inert at once; r2
+        # is live, but only r1 links it to b
+        theory = parse_theory("fact f.\n"
+                              "rule r1: x, c => b.\n"
+                              "rule r2: f => c.\n").union_theory()
+        index = engine.cone_index(theory, EVIDENTIAL, lit("b"))
+        assert index.rules == ()
+        assert not any(engine.TheoryIndex(
+            theory.facts, theory.rules).inert[1:])
+        assert [probe(theory, f"-{tag} b") for tag in "dpsw"] == \
+            [PROVED] * 4
+        assert compute_conclusions(theory).status(
+            SIGMA_MINUS, EVIDENTIAL, lit("c")) == PROVED
+
+    def test_a_minus_antecedent_on_a_fact_keeps_its_rule_out(self):
+        theory = parse_theory("fact f.\n"
+                              "fact g.\n"
+                              "rule r1: f, -d g => b.\n").union_theory()
+        assert engine.cone_index(theory, EVIDENTIAL, lit("b")).rules == ()
+        assert [probe(theory, f"+{tag} b") for tag in "dpsw"] == \
+            [REFUTED] * 4
+
+    def test_a_minus_antecedent_on_an_unsupported_cell_keeps_its_rule(self):
+        # g is no fact and no rule heads it, so -d g holds: r1 fires
+        theory = parse_theory("fact f.\n"
+                              "rule r1: f, -d g => b.\n").union_theory()
+        assert [rule.id for rule in engine.cone_index(
+            theory, EVIDENTIAL, lit("b")).rules] == ["r1"]
+        assert [probe(theory, f"+{tag} b") for tag in "dpsw"] == \
+            [PROVED] * 4
 
 
 class TestInertRules:

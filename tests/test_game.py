@@ -16,7 +16,8 @@ from trialogic import (
 from trialogic.engine import TheoryIndex
 
 from conftest import (
-    established_setup, load, reference_inert, unpruned_rows,
+    established_setup, inert_at_once, load, reference_cone, reference_inert,
+    unpruned_rows,
 )
 
 
@@ -802,28 +803,6 @@ def support_setups(draw):
         deontic_standard=draw(st.sampled_from(TAGS[:2])))
 
 
-def _reference_claim_cone(rules, claim_literals):
-    """The claim cone written out by hand: ids of the rules whose head
-    cell the claim cells reach backwards through antecedents, cells
-    taken as (mode, atom)."""
-    headed = {}
-    for rule in rules:
-        headed.setdefault((rule.head_mode, rule.head.atom), []).append(rule)
-    cells = {(mode, literal.atom)
-             for literal in claim_literals for mode in MODES}
-    work = list(cells)
-    cone = set()
-    while work:
-        for rule in headed.get(work.pop(), ()):
-            cone.add(rule.id)
-            for ant in rule.antecedents:
-                cell = (ant.mode, ant.literal.atom)
-                if cell not in cells:
-                    cells.add(cell)
-                    work.append(cell)
-    return frozenset(cone)
-
-
 def _reference_supportable(setup, keep, rule_ids):
     """``game._Tables.supportable`` over Rule objects: the Horn closure of
     cells (mode, literal) from the facts under the kept rules of
@@ -873,6 +852,9 @@ class TestIndexWalks:
         dead = reference_inert(setup.facts, setup.all_rules())
         live = [rule for r, rule in enumerate(setup.all_rules())
                 if r not in dead]
+        first = inert_at_once(setup.facts, setup.all_rules())
+        at_once = [rule for r, rule in enumerate(setup.all_rules())
+                   if r not in first]
         ids = sorted({rule.id for rule in setup.all_rules()})
         id_sets = [frozenset(ids)] + [
             frozenset(rng.sample(ids, rng.randint(0, len(ids))))
@@ -880,12 +862,16 @@ class TestIndexWalks:
         for literal in _union_literals(setup):
             claimed = replace(setup, claim=Claim((literal,)))
             tables = game._Tables(claimed)
-            cone = _reference_claim_cone(setup.all_rules(), (literal,))
             cells = [(mode, literal.atom) for mode in MODES]
-            assert {rule.id for rule in engine.cone(setup.all_rules(),
-                                                    cells)} == cone
+            # over every rule the walk skips the rules inert at once;
+            # over the live rules, as the game walks them, none is
+            live_cone = reference_cone(live, cells)
+            assert {rule.id for rule in engine.cone(
+                setup.facts, setup.all_rules(), cells)} == \
+                reference_cone(at_once, cells)
+            assert {rule.id for rule in engine.cone(
+                setup.facts, live, cells)} == live_cone
             assert tables.inert == inert
-            live_cone = _reference_claim_cone(live, (literal,))
             assert tables.keep == (live_cone | common) - inert
             for rule_ids in id_sets:
                 assert tables.supportable(rule_ids) == \
