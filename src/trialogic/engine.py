@@ -179,9 +179,10 @@ class ConclusionTable:
     index.  A literal the index does not number answers as refuted, as
     does a cell no fact or active rule heads: a literal no rule or fact
     mentions has every negative tag vacuously derivable.  An unknown
-    sign, tag or mode is no question at all and raises ``ValueError``.
-    Rows are not written once built, so a grown table shares the rows
-    it keeps.
+    sign, tag or mode is no question at all and raises ``ValueError``,
+    as does a literal that is no ``Literal`` (``holding`` reads cells
+    only).  Rows are not written once built, so a grown table shares
+    the rows it keeps.
     """
 
     __slots__ = ("_literals", "_ids", "_rows")
@@ -220,8 +221,7 @@ class ConclusionTable:
     def status(self, tag: str, mode: str, literal: Literal) -> str:
         if tag not in _TAG_INDEX:
             raise ValueError(f"bad tag {tag!r}")
-        if mode not in _MODE_INDEX:
-            raise ValueError(f"bad mode {mode!r}")
+        _check_moded(mode, literal)
         return self._row(mode, literal)[_TAG_INDEX[tag]] or UNDETERMINED
 
     def derived(self, sign: str, tag: str, mode: str, literal: Literal) -> bool:
@@ -245,6 +245,8 @@ class ConclusionTable:
 
     def is_determined(self, literal: Literal) -> bool:
         """Whether the literal has any determined status in any mode."""
+        if not isinstance(literal, Literal):
+            raise ValueError(f"bad literal {literal!r}")
         return any(any(self._row(mode, literal)) for mode in MODES)
 
     def rows(self) -> list[tuple[Literal, str, str, str]]:
@@ -330,8 +332,10 @@ class TheoryIndex:
     the rules that also starts the inert closure, which ends over the
     few cells it kills: cells come from a per-atom base (``4 * atom``,
     +2 for the negative literal, +1 for mode O), and ``readers`` lists
-    a rule once per cell however often the rule reads it.  A fact, head
-    or antecedent in an unknown mode raises ``KeyError``.
+    a rule once per cell however often the rule reads it.  Each
+    superiority pair looks up its two ids once, and a pair with an id
+    that names no rule is skipped.  A fact, head or antecedent in an
+    unknown mode raises ``KeyError``.
     """
 
     __slots__ = ("rules", "positions", "literals", "ids", "fact", "head",
@@ -439,8 +443,11 @@ class TheoryIndex:
 
         beaten: dict[int, set[int]] = {}
         for stronger, weaker in superiority:
-            for s in positions.get(stronger, ()):
-                for w in positions.get(weaker, ()):
+            strong, weak = positions.get(stronger), positions.get(weaker)
+            if strong is None or weak is None:  # an id that names no rule
+                continue
+            for s in strong:
+                for w in weak:
                     if head[s] == head[w] ^ 2 and not (inert[s] or inert[w]):
                         beaten.setdefault(w, set()).add(s)
         self.beaten_by = [frozenset(beaten[r]) if r in beaten else ()
@@ -742,9 +749,8 @@ def cone(facts: Iterable[tuple[str, Literal]], rules: Sequence[Rule],
     ``rules`` heads, or a ``-t`` antecedent reads a fact.  Such a rule
     is inert in any compile of ``facts`` and ``rules`` (see the module
     docstring), so the walk neither keeps it nor follows it, and a rule
-    reached only through it stays out.  Over rules that are all live,
-    as ``game`` passes them, no rule is inert at once and the walk is
-    the plain backward cone.
+    reached only through it stays out.  Over rules that are all live no
+    rule is inert at once, and the walk is the plain backward cone.
 
     Why the cone answers for its cells: the conditions of a cell
     ``(mode, l)`` read only facts and the cells named by antecedents of
@@ -756,15 +762,15 @@ def cone(facts: Iterable[tuple[str, Literal]], rules: Sequence[Rule],
     The least fixpoint restricted to those cells is the same in each.
     So over one index, the cone cells have the same statuses in the
     tables of a rule set K and of K restricted to the cone, which is
-    how ``game`` slices its claim questions.  Take K to be ``rules``
-    less the rules inert at once: its table is that of ``rules``, since
-    deleting inert rules changes no row, and the walk is K's cone.  A
-    one-shot question compiles an index of the facts, the superiority
-    pairs and the cone alone (``cone_index``).  There an asked cell the
-    smaller index does not number reads as refuted at every tag, and
-    that is exactly how the whole theory's table reads it: such a cell
-    is no fact, and every rule headed at it, if any, is inert at once,
-    so the cell is dead.
+    how ``game`` slices its claim questions (walking the same cone over
+    its index's cells).  Take K to be ``rules`` less the rules inert at
+    once: its table is that of ``rules``, since deleting inert rules
+    changes no row, and the walk is K's cone.  A one-shot question
+    compiles an index of the facts, the superiority pairs and the cone
+    alone (``cone_index``).  There an asked cell the smaller index does
+    not number reads as refuted at every tag, and that is exactly how
+    the whole theory's table reads it: such a cell is no fact, and every
+    rule headed at it, if any, is inert at once, so the cell is dead.
     """
     facts = frozenset(facts)
     supported = set(facts)  # each (mode, literal) a fact or a head supports

@@ -48,11 +48,12 @@ answer the same questions of any table.
 Claim questions are answered on sliced tables.  Accepted openings,
 robustness, adjudication and greedy play's goal coverage ask only how
 the claim stands, so they read the table of a key restricted to the
-rules ``_Tables.keep`` names: every common rule plus ``engine.cone`` of
-each claim atom in both modes over the live rules, less the inert rules
-(below).  For any key K, the claim cells have the same statuses in the
-tables of K and of K restricted to the kept rules; the argument is
-stated once, at ``engine.cone``, and for the inert rules below.  Both
+rules ``_Tables.keep`` names: every common rule plus the live backward
+cone of each claim atom in both modes, walked over the index's cells as
+``engine.cone`` walks it over rules, less the inert rules (below).  For
+any key K, the claim cells have the same statuses in the tables of K
+and of K restricted to the kept rules; the argument is stated once, at
+``engine.cone``, and for the inert rules below.  Both
 tables are masks over the game's one index, so each has a row for every
 cone cell.  So any question over the subsets of a pool equals the same
 question over the subsets of its kept part.  One method,
@@ -120,7 +121,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .dsl import parse_moves  # noqa: F401  (moves files are read in dsl)
-from .engine import ConclusionTable, TheoryIndex, compute_conclusions, cone
+from .engine import ConclusionTable, TheoryIndex, compute_conclusions
 from .model import (
     DEF, EVIDENTIAL, MODES, OBLIGATION, PLAYERS, PLUS, PR, MINUS, PROVED,
     REFUTED, TAGS, GameSetup, Literal, Move, TaggedLiteral, literal_sort_key,
@@ -228,39 +229,68 @@ class _Tables:
     mask over it, and every graph question the game asks walks its
     cells and rule positions.  It also holds the ids of the inert rules,
     which no table's key keeps (``_inert``), the ids of the rules claim
-    questions keep (the common rules and the claim's cone over the
-    live rules, less the inert ones), and each player's goal compiled
-    once over the index (``_goal``).  ``met`` reads a goal's keys off a
-    table's rows, and every claim question of the game and of
-    ``strategy`` goes through it; ``sliced`` is the table such a
-    question reads for a key.  The claim searches live here too:
-    ``supportable``, the support bound over the pr goal's cells, and
-    ``achievable``, the walk over the subsets of a pool.  With no claim,
-    each raises ``ValueError``."""
+    questions keep (the common rules and the claim's live cone, less
+    the inert ones), and each player's goal compiled once over the
+    index (``_goal``).  The claim cone is walked over the index, as
+    ``engine.cone`` walks it over rules: from the cells of each claim
+    atom in both modes, each cell with its opposite, through the rules
+    ``heads`` lists there, which are live, to the cells of their
+    ``antecedents``.
 
-    __slots__ = ("index", "inert", "keep", "goals")
+    ``met`` reads a goal's keys off a table's rows, and every claim
+    question of the game and of ``strategy`` goes through it; ``sliced``
+    is the table such a question reads for a key.  The claim searches
+    live here too: ``supportable``, the support bound over the pr goal's
+    cells, and ``achievable``, the walk over the subsets of a pool.
+    With no claim, each raises ``ValueError``.  Searches ask the same
+    questions again and again, so two memos answer repeats: ``counts``
+    holds each ``met`` count by the table's id and the player, with the
+    table in the entry, so that the id names it as long as the entry
+    lives; ``support`` holds each support bound by the kept rule ids it
+    closed over.  Both die with the ``_Tables``, and so with the game's
+    index and its tables."""
+
+    __slots__ = ("index", "inert", "keep", "goals", "counts", "support")
 
     def __init__(self, setup: GameSetup):
         self.index = index = TheoryIndex(setup.facts, setup.all_rules(),
                                          setup.superiority)
         self.inert = _inert(index)
         claim = setup.claim.literals if setup.claim else ()
-        live = [rule for rule, inert in zip(index.rules, index.inert)
-                if not inert]
-        cone_rules = cone(setup.facts, live, {
-            (mode, literal.atom) for literal in claim for mode in MODES})
-        self.keep = frozenset(
-            r.id for r in cone_rules + setup.common_rules) - self.inert
+        heads, antecedents, rules = index.heads, index.antecedents, index.rules
+        # a cell stands with its opposite, so walk the one of sign bit 0
+        work = [cell & ~2 for cell in (index.cell(mode, literal)
+                                       for literal in claim for mode in MODES)
+                if cell is not None]
+        seen = set(work)
+        cone = set()
+        while work:
+            c = work.pop()
+            for r in heads[c] + heads[c | 2]:
+                cone.add(rules[r].id)
+                for cell, _, _ in antecedents[r]:
+                    cell &= ~2
+                    if cell not in seen:
+                        seen.add(cell)
+                        work.append(cell)
+        cone.update(r.id for r in setup.common_rules)
+        self.keep = frozenset(cone - self.inert)
         self.goals = None if setup.claim is None else {
             player: _goal(self.index, setup, player) for player in PLAYERS}
+        self.counts: dict[tuple[int, str], tuple[ConclusionTable, int]] = {}
+        self.support: dict[frozenset[str], bool] = {}
 
     def met(self, table: ConclusionTable, player: str) -> int:
         """How many conditions of ``player``'s goal hold in ``table``, a
         table over the index."""
-        if self.goals is None:
-            raise ValueError("setup has no claim to prosecute")
-        keys, fixed, _ = self.goals[player]
-        return fixed + table.holding(keys)
+        entry = self.counts.get((id(table), player))
+        if entry is None:
+            if self.goals is None:
+                raise ValueError("setup has no claim to prosecute")
+            keys, fixed, _ = self.goals[player]
+            entry = self.counts[id(table), player] = (
+                table, fixed + table.holding(keys))
+        return entry[1]
 
     def established(self, table: ConclusionTable) -> bool:
         """``claim_established`` of a table over the index."""
@@ -282,11 +312,19 @@ class _Tables:
         claim."""
         if self.goals is None:
             raise ValueError("setup has no claim to prosecute")
+        kept = rule_ids & self.keep
+        known = self.support.get(kept)
+        if known is None:
+            known = self.support[kept] = self._closes(kept)
+        return known
+
+    def _closes(self, kept: frozenset[str]) -> bool:
+        """Whether the Horn closure under the rules ``kept`` names holds
+        every cell of the pr goal."""
         keys, _, size = self.goals[PR]
         index = self.index
         closed = {cell for cell, fact in enumerate(index.fact) if fact}
-        pending = [r for r, on in enumerate(index.mask(rule_ids & self.keep))
-                   if on]
+        pending = [r for r, on in enumerate(index.mask(kept)) if on]
         grew = True
         while grew:
             grew = False

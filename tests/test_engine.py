@@ -1,4 +1,5 @@
 import gc
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -524,6 +525,22 @@ class TestUnknownKeys:
                                 (MINUS, DELTA, "obligation")):
             with pytest.raises(ValueError, match="bad (sign|tag|mode)"):
                 table.query(TaggedLiteral(sign, tag, mode, lit("a")))
+
+    def test_literal_that_is_no_literal(self, s1):
+        # "a" once read as refuted while lit("a") reads proved
+        table = compute_conclusions(s1.union_theory())
+        for asked in ("a", "zz", ("E", "a"), None):
+            message = re.escape(f"bad literal {asked!r}")
+            with pytest.raises(ValueError, match=message):
+                table.status(DELTA, EVIDENTIAL, asked)
+            with pytest.raises(ValueError, match=message):
+                table.derived(PLUS, DELTA, EVIDENTIAL, asked)
+            with pytest.raises(ValueError, match=message):
+                table.query(TaggedLiteral(PLUS, DELTA, EVIDENTIAL, asked))
+            with pytest.raises(ValueError, match=message):
+                table.is_determined(asked)
+        assert table.status(DELTA, EVIDENTIAL, lit("a")) == PROVED
+        assert table.is_determined(lit("a"))
 
     def test_known_keys_still_answer(self, s1):
         table = compute_conclusions(s1.union_theory())

@@ -834,10 +834,10 @@ def _reference_inert(setup):
 
 
 class TestIndexWalks:
-    """The claim cone, walked by ``engine.cone``, and the inert rules
-    and the support bound, walked over the cells and rule positions of
-    the game's index, agree with the same walks written out over Rule
-    objects."""
+    """The claim cone, the inert rules and the support bound, walked over
+    the cells and rule positions of the game's index, agree with the
+    same walks written out over Rule objects, and ``engine.cone``, which
+    ``cone_index`` walks over Rule objects, agrees with them too."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(support_setups(), chain_setups, corpus_setups),
@@ -863,8 +863,8 @@ class TestIndexWalks:
             claimed = replace(setup, claim=Claim((literal,)))
             tables = game._Tables(claimed)
             cells = [(mode, literal.atom) for mode in MODES]
-            # over every rule the walk skips the rules inert at once;
-            # over the live rules, as the game walks them, none is
+            # over every rule engine.cone skips the rules inert at once;
+            # over the live rules none is, and it walks the game's cone
             live_cone = reference_cone(live, cells)
             assert {rule.id for rule in engine.cone(
                 setup.facts, setup.all_rules(), cells)} == \
@@ -876,6 +876,97 @@ class TestIndexWalks:
             for rule_ids in id_sets:
                 assert tables.supportable(rule_ids) == \
                     _reference_supportable(claimed, tables.keep, rule_ids)
+
+
+class TestClaimMemos:
+    """``_Tables`` counts each (table, player) and closes each kept key
+    of the support bound once per game, and answers every repeat from
+    its memos as a fresh read of the table or of the rules would."""
+
+    @pytest.mark.parametrize("setup", [
+        load("s2.ddt"),
+        established_setup(463, max_rules=26, deontic_ratio=0.5)],
+        ids=["s2", "corpus-463"])
+    def test_analyze_counts_each_table_and_closes_each_key_once(
+            self, monkeypatch, setup):
+        # every asked table and _Tables is kept in the lists, so no id
+        # is reused while they are compared
+        asked, counted, bounded, closed = [], [], [], []
+        met, holding = game._Tables.met, ConclusionTable.holding
+        supportable, closes = game._Tables.supportable, game._Tables._closes
+
+        def asking(tables, table, player):
+            asked.append((tables, table, player))
+            return met(tables, table, player)
+
+        def counting(table, keys):
+            counted.append(table)
+            return holding(table, keys)
+
+        def bounding(tables, rule_ids):
+            bounded.append((tables, rule_ids & tables.keep))
+            return supportable(tables, rule_ids)
+
+        def closing(tables, kept):
+            closed.append((tables, kept))
+            return closes(tables, kept)
+
+        monkeypatch.setattr(game._Tables, "met", asking)
+        monkeypatch.setattr(ConclusionTable, "holding", counting)
+        monkeypatch.setattr(game._Tables, "supportable", bounding)
+        monkeypatch.setattr(game._Tables, "_closes", closing)
+        analyze(setup)
+        pairs = {(id(tables), id(table), player)
+                 for tables, table, player in asked}
+        keys = {(id(tables), kept) for tables, kept in bounded}
+        assert len(asked) > len(pairs)
+        assert len(counted) == len(pairs)
+        assert len(bounded) > len(keys)
+        assert len(closed) == len(keys)
+        assert {(id(tables), kept) for tables, kept in closed} == keys
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(support_setups(), chain_setups, corpus_setups),
+           st.randoms(use_true_random=False))
+    def test_repeated_questions_answer_as_fresh_reads(self, setup, rng):
+        literals = _union_literals(setup)
+        claims = [Claim((rng.choice(literals),)),
+                  Claim(tuple(rng.sample(literals, 2)))]
+        if setup.claim is not None:
+            claims.append(setup.claim)
+        for claim in claims:
+            claimed = replace(setup, claim=claim)
+            tables = game._Tables(claimed)
+            ids = sorted(tables.index.positions)
+            keys = [frozenset(ids)] + [
+                frozenset(rng.sample(ids, rng.randint(0, len(ids))))
+                for _ in range(3)]
+            reached = [game.conclusions_for(key, tables) for key in keys]
+            reached += [tables.sliced(key) for key in keys]
+            questions = [("supportable", key) for key in keys]
+            for table in reached:
+                questions += [("established", table), ("refuted", table)]
+                questions += [("met", table, player) for player in (PR, DEF)]
+            questions *= 3
+            rng.shuffle(questions)
+            for question in questions:
+                if question[0] == "supportable":
+                    assert tables.supportable(question[1]) == \
+                        _reference_supportable(claimed, tables.keep,
+                                               question[1])
+                elif question[0] == "met":
+                    _, table, player = question
+                    goal, fixed, _ = tables.goals[player]
+                    assert tables.met(table, player) == \
+                        fixed + table.holding(goal) == sum(
+                            table.derived(*condition) for condition
+                            in game.claim_conditions(claimed, player))
+                elif question[0] == "established":
+                    assert tables.established(question[1]) == \
+                        game.claim_established(question[1], claimed)
+                else:
+                    assert tables.refuted(question[1]) == \
+                        game.claim_refuted(question[1], claimed)
 
 
 class TestInertRules:
