@@ -96,20 +96,12 @@ sort in.  Every condition is monotone in the statuses derived so far,
 hence the table is the single least fixpoint of those conditions and
 does not depend on evaluation order.
 
-The index keeps every table of a rule mask built over it
-(``TheoryIndex.tables``).  A whole-theory table is kept nowhere: its
-index is compiled for one call and then dropped.  A new table of rule
-ids grows from the kept table of the same ids less one rule r, the
-first such id in id order; no parent is passed in.  Only the
-affected cone can change: r's head cells ``h`` and ``h ^ 2`` and the
-cells that reach them through the readers of the active rules.  Every
-other cell reads only unaffected cells, keeps the same supporting and
-attacking rules and, since superiority acts only between the rules of
-one head cell pair, the same superiority pairs; its conditions are
-those of the smaller theory over the same inputs, so it has the same
-least fixpoint and its row is copied by cell id.  Only the cone is
-queued.  A table keeps only its rows and the index's literal
-numbering, never the index.
+Every table is built this one way, in full, over blank rows.  The
+engine keeps no table: ``compute_conclusions`` is a function of its
+theory or index and its rule ids alone, and a caller that asks for the
+same table again keeps it, as ``game._Tables`` does for each game.  A
+table keeps only its rows and the index's literal numbering, never the
+index.
 
 Proof standards map onto the tags: scintilla of evidence is
 sigma_minus, substantial evidence (clear and convincing) is sigma,
@@ -181,8 +173,8 @@ class ConclusionTable:
     mentions has every negative tag vacuously derivable.  An unknown
     sign, tag or mode is no question at all and raises ``ValueError``,
     as does a literal that is no ``Literal`` (``holding`` reads cells
-    only).  Rows are not written once built, so a grown table shares
-    the rows it keeps.
+    only).  Rows are not written once built, so every table shares one
+    row for all its fact cells and one for all its unsupported cells.
     """
 
     __slots__ = ("_literals", "_ids", "_rows")
@@ -268,7 +260,8 @@ class ConclusionTable:
         literals, rows, old_rows = self._aligned(old)
         fresh = []
         for cell, (row, before) in enumerate(zip(rows, old_rows)):
-            if row is before:  # shared rows are unchanged
+            # tables share only the constant fact and unsupported rows
+            if row is before:
                 continue
             fresh += [
                 TaggedLiteral(PLUS if status == PROVED else MINUS, tag,
@@ -324,9 +317,8 @@ class TheoryIndex:
     tag index None for a plain antecedent), ``inert`` (1 for an inert
     rule, see the module docstring) and ``beaten_by`` (the positions of
     the live rules that beat a live rule, kept only between
-    complementary head cells, the only pairs a condition reads).
-    ``tables`` keeps every table of rule ids built over the index,
-    keyed by the frozenset of ids asked for.
+    complementary head cells, the only pairs a condition reads).  The
+    index keeps no table.
 
     The compile reads every head cell first, then makes one pass over
     the rules that also starts the inert closure, which ends over the
@@ -339,8 +331,7 @@ class TheoryIndex:
     """
 
     __slots__ = ("rules", "positions", "literals", "ids", "fact", "head",
-                 "antecedents", "inert", "heads", "readers", "beaten_by",
-                 "tables")
+                 "antecedents", "inert", "heads", "readers", "beaten_by")
 
     def __init__(self, facts: Iterable[tuple[str, Literal]],
                  rules: Iterable[Rule],
@@ -452,19 +443,15 @@ class TheoryIndex:
                         beaten.setdefault(w, set()).add(s)
         self.beaten_by = [frozenset(beaten[r]) if r in beaten else ()
                           for r in range(len(rules))]
-        self.tables: dict[frozenset[str], ConclusionTable] = {}
 
     def stripped(self) -> "TheoryIndex":
         """A view of this index with the superiority relation stripped:
         it shares every list but ``beaten_by``, which is ``()`` for each
-        rule.  It keeps its own ``tables``, since a table over it has
-        the same key as the table of the same ids over this index; the
-        whole-theory table of ``standards_met`` is kept in neither."""
+        rule."""
         view = object.__new__(TheoryIndex)
         for name in self.__slots__:
             setattr(view, name, getattr(self, name))
         view.beaten_by = [()] * len(self.rules)
-        view.tables = {}
         return view
 
     def cell(self, mode: str, literal: Literal) -> Optional[int]:
@@ -586,14 +573,14 @@ def _condition(tag: int, inputs: tuple, rows: list,
     return best
 
 
-def _evaluate(index: TheoryIndex, active, rows: list, agenda: list) -> None:
-    """Run the agenda, cell ids in ascending order, to the fixpoint over
-    the rules ``active`` marks, or over every rule when ``active`` is
-    None, writing statuses into ``rows``.
+def _evaluate(index: TheoryIndex, active) -> list:
+    """The rows of the fixpoint over the rules ``active`` marks, or over
+    every rule when ``active`` is None: an agenda of cell ids, seeded
+    with every cell in ascending order and run until it is empty.
 
-    Seeding reads each agenda cell's inputs once for the whole table:
-    whether its opposite is a fact, its active supporters and its
-    active attackers.  Two kinds of cell are settled there, since their
+    Seeding reads each cell's inputs once for the whole table: whether
+    its opposite is a fact, its active supporters and its active
+    attackers.  Two kinds of cell are settled there, since their
     conditions read no status: a fact proves every tag, and a cell with
     no active supporter has the value -1 at every tag (an empty max), so
     every tag is refuted.  Every other cell starts with an open row and
@@ -604,9 +591,9 @@ def _evaluate(index: TheoryIndex, active, rows: list, agenda: list) -> None:
     antecedents of the rules headed at it or at its opposite, so when a
     tag of a cell settles, the head cells ``h`` and ``h ^ 2`` of its
     active readers are exactly the cells whose conditions read it.  Of
-    those, the ones that still hold inputs, agenda cells with an open
-    tag, are queued again, and a cell already waiting is not queued
-    twice.  A cell is thus open whenever it is popped.
+    those, the ones that still hold inputs, cells with an open tag, are
+    queued again, and a cell already waiting is not queued twice.  A
+    cell is thus open whenever it is popped.
 
     Why the order cannot matter: statuses are only ever added, so a
     rule's ``_state`` only ever moves from 0 to 1 or -1, and the Kleene
@@ -620,20 +607,18 @@ def _evaluate(index: TheoryIndex, active, rows: list, agenda: list) -> None:
     inputs last changed, and a settled row has nothing left to derive,
     so no condition derives anything beyond what is written.  The
     written statuses are therefore closed, contain L, and equal it.
-    For a grown table the agenda holds only the cone, and every row kept
-    from the parent belongs to a cell outside it, which reads only cells
-    outside it through unchanged rules, so the smaller theory's least
-    fixpoint already closes it and the argument applies to the cone
-    alone.
+    Every cell is seeded and every row starts blank, so each table is
+    this one pass whatever tables were built before it.
     """
     fact, heads, readers, head = (index.fact, index.heads, index.readers,
                                   index.head)
     condition = _condition
     tags = range(len(TAGS))
+    rows = [None] * (2 * len(index.literals))
     inputs = [None] * len(rows)
     queued = bytearray(len(rows))
     pending = []
-    for cell in agenda:
+    for cell in range(len(rows)):
         if fact[cell]:
             rows[cell] = _PROVED_ROW
             continue
@@ -675,27 +660,7 @@ def _evaluate(index: TheoryIndex, active, rows: list, agenda: list) -> None:
                         if not queued[reader] and inputs[reader] is not None:
                             queued[reader] = 1
                             agenda.append(reader)
-
-
-def _grow(index: TheoryIndex, active, parent: ConclusionTable,
-          added: str) -> tuple[list, list]:
-    """A copy of ``parent``'s rows, and the cone that the rule ``added``
-    (an id) affects: its head cells and every cell that reaches them
-    through the readers of the active rules."""
-    rows = list(parent._rows)
-    head, readers = index.head, index.readers
-    cone = set()
-    for r in index.positions.get(added, ()):
-        cone.update((head[r], head[r] ^ 2))
-    stack = list(cone)
-    while stack:
-        for r in readers[stack.pop()]:
-            if active[r]:
-                for reader in (head[r], head[r] ^ 2):
-                    if reader not in cone:
-                        cone.add(reader)
-                        stack.append(reader)
-    return rows, sorted(cone)
+    return rows
 
 
 def compute_conclusions(theory: Union[DefeasibleTheory, TheoryIndex],
@@ -706,34 +671,16 @@ def compute_conclusions(theory: Union[DefeasibleTheory, TheoryIndex],
     is ignored) and the superiority pairs among those rules, over a
     theory, compiled here, or over an index compiled once.
 
-    With ``rule_ids`` the table is computed over the index's mask of
-    those ids, kept in ``index.tables`` under the ids asked for and,
-    when the index keeps the table of those ids less one rule id (the
-    first in id order), grown from it.  With None it is the table of
-    every rule: the fixpoint reads ``heads`` and ``readers`` as they
-    are, with no mask, and nothing is kept.
+    With ``rule_ids`` the fixpoint runs over the index's mask of those
+    ids; with None it reads ``heads`` and ``readers`` as they are, with
+    no mask.  Either way the table is one ``_evaluate`` pass, and
+    nothing is kept: each call builds a new table.
     """
     index = theory if isinstance(theory, TheoryIndex) else TheoryIndex(
         theory.facts, theory.rules, theory.superiority)
-    active = rows = None
-    if rule_ids is not None:
-        key = frozenset(rule_ids)
-        active = index.mask(key)
-        tables = index.tables
-        if tables:  # an index with no table yet has nothing to grow from
-            for rule_id in sorted(key & index.positions.keys()):
-                parent = tables.get(key - {rule_id})
-                if parent is not None:
-                    rows, agenda = _grow(index, active, parent, rule_id)
-                    break
-    if rows is None:
-        rows = [None] * (2 * len(index.literals))
-        agenda = range(len(rows))
-    _evaluate(index, active, rows, agenda)
-    table = ConclusionTable(index.literals, index.ids, rows)
-    if active is not None:
-        tables[key] = table
-    return table
+    active = None if rule_ids is None else index.mask(rule_ids)
+    return ConclusionTable(index.literals, index.ids,
+                           _evaluate(index, active))
 
 
 def cone(facts: Iterable[tuple[str, Literal]], rules: Sequence[Rule],

@@ -27,15 +27,13 @@ Legality checks, scripted games, automatic play and exhaustive search
 all drive these two.  ``initial_state`` creates ``_Tables``, which
 owns the game's ``engine.TheoryIndex``: the setup's facts, rules and
 superiority relation compiled once into integer cell and rule ids.
-Every state reached from it carries the same ``_Tables``.  The index
-keeps the game's tables, so a theory that several moves, checks or
-searches reach is computed once.  Every table of the game is a rule
-mask over the index (the key's rules, read through
-``TheoryIndex.mask``), and the support bound below walks its cells.  A
-table the index does not keep yet grows, in ``engine``, from the kept
-table with one rule fewer, copying its rows by cell id and
-re-evaluating only the cells that rule can reach; with no such table
-kept it is computed in full.
+Every state reached from it carries the same ``_Tables``, which keeps
+the game's tables, so a theory that several moves, checks or searches
+reach is computed once.  Every table of the game is a rule mask over
+the index (the key's rules, read through ``TheoryIndex.mask``), and the
+support bound below walks its cells.  ``conclusions_for`` is the one
+lookup: a key ``_Tables`` does not keep yet gets a table computed in
+full by ``engine.compute_conclusions``, which keeps nothing itself.
 
 Each player's goal is compiled once per game too: ``_Tables`` turns
 ``claim_conditions`` into ``(cell, tag index, wanted status)`` keys over
@@ -60,15 +58,13 @@ question over the subsets of its kept part.  One method,
 ``_Tables.achievable``, asks it for adjudication (each player in turn)
 and for robustness: it walks the subsets of the kept part of a pool,
 the empty one standing for a disclosure of rules outside the kept ones
-only.  This is the backward twin of the forward cone ``engine``
-re-evaluates when a table grows.  ``accepted_openings`` asks the pr
-question of every subset of the pr pool and yields the openings alone;
-a caller that needs an opened state plays the opening through
-``apply_move``.  Moves, their targets and the end-of-game test read
-full tables, since a rule outside the cone still changes statuses and
-still empties a pool; so greedy play reads a candidate's full table
-only once its sliced table has shown that the candidate raises the
-mover's coverage.
+only.  ``accepted_openings`` asks the pr question of every subset of
+the pr pool and yields the openings alone; a caller that needs an
+opened state plays the opening through ``apply_move``.  Moves, their
+targets and the end-of-game test read full tables, since a rule
+outside the cone still changes statuses and still empties a pool; so
+greedy play reads a candidate's full table only once its sliced table
+has shown that the candidate raises the mover's coverage.
 
 No table depends on the inert rules, those that can never fire: the
 game's index finds them as it compiles, and ``engine`` states why the
@@ -138,7 +134,7 @@ TERMINAL_OUTCOMES = (PR_SUCCEEDS, DEF_SUCCEEDS, STALLED)
 class GameState:
     """Immutable snapshot after ``turn`` moves.
 
-    ``tables`` is the game's ``_Tables``, whose index keeps the game's
+    ``tables`` is the game's ``_Tables``, which keeps the game's
     conclusion tables, shared by every state reached from the same
     ``initial_state``.  ``previous`` is the table before the move into
     this state, None after a pass, after an empty opening and at the
@@ -225,17 +221,19 @@ class GameTrace:
 class _Tables:
     """The table source of one game.  It owns the game's
     ``engine.TheoryIndex``, compiled once from the setup's facts, rules
-    and superiority, which keeps every table of the game: each is a rule
-    mask over it, and every graph question the game asks walks its
-    cells and rule positions.  It also holds the ids of the inert rules,
-    which no table's key keeps (``_inert``), the ids of the rules claim
-    questions keep (the common rules and the claim's live cone, less
-    the inert ones), and each player's goal compiled once over the
-    index (``_goal``).  The claim cone is walked over the index, as
-    ``engine.cone`` walks it over rules: from the cells of each claim
-    atom in both modes, each cell with its opposite, through the rules
-    ``heads`` lists there, which are live, to the cells of their
-    ``antecedents``.
+    and superiority: every table of the game is a rule mask over it,
+    and every graph question the game asks walks its cells and rule
+    positions.  It owns the game's tables too: ``tables`` holds each
+    table ``conclusions_for`` has computed, keyed by its live rule ids,
+    the ids asked for less the inert ones.  It also holds the ids of the
+    inert rules, which no table's key keeps (``_inert``), the ids of the
+    rules claim questions keep (the common rules and the claim's live
+    cone, less the inert ones), and each player's goal compiled once
+    over the index (``_goal``).  The claim cone is walked over the
+    index, as ``engine.cone`` walks it over rules: from the cells of
+    each claim atom in both modes, each cell with its opposite, through
+    the rules ``heads`` lists there, which are live, to the cells of
+    their ``antecedents``.
 
     ``met`` reads a goal's keys off a table's rows, and every claim
     question of the game and of ``strategy`` goes through it; ``sliced``
@@ -247,10 +245,11 @@ class _Tables:
     holds each ``met`` count by the table's id and the player, with the
     table in the entry, so that the id names it as long as the entry
     lives; ``support`` holds each support bound by the kept rule ids it
-    closed over.  Both die with the ``_Tables``, and so with the game's
-    index and its tables."""
+    closed over.  The tables and both memos die with the ``_Tables``,
+    and so with the game's index."""
 
-    __slots__ = ("index", "inert", "keep", "goals", "counts", "support")
+    __slots__ = ("index", "inert", "keep", "goals", "tables", "counts",
+                 "support")
 
     def __init__(self, setup: GameSetup):
         self.index = index = TheoryIndex(setup.facts, setup.all_rules(),
@@ -277,6 +276,7 @@ class _Tables:
         self.keep = frozenset(cone - self.inert)
         self.goals = None if setup.claim is None else {
             player: _goal(self.index, setup, player) for player in PLAYERS}
+        self.tables: dict[frozenset[str], ConclusionTable] = {}
         self.counts: dict[tuple[int, str], tuple[ConclusionTable, int]] = {}
         self.support: dict[frozenset[str], bool] = {}
 
@@ -387,13 +387,13 @@ def _goal(index: TheoryIndex, setup: GameSetup, player: str
 def conclusions_for(rule_ids: Iterable[str], cache: _Tables
                     ) -> ConclusionTable:
     """Conclusion table of the theory induced by a set of rule ids, kept
-    under those ids less the inert ones, which change no table: the one
-    ``cache.index`` keeps, or else one ``compute_conclusions`` builds,
-    and keeps, over that index."""
+    in ``cache.tables`` under those ids less the inert ones, which change
+    no table: the kept one, or else one ``compute_conclusions`` builds
+    over ``cache.index``, which is then kept."""
     key = frozenset(rule_ids) - cache.inert
-    table = cache.index.tables.get(key)
+    table = cache.tables.get(key)
     if table is None:
-        table = compute_conclusions(cache.index, key)
+        table = cache.tables[key] = compute_conclusions(cache.index, key)
     return table
 
 

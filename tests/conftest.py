@@ -185,31 +185,22 @@ def unpruned_rows(facts, rules, superiority, rule_ids=None) -> list:
 
 class Computed(NamedTuple):
     """One table the game computed: the index, the rule ids asked for,
-    whether it grew from a kept table, and the table."""
+    and the table."""
     index: TheoryIndex
     rule_ids: frozenset
-    grown: bool
     table: ConclusionTable
 
 
 @pytest.fixture
 def computed(monkeypatch):
-    """Every table ``game`` computes, in order, as ``Computed``; it grew
-    when ``engine._grow`` ran while it was computed."""
+    """Every table ``game`` computes, in order, as ``Computed``."""
     runs = []
-    grew = []
-    compute, grow = game.compute_conclusions, engine._grow
-
-    def growing(*args):
-        grew.append(True)
-        return grow(*args)
+    compute = game.compute_conclusions
 
     def recording(index, rule_ids):
-        grew.clear()
         table = compute(index, rule_ids)
-        runs.append(Computed(index, frozenset(rule_ids), bool(grew), table))
+        runs.append(Computed(index, frozenset(rule_ids), table))
         return table
 
-    monkeypatch.setattr(engine, "_grow", growing)
     monkeypatch.setattr(game, "compute_conclusions", recording)
     return runs

@@ -284,13 +284,16 @@ class TestIndex:
         theory = s3.union_theory()
         table = compute_conclusions(theory)
         (index,) = compiled
-        assert index.tables == {}
-        assert compute_conclusions(index) == table
-        assert index.tables == {}
-        # a table of ids is still kept under them
+        # the engine keeps no table, whole or of rule ids: each call
+        # builds a new one
+        again = compute_conclusions(index)
+        assert again == table
+        assert again is not table
         ids = frozenset(index.positions)
-        assert compute_conclusions(index, ids) == table
-        assert list(index.tables) == [ids]
+        first, second = (compute_conclusions(index, ids) for _ in range(2))
+        assert first == second == table
+        assert first is not second
+        assert not hasattr(index, "tables")
 
 
 def _reference_index(facts, rules, superiority):
@@ -740,16 +743,14 @@ class TestStandards:
         (index, table), (view, view_table) = built
         assert index is not view
         for name in engine.TheoryIndex.__slots__:
-            if name not in ("beaten_by", "tables"):
+            if name != "beaten_by":
                 assert getattr(view, name) is getattr(index, name), name
         assert any(index.beaten_by)
         assert view.beaten_by == [()] * len(index.rules)
         # the index holds the facts, the pairs and the cone of (O, b):
         # the two deontic rules, not r1, which heads (E, b)
         assert {rule.id for rule in index.rules} == {"r4", "r10"}
-        # both are whole-theory tables, which neither index keeps; the
-        # base table is the cone theory's full table
-        assert index.tables == view.tables == {}
+        # the base table is the cone theory's full table
         rules = engine.cone(theory.facts, theory.rules, [(OBLIGATION, "b")])
         assert table == original(
             DefeasibleTheory(theory.facts, rules, theory.superiority))

@@ -22,8 +22,8 @@ from conftest import (
 
 
 # Seeds whose ``established_setup(seed, max_rules=14, deontic_ratio=0.5)``
-# analysis and play grow most of their tables.
-GROWN_SEEDS = (24, 28, 82, 166)
+# claim is established, so that analysis and play search many tables.
+SEARCHED_SEEDS = (24, 28, 82, 166)
 
 
 def move(player, ids, targets=()):
@@ -437,18 +437,19 @@ def _statuses(table, literals):
 
 
 class TestIncrementalTables:
-    """A table grown from the kept table with one rule fewer equals the
-    table computed in full."""
+    """Each table the game computes as play goes on is computed once per
+    live key, kept by the game's ``_Tables``, and equals the table
+    computed in full afresh."""
 
     def test_requested_tables_equal_full_computation(self, computed, s1, s2,
                                                      s3):
         # most corpus claims no subset of the pr pool can support, so
         # their searches stop at the first table; the established claims
-        # of GROWN_SEEDS keep the searches, and so most tables, growing
+        # of SEARCHED_SEEDS keep the searches going, over many tables
         claimed = [setup for setup in corpus.setups(25)
                    if setup.claim is not None]
         claimed += [established_setup(seed, max_rules=14, deontic_ratio=0.5)
-                    for seed in GROWN_SEEDS]
+                    for seed in SEARCHED_SEEDS]
         runs = []
         for setup in [s1, s2, s3] + claimed:
             computed.clear()
@@ -456,13 +457,10 @@ class TestIncrementalTables:
             for policy in POLICIES:
                 auto_play(setup, policy)
             runs += [(setup, run) for run in computed]
-        grown = [run for run in runs if run[1].grown]
-        assert len(grown) > len(runs) // 2
         claims = {literal for setup in [s1, s2, s3] + claimed
                   for literal in setup.claim.literals}
-        for setup, (_, rule_ids, _, table) in grown:
-            # a fresh index, so that the game's kept tables are neither
-            # grown from nor overwritten
+        for setup, (_, rule_ids, table) in runs:
+            # a fresh index, and a theory compiled afresh
             full = compute_conclusions(
                 TheoryIndex(setup.facts, setup.all_rules(),
                             setup.superiority), rule_ids)
@@ -473,56 +471,65 @@ class TestIncrementalTables:
             assert _statuses(table, claims) == _statuses(full, claims)
             assert _statuses(table, claims) == _statuses(fresh, claims)
 
-    def test_analyze_grows_all_but_the_first_table(self, computed, s1):
+    def test_analyze_computes_each_table_once(self, computed, s1):
         # 12 of seed 71's 17 rules are inert, so its 128 keys fold into
         # 2; seed 72 has no inert rule
-        for setup, grown in (
-                (s1, 14),
-                (established_setup(71, max_rules=20, deontic_ratio=0.5), 1),
+        for setup, tables in (
+                (s1, 15),
+                (established_setup(71, max_rules=20, deontic_ratio=0.5), 2),
                 (established_setup(72, max_rules=20, deontic_ratio=0.5),
-                 127)):
+                 128)):
             computed.clear()
             analyze(setup)
-            assert [run.grown for run in computed] == [False] + [True] * grown
+            assert len(computed) == tables
+            assert len({run.rule_ids for run in computed}) == tables
 
-    def test_greedy_play_grows_all_but_the_first_table(self, computed):
+    def test_greedy_play_computes_each_table_once(self, computed):
         # seed 71's claim cone holds no live private rule, so greedy play
         # reads one table; seed 72 has no inert rule
-        for seed, grown in ((71, 0), (72, 158)):
+        for seed, tables in ((71, 1), (72, 159)):
             computed.clear()
             auto_play(established_setup(seed, max_rules=20,
                                         deontic_ratio=0.5))
-            assert [run.grown for run in computed] == \
-                [False] + [True] * grown
+            assert len(computed) == tables
+            assert len({run.rule_ids for run in computed}) == tables
 
-    def test_unknown_rule_id_is_no_parent(self, computed, s1):
+    def test_unknown_rule_id_changes_no_table(self, computed, s1):
         state = initial_state(s1)
         table = state.table_after(frozenset({"nosuchrule"}))
-        assert [run.grown for run in computed] == [False, False]
+        assert len(computed) == 2
         assert table == state.conclusions
 
-    def test_engine_grows_from_the_table_its_index_keeps(
-            self, monkeypatch, s1):
-        grown = []
-        grow = engine._grow
+    CACHED = (
+        "fact f.\n"
+        "rule c1: f => a.\n"
+        "rule p1: a => b.\n"
+        "rule p2: nowhere => b.\n"
+        "rule d1: f => ~b.\n"
+        "claim: b.\n"
+        "game pr: p1, p2.\n"
+        "game def: d1.\n")
 
-        def growing(*args):
-            grown.append(args[3])
-            return grow(*args)
-
-        monkeypatch.setattr(engine, "_grow", growing)
-        index = TheoryIndex(s1.facts, s1.all_rules(), s1.superiority)
-        compute_conclusions(index, {"r1"})
-        assert grown == []
-        table = compute_conclusions(index, {"r1", "r4"})
-        assert grown == ["r4"]
-        assert set(index.tables) == {frozenset({"r1"}),
-                                     frozenset({"r1", "r4"})}
-        assert index.tables[frozenset({"r1", "r4"})] is table
-        fresh = TheoryIndex(s1.facts, s1.all_rules(), s1.superiority)
-        assert table == compute_conclusions(fresh, {"r1", "r4"})
-        assert table == compute_conclusions(s1.theory_for({"r1", "r4"}))
-        assert grown == ["r4"]
+    def test_game_keeps_one_table_per_live_key(self, computed):
+        # nothing supports nowhere, so p2 is inert
+        setup = parse_theory(self.CACHED)
+        state = initial_state(setup)
+        tables = state.tables
+        assert tables.inert == {"p2"}
+        table = state.table_after(frozenset({"p1"}))
+        assert len(computed) == 2
+        # a repeated request, and keys that differ only in inert ids,
+        # read the kept table and compute nothing
+        assert state.table_after(frozenset({"p1"})) is table
+        assert game.conclusions_for({"c1", "p1"}, tables) is table
+        assert state.table_after(frozenset({"p1", "p2"})) is table
+        assert state.table_after(frozenset({"p2"})) is state.conclusions
+        assert len(computed) == 2
+        assert tables.tables == {frozenset({"c1"}): state.conclusions,
+                                 frozenset({"c1", "p1"}): table}
+        assert tables.tables[frozenset({"c1", "p1"})] is table
+        assert table == compute_conclusions(
+            setup.theory_for({"c1", "p1", "p2"}))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6),
@@ -542,9 +549,9 @@ class TestIncrementalTables:
         for disclosed in requests:
             full = compute_conclusions(
                 setup.theory_for(state.common_ids | disclosed))
-            grown = state.table_after(disclosed)
-            assert grown == full
-            assert _statuses(grown, claim) == _statuses(full, claim)
+            table = state.table_after(disclosed)
+            assert table == full
+            assert _statuses(table, claim) == _statuses(full, claim)
 
 
 def _chain_setup(owners, strays, obliged):
@@ -712,7 +719,7 @@ def _with_claim(setup, *literals):
 # The claim literal ``nowhere`` is one no rule or fact mentions.
 _GOAL_SETUPS = (
     [established_setup(seed, max_rules=14, deontic_ratio=0.5)
-     for seed in GROWN_SEEDS]
+     for seed in SEARCHED_SEEDS]
     + [setup for setup in corpus.setups(12) if setup.claim is not None]
     + [_with_claim(established_setup(24, max_rules=14, deontic_ratio=0.5),
                    *claim)
@@ -739,10 +746,12 @@ class TestCompiledGoals:
         analyze(setup)
         for policy in POLICIES:
             auto_play(setup, policy)
-        # every table of the game, full and sliced, is kept by its index
+        # every table of the game, full and sliced, is kept by its
+        # _Tables
         reached = [(start.tables, table) for start in starts
-                   for table in start.tables.index.tables.values()]
+                   for table in start.tables.tables.values()]
         assert len(starts) == 3
+        assert reached
         for tables, table in reached:
             assert tables.established(table) == \
                 game.claim_established(table, setup)
@@ -983,7 +992,7 @@ class TestInertRules:
             frozenset(rng.sample(ids, rng.randint(0, len(ids))))
             for _ in range(3)]
         for key in keys:
-            # each table on a fresh index, so that neither grows
+            # each table on a fresh index, away from the game's tables
             with_inert, without = (
                 compute_conclusions(TheoryIndex(
                     setup.facts, setup.all_rules(), setup.superiority),
@@ -1178,7 +1187,8 @@ class TestIndexParity:
             if rng.random() < 0.5:
                 key |= {"nosuchrule"}
             keys.append(key)
-            # one rule at a time, so that each table grows from the last
+            # one rule at a time, so that each table adds one rule to the
+            # last
             for rule_id in rng.sample(ids, min(3, len(ids))):
                 key |= {rule_id}
                 keys.append(key)
@@ -1204,8 +1214,7 @@ class TestIndexParity:
         "game pr: p1.\n"
         "game def: d1.\n")
 
-    def test_literal_only_an_inactive_rule_mentions_is_refuted(
-            self, computed):
+    def test_literal_only_an_inactive_rule_mentions_is_refuted(self):
         setup = parse_theory(self.SETUP)
         state = initial_state(setup)
         table = state.conclusions
@@ -1217,15 +1226,14 @@ class TestIndexParity:
         assert table.is_determined(zz)
         _assert_same_table(table, compute_conclusions(
             setup.theory_for({"c1"})), _union_literals(setup))
-        grown = state.table_after(frozenset({"p1"}))
-        assert [run.grown for run in computed] == [False, True]
-        assert zz in grown.literals
+        after = state.table_after(frozenset({"p1"}))
+        assert zz in after.literals
         fresh = compute_conclusions(setup.theory_for({"c1", "p1"}))
-        _assert_same_table(grown, fresh, _union_literals(setup))
-        assert grown.newly_determined(table) == fresh.newly_determined(
+        _assert_same_table(after, fresh, _union_literals(setup))
+        assert after.newly_determined(table) == fresh.newly_determined(
             compute_conclusions(setup.theory_for({"c1"})))
         assert TaggedLiteral(PLUS, DELTA, EVIDENTIAL, zz) in \
-            grown.newly_determined(table)
+            after.newly_determined(table)
 
     def test_id_that_names_no_rule_is_ignored(self):
         setup = parse_theory(self.SETUP)
