@@ -54,10 +54,14 @@ a least closure over the cells: a cell is dead when it is not a fact
 and every rule headed at it is inert, so a cell no rule heads is dead
 from the start, and a rule is inert when a plain or ``+t`` antecedent
 reads a dead cell or a ``-t`` antecedent reads a fact cell.  The
-closure runs once per compile, in the pass over the antecedents: a
-rule that wants a cell no fact or rule supports proved, or a fact
-refuted, is inert at once, and each cell left with no live rule then
-kills the rules that want it proved.  Only live rules are listed in
+closure runs once per compile.  The pass over the rules compiles each
+rule's antecedents and lists the rule only when none of them wants a
+cell no fact or rule supports proved, or a fact refuted: a rule that
+does is inert at once and is never listed.  A worklist then takes each
+cell left with no live rule, kills every rule listed as reading it
+that wants it proved, and drops that rule from the lists; a rule that
+reads it only as ``-t``, which a dead cell meets, stays listed.  Only
+live rules are listed in
 ``heads``, ``readers`` and ``beaten_by``; every other list keeps every
 rule, so a table still has one row per cell, and a dead cell settles
 as the fixpoint is seeded.  One-shot answers thus skip inert rules as
@@ -321,10 +325,12 @@ class TheoryIndex:
     index keeps no table.
 
     The compile reads every head cell first, then makes one pass over
-    the rules that also starts the inert closure, which ends over the
-    few cells it kills: cells come from a per-atom base (``4 * atom``,
-    +2 for the negative literal, +1 for mode O), and ``readers`` lists
-    a rule once per cell however often the rule reads it.  Each
+    the rules that lists each rule not inert at once, and ends the
+    inert closure over the few cells left with no live rule, dropping
+    each rule it kills from the lists: cells come from a per-atom base
+    (``4 * atom``, +2 for the negative literal, +1 for mode O), and
+    ``readers`` lists a live rule once per cell, in position order,
+    however often the rule reads it.  Each
     superiority pair looks up its two ids once, and a pair with an id
     that names no rule is skipped.  A fact, head or antecedent in an
     unknown mode raises ``KeyError``.
@@ -371,7 +377,6 @@ class TheoryIndex:
         self.readers = readers = [()] * cells
         self.inert = inert = bytearray(len(rules))
         gone = []  # the rules inert at once
-        negated = set()  # (cell, position) of each -t antecedent
         tag_index = _TAG_INDEX
         for r, rule in enumerate(rules):
             positions[rule.id] = positions.get(rule.id, ()) + (r,)
@@ -383,54 +388,46 @@ class TheoryIndex:
                     + mode[ant.mode]
                 if ant.sign == MINUS:
                     read.append((c, tag_index[ant.tag], REFUTED))
-                    negated.add((c, r))
                     live = live and not fact[c]
                 else:
                     read.append((c, tag_index.get(ant.tag), PROVED))
                     live = live and supported[c]
+            antecedents.append(tuple(read))
+            if not live:
+                inert[r] = 1
+                gone.append(r)
+                continue
+            heads[head[r]] += (r,)
+            for c, _, _ in read:
                 # r is the largest position so far, so a cell this rule
                 # already reads ends with r
                 cell_readers = readers[c]
-                if live and (not cell_readers or cell_readers[-1] != r):
+                if not cell_readers or cell_readers[-1] != r:
                     readers[c] = cell_readers + (r,)
-            antecedents.append(tuple(read))
-            if live:
-                heads[head[r]] += (r,)
-            else:
-                inert[r] = 1
-                gone.append(r)
-                for c, _, _ in read:
-                    cell_readers = readers[c]
-                    if cell_readers and cell_readers[-1] == r:
-                        readers[c] = cell_readers[:-1]
 
         # The rest of the least inert closure.  So far a rule is inert
         # when it wants a cell that no fact or rule supports proved, or
         # wants a fact refuted, and lists hold the other rules.  A cell
         # dies once it is no fact and lists no rule, and then every
-        # rule that wants it proved turns inert and leaves the lists.
+        # rule that wants it proved turns inert and leaves the lists; a
+        # rule that reads it only as -t, which a dead cell meets, stays.
         dead = [h for h in {head[r] for r in gone}
                 if not heads[h] and not fact[h]]
         while dead:
             c = dead.pop()
-            kept = ()  # the rules that read c only as -t
             for r in readers[c]:
-                if negated and (c, r) in negated and all(
-                        cell != c or want == REFUTED
-                        for cell, _, want in antecedents[r]):
-                    kept += (r,)
+                if all(cell != c or want == REFUTED
+                       for cell, _, want in antecedents[r]):
                     continue
                 inert[r] = 1
                 for cell, _, _ in antecedents[r]:
-                    cell_readers = readers[cell]
-                    if cell != c and r in cell_readers:
-                        readers[cell] = tuple(s for s in cell_readers
+                    if r in readers[cell]:
+                        readers[cell] = tuple(s for s in readers[cell]
                                               if s != r)
                 h = head[r]
                 heads[h] = tuple(s for s in heads[h] if s != r)
                 if not heads[h] and not fact[h]:
                     dead.append(h)
-            readers[c] = kept
 
         beaten: dict[int, set[int]] = {}
         for stronger, weaker in superiority:
@@ -812,11 +809,9 @@ def strength_order(a: tuple[str, str], b: tuple[str, str]) -> int:
     """
     sign_a, tag_a = a
     sign_b, tag_b = b
-    for sign, tag in ((sign_a, tag_a), (sign_b, tag_b)):
-        if sign not in (PLUS, MINUS):
-            raise ValueError(f"bad sign {sign!r}")
-        if tag not in TAGS:
-            raise ValueError(f"bad tag {tag!r}")
+    for sign, tag in (a, b):
+        _wanted(sign)
+        _check_tag(tag)
     if sign_a != sign_b:
         raise ValueError("conclusions with different signs are not comparable")
     rank_a, rank_b = _TAG_INDEX[tag_a], _TAG_INDEX[tag_b]

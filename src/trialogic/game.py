@@ -69,7 +69,8 @@ has shown that the candidate raises the mover's coverage.
 No table depends on the inert rules, those that can never fire: the
 game's index finds them as it compiles, and ``engine`` states why the
 table of any rule set K equals the table of K less its inert rules.
-``_inert`` reads the ids of which every position is inert.
+``_Tables.inert`` holds the ids of which every position is inert:
+every id the index numbers less the ids of its live positions.
 ``conclusions_for`` keys every table by its ids minus the inert ids, so
 tables that differ only in inert rules share one kept table.  The claim
 cone is taken over the live rules only, since a rule that reaches a
@@ -226,14 +227,15 @@ class _Tables:
     positions.  It owns the game's tables too: ``tables`` holds each
     table ``conclusions_for`` has computed, keyed by its live rule ids,
     the ids asked for less the inert ones.  It also holds the ids of the
-    inert rules, which no table's key keeps (``_inert``), the ids of the
-    rules claim questions keep (the common rules and the claim's live
-    cone, less the inert ones), and each player's goal compiled once
-    over the index (``_goal``).  The claim cone is walked over the
-    index, as ``engine.cone`` walks it over rules: from the cells of
-    each claim atom in both modes, each cell with its opposite, through
-    the rules ``heads`` lists there, which are live, to the cells of
-    their ``antecedents``.
+    inert rules, which no table's key keeps (``inert``: every id of the
+    index less the ids of the positions ``TheoryIndex.inert`` leaves
+    live), the ids of the rules claim questions keep (the common rules
+    and the claim's live cone, less the inert ones), and each player's
+    goal compiled once over the index (``_goal``).  The claim cone is
+    walked over the index, as ``engine.cone`` walks it over rules: from
+    the cells of each claim atom in both modes, each cell with its
+    opposite, through the rules ``heads`` lists there, which are live,
+    to the cells of their ``antecedents``.
 
     ``met`` reads a goal's keys off a table's rows, and every claim
     question of the game and of ``strategy`` goes through it; ``sliced``
@@ -254,9 +256,10 @@ class _Tables:
     def __init__(self, setup: GameSetup):
         self.index = index = TheoryIndex(setup.facts, setup.all_rules(),
                                          setup.superiority)
-        self.inert = _inert(index)
-        claim = setup.claim.literals if setup.claim else ()
         heads, antecedents, rules = index.heads, index.antecedents, index.rules
+        self.inert = frozenset(index.positions).difference(
+            rule.id for rule, inert in zip(rules, index.inert) if not inert)
+        claim = setup.claim.literals if setup.claim else ()
         # a cell stands with its opposite, so walk the one of sign bit 0
         work = [cell & ~2 for cell in (index.cell(mode, literal)
                                        for literal in claim for mode in MODES)
@@ -353,15 +356,6 @@ class _Tables:
         goal = self.established if player == PR else self.refuted
         return any(goal(self.sliced(common_ids | disclosed))
                    for disclosed in subsets(kept, include_empty=kept != pool))
-
-
-def _inert(index: TheoryIndex) -> frozenset[str]:
-    """The inert rule ids of ``index``: those of which every position is
-    inert (``TheoryIndex.inert``)."""
-    inert = index.inert
-    return frozenset(rule_id
-                     for rule_id, positions in index.positions.items()
-                     if all(inert[r] for r in positions))
 
 
 def _goal(index: TheoryIndex, setup: GameSetup, player: str

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from trialogic import (
     DEF, DEF_SUCCEEDS, DELTA, EVIDENTIAL, MINUS, MODES, OBLIGATION, ONGOING,
-    PLUS, POLICIES, PR, PR_SUCCEEDS, REFUTED, STALLED, TAGS, UNDETERMINED,
+    PLUS, POLICIES, PR, PR_SUCCEEDS, PROVED, REFUTED, STALLED, TAGS,
+    UNDETERMINED,
     Antecedent, Claim, ConclusionTable, GameSetup, IllegalMove, Literal, Move,
     OpeningRejected, ParseFailure, Rule, TaggedLiteral,
     adjudicate, analyze, apply_move, auto_play, compute_conclusions, corpus,
@@ -436,7 +437,7 @@ def _statuses(table, literals):
             for mode in MODES for tag in TAGS]
 
 
-class TestIncrementalTables:
+class TestTableCache:
     """Each table the game computes as play goes on is computed once per
     live key, kept by the game's ``_Tables``, and equals the table
     computed in full afresh."""
@@ -834,8 +835,8 @@ def _reference_supportable(setup, keep, rule_ids):
 
 
 def _reference_inert(setup):
-    """``game._inert`` over Rule objects: the ids of which every rule is
-    inert (``reference_inert``)."""
+    """``game._Tables.inert`` over Rule objects: the ids of which every
+    rule is inert (``reference_inert``)."""
     rules = setup.all_rules()
     inert = reference_inert(setup.facts, rules)
     return frozenset(rule.id for rule in rules) - {
@@ -1030,6 +1031,22 @@ class TestInertRules:
             "rule r3: +s z => w.\n"
             "rule r4: f =>O x.\n")
         assert self._inert_of(setup) == {"r1", "r2", "r3"}
+
+    def test_a_cell_that_dies_later_keeps_its_negative_readers(self):
+        # E y is supported, so r2 and r3 are live at once; r1 reads the
+        # dead x, then E y dies, which kills r3 (it wants y proved) but
+        # not r2, which reads y only as -d and is met by the dead y
+        setup = parse_theory(
+            "fact f.\n"
+            "rule r1: x => y.\n"
+            "rule r2: -d y, f => z.\n"
+            "rule r3: -d y, y => w.\n")
+        assert self._inert_of(setup) == {"r1", "r3"}
+        index = game._Tables(setup).index
+        r2 = index.positions["r2"]
+        assert index.readers[index.cell(EVIDENTIAL, lit("y"))] == r2
+        assert compute_conclusions(index).status(
+            DELTA, EVIDENTIAL, lit("z")) == PROVED
 
     def test_self_support_is_not_inert(self):
         # p => p leaves p undetermined, so it is not refuted and the rule
