@@ -334,17 +334,16 @@ def parse_theory(text: str) -> GameSetup:
     parser.parse(parser.statement)
     errors = parser.errors
 
-    declared = {rule.id: rule for rule in parser.rules}
     for pair in parser.sup:
         for token in pair:
-            if token.value not in declared:
+            if token.value not in parser.rule_ids:
                 errors.append(ParseError(
                     token.span, "superiority references unknown rule id "
                                 f"{token.value!r}"))
     owner: dict[str, str] = {}
     for section, entries in parser.sections.items():
         for rule_id, token in entries:
-            if rule_id not in declared:
+            if rule_id not in parser.rule_ids:
                 errors.append(ParseError(
                     token.span,
                     f"game section references unknown rule id {rule_id!r}"))

@@ -3,14 +3,20 @@
 The prosecutor opens by disclosing a subset of their private rules that
 makes the whole claim provable at the configured standards: every claim
 literal evidentially, and the obligation of its complement deontically.
-The opening may declare as targets only the ``(mode, literal)`` of
-these conditions, and when it declares none it targets all of them; a
-target outside them makes the opening an illegal move.  Play then
-alternates.  A non-pass move discloses private rules and declares at
-least one target literal; it is legal when every target had some
-determined status before the move (in any mode, at any tag) and gains
-some newly determined status in its declared mode, for the literal or
-its complement, once the rules migrate.  A pass is always legal.
+An opening of no rules prosecutes from the common rules alone, and the
+claim judges it as it judges any other.  The opening may declare as
+targets only the ``(mode, literal)`` of these conditions, and when it
+declares none it targets all of them; a target outside them makes the
+opening an illegal move.  Play then alternates.  Every move, the
+opening included, may disclose only rules of the mover's own private
+pool.  After the opening, a pass discloses nothing and declares no
+targets.  Any other move discloses rules and declares at least one
+target literal; it is legal when every target had some determined
+status before the move (in any mode, at any tag) and gains some newly
+determined status in its declared mode, for the literal or its
+complement, once the rules migrate.  ``apply_move`` is the one check of
+all this: it raises ``IllegalMove``, or ``OpeningRejected`` for an
+opening the claim refuses, and ``legal_move`` reports its reasons.
 
 The game ends as soon as the defence's condition holds while the
 prosecutor has nothing left (some claim literal refuted evidentially or
@@ -59,8 +65,9 @@ question over the subsets of its kept part.  One method,
 and for robustness: it walks the subsets of the kept part of a pool,
 the empty one standing for a disclosure of rules outside the kept ones
 only.  ``accepted_openings`` asks the pr question of every subset of
-the pr pool and yields the openings alone; a caller that needs an
-opened state plays the opening through ``apply_move``.  Moves, their
+the pr pool and yields the openings alone.  Each is owned and
+establishes the claim, so a caller that needs the opened state takes
+it from ``step`` with no further check.  Moves, their
 targets and the end-of-game test read full tables, since a rule
 outside the cone still changes statuses and still empties a pool; so
 greedy play reads a candidate's full table only once its sliced table
@@ -503,14 +510,10 @@ def step(state: GameState, disclosed: frozenset[str]
 def _open(state: GameState, opening: frozenset[str],
           targets: frozenset[tuple[str, Literal]] = frozenset()
           ) -> GameState:
-    """The state after the opening ``opening``, which declares
-    ``targets``.  Raises ``ValueError`` for a rule outside the pr pool,
-    ``IllegalMove`` for a target outside the claim's conditions, and
-    ``OpeningRejected`` when the claim is not established."""
-    stray = opening - state.pr_ids
-    if stray:
-        raise ValueError(
-            "opening rules not in the pr pool: " + ", ".join(sorted(stray)))
+    """The state after the opening ``opening``, rules of the pr pool,
+    which declares ``targets``.  Raises ``IllegalMove`` for a target
+    outside the claim's conditions and ``OpeningRejected`` when the
+    claim is not established."""
     claimed = _claim_targets(state.setup)
     stray_targets = [target for target in _sorted_targets(targets)
                      if target not in claimed]
@@ -540,68 +543,68 @@ def accepted_openings(start: GameState) -> Iterator[frozenset[str]]:
 
 def open_game(setup: GameSetup, opening_ids: Iterable[str]) -> GameState:
     """Play the opening: migrate the given prosecutor rules and check
-    that the whole claim is established.  Raises OpeningRejected with
-    one reason per unmet claim component otherwise."""
-    return _open(initial_state(setup), frozenset(opening_ids))
-
-
-def _attempt(state: GameState, move: Move):
-    """Shared legality check.  Returns (report, next_state or None); an
-    opening is judged as ``open_game`` judges it, and may declare only
-    the claim's ``(mode, literal)`` conditions as targets."""
-    reasons: list[str] = []
-    if move.player != state.mover:
-        reasons.append(
-            f"turn order: it is {state.mover}'s turn, not {move.player}'s")
-        return LegalityReport(False, tuple(reasons)), None
-    pool = state.pr_ids if move.player == PR else state.def_ids
-    stray = move.rule_ids - pool
+    that the whole claim is established.  Raises ValueError for an id
+    outside the pr pool, and OpeningRejected with one reason per unmet
+    claim component when the claim is not established."""
+    start, opening = initial_state(setup), frozenset(opening_ids)
+    stray = opening - start.pr_ids
     if stray:
-        reasons.append(
-            "ownership: rules not in the mover's private pool: "
-            + ", ".join(sorted(stray)))
-        return LegalityReport(False, tuple(reasons)), None
-    if state.turn == 0:
-        try:
-            return LegalityReport(True), _open(state, move.rule_ids,
-                                               move.targets)
-        except (OpeningRejected, IllegalMove) as rejected:
-            return LegalityReport(False, rejected.reasons), None
-    if move.is_pass and move.targets:
-        return LegalityReport(False, ("a pass declares no targets",)), None
-    if not move.is_pass and not move.targets:
-        return LegalityReport(
-            False, ("a non-pass move must declare at least one target",)), None
-
-    nxt, legal = step(state, move.rule_ids)
-    for mode, literal in _sorted_targets(move.targets):
-        if not state.conclusions.is_determined(literal):
-            reasons.append(
-                f"target precondition: {literal} has no determined status "
-                "in the current theory")
-        elif (mode, literal) not in legal:
-            reasons.append(
-                f"target postcondition: the move determines nothing new "
-                f"about {literal} in mode {mode}")
-    if reasons:
-        return LegalityReport(False, tuple(reasons)), None
-    return LegalityReport(True), nxt
-
-
-def legal_move(state: GameState, move: Move) -> LegalityReport:
-    report, _ = _attempt(state, move)
-    return report
+        raise ValueError(
+            "opening rules not in the pr pool: " + ", ".join(sorted(stray)))
+    return _open(start, opening)
 
 
 def apply_move(state: GameState, move: Move) -> GameState:
-    """The state after ``move``; an opening raises as ``open_game``, and
-    ``IllegalMove`` for a target outside the claim's conditions."""
-    if state.turn == 0 and move.player == PR:
+    """The state after ``move``: the game's one legality check.
+
+    Raises ``IllegalMove`` for a move out of turn or one that discloses
+    a rule outside the mover's private pool.  An opening then goes to
+    ``_open``, which raises ``IllegalMove`` for a target outside the
+    claim's conditions and ``OpeningRejected`` when the claim is not
+    established.  A later move raises ``IllegalMove`` when it is a pass
+    that declares targets, a disclosure that declares none, or a
+    disclosure with a target that had no determined status before it
+    or gains no newly determined status in its mode."""
+    pool = state.pr_ids if move.player == PR else state.def_ids
+    stray = move.rule_ids - pool
+    if move.player != state.mover:
+        reasons = [
+            f"turn order: it is {state.mover}'s turn, not {move.player}'s"]
+    elif stray:
+        reasons = ["ownership: rules not in the mover's private pool: "
+                   + ", ".join(sorted(stray))]
+    elif not state.turn:
         return _open(state, move.rule_ids, move.targets)
-    report, nxt = _attempt(state, move)
-    if not report.legal:
-        raise IllegalMove(state.turn, move.player, report.reasons)
-    return nxt
+    elif move.is_pass and move.targets:
+        reasons = ["a pass declares no targets"]
+    elif not move.is_pass and not move.targets:
+        reasons = ["a non-pass move must declare at least one target"]
+    else:
+        nxt, legal = step(state, move.rule_ids)
+        reasons = []
+        for mode, literal in _sorted_targets(move.targets):
+            if not state.conclusions.is_determined(literal):
+                reasons.append(
+                    f"target precondition: {literal} has no determined "
+                    "status in the current theory")
+            elif (mode, literal) not in legal:
+                reasons.append(
+                    f"target postcondition: the move determines nothing "
+                    f"new about {literal} in mode {mode}")
+        if not reasons:
+            return nxt
+    raise IllegalMove(state.turn, move.player, reasons)
+
+
+def legal_move(state: GameState, move: Move) -> LegalityReport:
+    """Whether ``apply_move`` accepts ``move`` at ``state``, with the
+    reasons of the ``IllegalMove`` or ``OpeningRejected`` it raises
+    when it does not."""
+    try:
+        apply_move(state, move)
+    except (IllegalMove, OpeningRejected) as refused:
+        return LegalityReport(False, refused.reasons)
+    return LegalityReport(True)
 
 
 def termination_status(state: GameState) -> str:
@@ -665,12 +668,10 @@ def _sorted_targets(targets) -> tuple[tuple[str, Literal], ...]:
 
 
 def play_move(trace: GameTrace, state: GameState, move: Move) -> GameState:
-    """Validate ``move`` at ``state``, append its record to ``trace`` and
-    settle the trace's outcome.  The first move is the opening; it may
-    declare only the claim's conditions as targets, and when it declares
-    none they default to all of them."""
-    if state.turn == 0 and move.player != PR:
-        raise IllegalMove(0, move.player, ("the opening move belongs to pr",))
+    """Play ``move`` at ``state`` through ``apply_move``, which raises
+    for a move it refuses, append its record to ``trace`` and settle the
+    trace's outcome.  An opening that declares no targets is recorded
+    with every claim condition as its targets."""
     nxt = apply_move(state, move)
     targets = move.targets
     if state.turn == 0 and not targets:

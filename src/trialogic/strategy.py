@@ -55,8 +55,7 @@ from typing import Iterable, Optional
 from .game import (
     DEF_SUCCEEDS, ONGOING, PR_SUCCEEDS, STALLED, TERMINAL_OUTCOMES,
     GameState, GameTrace, Move, OpeningRejected, accepted_openings,
-    adjudicate, apply_move, initial_state, open_game, play_move, settle,
-    step, subsets,
+    adjudicate, initial_state, open_game, play_move, settle, step, subsets,
 )
 from .model import DEF, PR, GameSetup
 
@@ -177,7 +176,7 @@ def _exhaustive(start: GameState) -> tuple[str, int]:
     root_outcomes = []
     for opening in accepted_openings(start):
         explored += 1
-        root_outcomes.append(value(apply_move(start, Move(PR, opening))))
+        root_outcomes.append(value(step(start, opening)[0]))
         if root_outcomes[-1] == PR_SUCCEEDS:
             break
     if not root_outcomes:

@@ -316,14 +316,15 @@ class TestExitCodes:
         assert code == 1
         assert "no_such_file.ddt" in err
 
-    def test_unowned_opening_is_script_validation(self, capsys, s1_path,
-                                                  tmp_path):
+    def test_unowned_opening_is_an_illegal_move(self, capsys, s1_path,
+                                                tmp_path):
         moves = tmp_path / "bad.moves"
         moves.write_text("pr: r4a.\n")
         code, out, err = invoke(
             capsys, "game", "run", s1_path, "--moves", moves)
-        assert code == 1
-        assert "not in the pr pool" in err
+        assert code == 2
+        assert err == ("illegal move at turn 0 (pr): ownership: rules not "
+                       "in the mover's private pool: r4a\n")
 
     def test_rejected_opening(self, capsys, s1_path, tmp_path):
         moves = tmp_path / "weak.moves"

@@ -1,3 +1,4 @@
+import functools
 import sys
 from dataclasses import replace
 
@@ -116,10 +117,12 @@ class TestOpeningMove:
     def test_stray_opening_rules(self, s1):
         start = initial_state(s1)
         opening = move(PR, {"r1", "r4", "r6"})
-        assert legal_move(start, opening).reasons == (
-            "ownership: rules not in the mover's private pool: r6",)
-        with pytest.raises(ValueError, match="not in the pr pool: r6"):
+        reasons = ("ownership: rules not in the mover's private pool: r6",)
+        assert legal_move(start, opening).reasons == reasons
+        with pytest.raises(IllegalMove) as exc:
             apply_move(start, opening)
+        assert (exc.value.turn, exc.value.player, exc.value.reasons) == \
+            (0, PR, reasons)
 
     def test_opening_belongs_to_pr(self, s1):
         report = legal_move(initial_state(s1), move(DEF, {"r6"}))
@@ -245,6 +248,54 @@ class TestLegality:
         with pytest.raises(IllegalMove):
             apply_move(state, move(DEF, {"r4a", "r5"}, [(EVIDENTIAL, "b")]))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_legal_move_reports_what_apply_move_refuses(self, s1, data):
+        # at the start, or after an accepted opening and up to two
+        # passes, either player discloses ids of either pool, an unknown
+        # id or none, and declares any targets over the setup's literals
+        setup = data.draw(st.sampled_from([s1] + _legality_setups()))
+        state = initial_state(setup)
+        ids = sorted(state.pr_ids | state.def_ids | {"zz9"})
+        literals = sorted(state.conclusions.literals) + [lit("zz")]
+        openings = list(game.accepted_openings(state))
+        if openings and data.draw(st.booleans()):
+            state = apply_move(
+                state, Move(PR, data.draw(st.sampled_from(openings))))
+            for _ in range(data.draw(st.integers(0, 2))):
+                state = apply_move(state, Move(state.mover, frozenset()))
+        # the player is the mover two times in three, and draws the ids
+        # from their own pool half the time
+        player = data.draw(st.sampled_from([state.mover, PR, DEF]))
+        own = sorted(state.pr_ids if player == PR else state.def_ids)
+        pool = data.draw(st.sampled_from([own, ids])) if own else ids
+        played = Move(
+            player,
+            data.draw(st.frozensets(st.sampled_from(pool),
+                                    max_size=min(3, len(pool)))),
+            data.draw(st.frozensets(
+                st.tuples(st.sampled_from(MODES), st.sampled_from(literals)),
+                max_size=3)))
+        report = legal_move(state, played)
+        try:
+            apply_move(state, played)
+        except (IllegalMove, OpeningRejected) as refused:
+            assert not report.legal
+            assert report.reasons == refused.reasons
+        else:
+            assert report.legal
+
+
+@functools.cache
+def _legality_setups():
+    """Claimed corpus setups: two whose pr pool establishes no claim,
+    and the established claims of SEARCHED_SEEDS, which open."""
+    claimed = [setup for setup in corpus.setups(25)
+               if setup.claim is not None][:2]
+    return claimed + [established_setup(seed, max_rules=14,
+                                        deontic_ratio=0.5)
+                      for seed in SEARCHED_SEEDS]
+
 
 class TestTermination:
     def test_strict_defence_win(self, s3):
@@ -354,8 +405,9 @@ class TestRunGame:
         assert "+d b" in rendered and "+p O ~b" in rendered
 
     def test_first_move_must_be_pr(self, s1):
-        with pytest.raises(IllegalMove, match="opening move belongs to pr"):
+        with pytest.raises(IllegalMove) as exc:
             run_game(s1, [Move(DEF, frozenset({"r6"}))])
+        assert exc.value.reasons == ("turn order: it is pr's turn, not def's",)
 
     def test_opening_rejection_propagates(self, s1):
         with pytest.raises(OpeningRejected):
