@@ -38,10 +38,14 @@ antecedents as ``(cell, tag index, wanted status)``, the live rules
 (below) headed at each cell (``heads``) and reading each cell
 (``readers``) and, for each live rule, the live rules that beat it; it
 is compiled in one pass over the rules, once their head cells are
-known.  A game compiles its whole setup once and passes
-``compute_conclusions`` that index with the ids of the rules to
-activate.  ``compute_conclusions`` compiles a one-shot theory whole,
-once per call, and builds its table over every rule with no mask.
+known.  The compile maps each literal straight to its E cell (its O
+cell is one more), so a fact, head or antecedent costs one lookup, and
+it grows ``heads`` and ``readers`` as lists, freezing each into a tuple
+once the inert closure (below) is done.  A game compiles its whole
+setup once and passes ``compute_conclusions`` that index with the ids
+of the rules to activate.  ``compute_conclusions`` compiles a one-shot
+theory whole, once per call, and builds its table over every rule with
+no mask.
 The one-literal questions, ``holds``, ``standards_met`` and
 ``permission.weakly_permitted``, check the question first and then
 compile only the facts, the superiority pairs and the rules of the
@@ -120,12 +124,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import count, cycle, repeat
 from typing import Iterable, Optional, Sequence, Union
 
 from .model import (
-    DELTA, EVIDENTIAL, MINUS, MODES, PARTIAL, PLUS, PROVED, REFUTED, SIGMA,
-    SIGMA_MINUS, TAGS, UNDETERMINED, DefeasibleTheory, Literal, Rule,
-    TaggedLiteral, _check_moded, _check_tag, literal_sort_key,
+    DELTA, EVIDENTIAL, MINUS, MODES, OBLIGATION, PARTIAL, PLUS, PROVED,
+    REFUTED, SIGMA, SIGMA_MINUS, TAGS, UNDETERMINED, DefeasibleTheory,
+    Literal, Rule, TaggedLiteral, _check_moded, _check_tag, literal_sort_key,
 )
 
 # Proof standard names.
@@ -324,16 +329,20 @@ class TheoryIndex:
     complementary head cells, the only pairs a condition reads).  The
     index keeps no table.
 
-    The compile reads every head cell first, then makes one pass over
-    the rules that lists each rule not inert at once, and ends the
-    inert closure over the few cells left with no live rule, dropping
-    each rule it kills from the lists: cells come from a per-atom base
-    (``4 * atom``, +2 for the negative literal, +1 for mode O), and
+    The compile builds each ``Literal`` of ``literals`` directly as a
+    tuple of that type, keys ``ids`` by those same objects, and maps
+    each literal to its E cell (``2 * id``, +1 for mode O).  It reads
+    every head cell first, then makes one pass over the rules that
+    lists each rule not inert at once, and ends the inert closure over
+    the few cells left with no live rule, removing each rule it kills
+    from the lists.  ``heads`` and ``readers`` are lists while the
+    compile edits them and are frozen into tuples once, at its end; a
+    cell that never lists a rule keeps the shared empty tuple.
     ``readers`` lists a live rule once per cell, in position order,
-    however often the rule reads it.  Each
-    superiority pair looks up its two ids once, and a pair with an id
-    that names no rule is skipped.  A fact, head or antecedent in an
-    unknown mode raises ``KeyError``.
+    however often the rule reads it.  Each superiority pair looks up its
+    two ids once and skips an inert position; a pair with an id that
+    names no rule is skipped.  A fact, head or antecedent in an unknown
+    mode raises ``KeyError``.
     """
 
     __slots__ = ("rules", "positions", "literals", "ids", "fact", "head",
@@ -351,24 +360,23 @@ class TheoryIndex:
             atoms.add(rule.head.atom)
             for ant in rule.antecedents:
                 atoms.add(ant.literal.atom)
-        atoms = sorted(atoms)
-        # literal_sort_key order: by atom, the positive literal first
-        self.literals = tuple(Literal(atom, positive) for atom in atoms
-                              for positive in (True, False))
-        self.ids = {literal: i for i, literal in enumerate(self.literals)}
-        base = {atom: 4 * a for a, atom in enumerate(atoms)}
-        sign = (2, 0)  # by Literal.positive
+        atoms = sorted([*atoms, *atoms])  # each atom twice, in order
+        # literal_sort_key order: by atom, the positive literal first;
+        # tuple.__new__ makes each Literal without a call to its __new__
+        self.literals = literals = tuple(map(
+            tuple.__new__, repeat(Literal), zip(atoms, cycle((True, False)))))
+        self.ids = dict(zip(literals, count()))
+        cell_of = dict(zip(literals, count(0, 2)))  # the E cell
         mode = _MODE_INDEX
-        cells = 4 * len(atoms)
+        cells = 2 * len(literals)
 
         self.fact = fact = bytearray(cells)
         for fact_mode, literal in facts:
-            fact[base[literal.atom] + sign[literal.positive]
-                 + mode[fact_mode]] = 1
+            fact[cell_of[literal] + mode[fact_mode]] = 1
 
         self.positions = positions = {}
-        self.head = head = [base[rule.head.atom] + sign[rule.head.positive]
-                            + mode[rule.head_mode] for rule in rules]
+        self.head = head = [cell_of[rule.head] + mode[rule.head_mode]
+                            for rule in rules]
         supported = bytearray(fact)  # 0 where no fact or rule is headed
         for h in head:
             supported[h] = 1
@@ -377,33 +385,43 @@ class TheoryIndex:
         self.readers = readers = [()] * cells
         self.inert = inert = bytearray(len(rules))
         gone = []  # the rules inert at once
+        listed = []  # the cells given a list
         tag_index = _TAG_INDEX
         for r, rule in enumerate(rules):
             positions[rule.id] = positions.get(rule.id, ()) + (r,)
             read = []
             live = True
             for ant in rule.antecedents:
-                literal = ant.literal
-                c = base[literal.atom] + sign[literal.positive] \
-                    + mode[ant.mode]
-                if ant.sign == MINUS:
+                c = cell_of[ant.literal] + mode[ant.mode]
+                if ant.sign is None:
+                    read.append((c, None, PROVED))
+                    live = live and supported[c]
+                elif ant.sign == MINUS:
                     read.append((c, tag_index[ant.tag], REFUTED))
                     live = live and not fact[c]
                 else:
-                    read.append((c, tag_index.get(ant.tag), PROVED))
+                    read.append((c, tag_index[ant.tag], PROVED))
                     live = live and supported[c]
             antecedents.append(tuple(read))
             if not live:
                 inert[r] = 1
                 gone.append(r)
                 continue
-            heads[head[r]] += (r,)
+            h = heads[head[r]]
+            if h:
+                h.append(r)
+            else:
+                heads[head[r]] = [r]
+                listed.append(head[r])
             for c, _, _ in read:
                 # r is the largest position so far, so a cell this rule
                 # already reads ends with r
                 cell_readers = readers[c]
-                if not cell_readers or cell_readers[-1] != r:
-                    readers[c] = cell_readers + (r,)
+                if not cell_readers:
+                    readers[c] = [r]
+                    listed.append(c)
+                elif cell_readers[-1] != r:
+                    cell_readers.append(r)
 
         # The rest of the least inert closure.  So far a rule is inert
         # when it wants a cell that no fact or rule supports proved, or
@@ -415,31 +433,33 @@ class TheoryIndex:
                 if not heads[h] and not fact[h]]
         while dead:
             c = dead.pop()
-            for r in readers[c]:
-                if all(cell != c or want == REFUTED
-                       for cell, _, want in antecedents[r]):
-                    continue
+            for r in tuple(readers[c]):  # a copy, as r may leave the list
+                if not any(cell == c and want == PROVED
+                           for cell, _, want in antecedents[r]):
+                    continue  # r reads c only as -t, which a dead cell meets
                 inert[r] = 1
                 for cell, _, _ in antecedents[r]:
                     if r in readers[cell]:
-                        readers[cell] = tuple(s for s in readers[cell]
-                                              if s != r)
+                        readers[cell].remove(r)
                 h = head[r]
-                heads[h] = tuple(s for s in heads[h] if s != r)
+                heads[h].remove(r)
                 if not heads[h] and not fact[h]:
                     dead.append(h)
+        for c in listed:  # freeze each list once; () stays shared
+            heads[c] = tuple(heads[c])
+            readers[c] = tuple(readers[c])
 
-        beaten: dict[int, set[int]] = {}
+        beaten: dict[int, list[int]] = {}
         for stronger, weaker in superiority:
-            strong, weak = positions.get(stronger), positions.get(weaker)
-            if strong is None or weak is None:  # an id that names no rule
-                continue
-            for s in strong:
-                for w in weak:
-                    if head[s] == head[w] ^ 2 and not (inert[s] or inert[w]):
-                        beaten.setdefault(w, set()).add(s)
-        self.beaten_by = [frozenset(beaten[r]) if r in beaten else ()
-                          for r in range(len(rules))]
+            # an id that names no rule has no positions
+            for w in positions.get(weaker, ()):
+                if not inert[w]:
+                    for s in positions.get(stronger, ()):
+                        if head[s] == head[w] ^ 2 and not inert[s]:
+                            beaten.setdefault(w, []).append(s)
+        self.beaten_by = beaten_by = [()] * len(rules)
+        for w, beaters in beaten.items():
+            beaten_by[w] = frozenset(beaters)
 
     def stripped(self) -> "TheoryIndex":
         """A view of this index with the superiority relation stripped:
@@ -695,6 +715,12 @@ def cone(facts: Iterable[tuple[str, Literal]], rules: Sequence[Rule],
     docstring), so the walk neither keeps it nor follows it, and a rule
     reached only through it stays out.  Over rules that are all live no
     rule is inert at once, and the walk is the plain backward cone.
+    The literals a fact or a rule head supports (each marked whether it
+    is a fact), the rules headed at each atom and the cells seen are
+    kept by mode, so the walk builds no ``(mode, literal)`` pair per
+    occurrence.  A cell in an unknown mode adds nothing, so ``()``
+    answers for it; a fact in one raises ``KeyError``, as in
+    ``TheoryIndex``.
 
     Why the cone answers for its cells: the conditions of a cell
     ``(mode, l)`` read only facts and the cells named by antecedents of
@@ -716,30 +742,34 @@ def cone(facts: Iterable[tuple[str, Literal]], rules: Sequence[Rule],
     the whole theory's table reads it: such a cell is no fact, and every
     rule headed at it, if any, is inert at once, so the cell is dead.
     """
-    facts = frozenset(facts)
-    supported = set(facts)  # each (mode, literal) a fact or a head supports
-    headed: dict[tuple[str, str], list[int]] = {}
+    # by mode: whether each literal a fact or a head supports is a fact,
+    # the positions of the rules headed at each atom, and the atoms seen
+    supported = {EVIDENTIAL: {}, OBLIGATION: {}}
+    for mode, literal in facts:
+        supported[mode][literal] = True
+    headed = {EVIDENTIAL: {}, OBLIGATION: {}}
     for r, rule in enumerate(rules):
-        supported.add((rule.head_mode, rule.head))
-        headed.setdefault((rule.head_mode, rule.head.atom), []).append(r)
-    seen = set(cells)
-    work = list(seen)
+        supported[rule.head_mode].setdefault(rule.head, False)
+        headed[rule.head_mode].setdefault(rule.head.atom, []).append(r)
+    seen = {EVIDENTIAL: set(), OBLIGATION: set()}
+    work = [cell for cell in cells if cell[0] in seen]
+    for mode, atom in work:
+        seen[mode].add(atom)
     kept = bytearray(len(rules))
     while work:
-        for r in headed.get(work.pop(), ()):
-            read = []
-            for ant in rules[r].antecedents:
-                moded = (ant.mode, ant.literal)
-                if (moded in facts if ant.sign == MINUS
-                        else moded not in supported):
+        mode, atom = work.pop()
+        for r in headed[mode].get(atom, ()):
+            antecedents = rules[r].antecedents
+            for ant in antecedents:
+                if (supported[ant.mode].get(ant.literal) if ant.sign == MINUS
+                        else ant.literal not in supported[ant.mode]):
                     break  # inert at once
-                read.append((ant.mode, ant.literal.atom))
             else:
                 kept[r] = 1
-                for cell in read:
-                    if cell not in seen:
-                        seen.add(cell)
-                        work.append(cell)
+                for ant in antecedents:
+                    if ant.literal.atom not in seen[ant.mode]:
+                        seen[ant.mode].add(ant.literal.atom)
+                        work.append((ant.mode, ant.literal.atom))
     return tuple(rule for rule, on in zip(rules, kept) if on)
 
 

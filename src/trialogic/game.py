@@ -41,13 +41,16 @@ support bound below walks its cells.  ``conclusions_for`` is the one
 lookup: a key ``_Tables`` does not keep yet gets a table computed in
 full by ``engine.compute_conclusions``, which keeps nothing itself.
 
-Each player's goal is compiled once per game too: ``_Tables`` turns
-``claim_conditions`` into ``(cell, tag index, wanted status)`` keys over
-the index, and every claim question the game and ``strategy`` ask
-reads those keys off a table's rows (``ConclusionTable.holding``).  A
-claim literal the index does not number reads as refuted at every tag,
-as in ``ConclusionTable``.  ``claim_established`` and ``claim_refuted``
-answer the same questions of any table.
+Each player's goal is compiled once per game too: ``_Tables`` takes
+the ``(cell, tag index, wanted status)`` key of each of its
+``claim_conditions`` from the index's cells, the cell of the claim
+literal's ``(E, l)`` and the other three cells of its atom found by
+flipping bits (``_goal``), and every claim question the game and
+``strategy`` ask reads those keys off a table's rows
+(``ConclusionTable.holding``).  A claim literal the index does not
+number reads as refuted at every tag, as in ``ConclusionTable``.
+``claim_established`` and ``claim_refuted`` answer the same questions
+of any table.
 
 Claim questions are answered on sliced tables.  Accepted openings,
 robustness, adjudication and greedy play's goal coverage ask only how
@@ -238,11 +241,12 @@ class _Tables:
     index less the ids of the positions ``TheoryIndex.inert`` leaves
     live), the ids of the rules claim questions keep (the common rules
     and the claim's live cone, less the inert ones), and each player's
-    goal compiled once over the index (``_goal``).  The claim cone is
-    walked over the index, as ``engine.cone`` walks it over rules: from
-    the cells of each claim atom in both modes, each cell with its
-    opposite, through the rules ``heads`` lists there, which are live,
-    to the cells of their ``antecedents``.
+    goal, its keys taken from the cells of the claim literals
+    (``_goal``).  The claim cone is walked over the index, as
+    ``engine.cone`` walks it over rules: from the cells of each claim
+    atom in both modes, each cell with its opposite, through the rules
+    ``heads`` lists there, which are live, to the cells of their
+    ``antecedents``.
 
     ``met`` reads a goal's keys off a table's rows, and every claim
     question of the game and of ``strategy`` goes through it; ``sliced``
@@ -371,18 +375,22 @@ def _goal(index: TheoryIndex, setup: GameSetup, player: str
     ``(cell, tag index, wanted status)`` key of each condition whose
     literal the index numbers, how many of the other conditions hold
     (such a literal reads as refuted at every tag, as in
-    ``ConclusionTable``), and the number of conditions."""
-    keys = []
-    fixed = size = 0
-    for sign, tag, mode, literal in claim_conditions(setup, player):
-        wanted = PROVED if sign == PLUS else REFUTED
-        cell = index.cell(mode, literal)
-        size += 1
-        if cell is None:
-            fixed += wanted == REFUTED
-        else:
-            keys.append((cell, TAGS.index(tag), wanted))
-    return tuple(keys), fixed, size
+    ``ConclusionTable``), and the number of conditions.  The keys come
+    in ``claim_conditions`` order, each taken from the cell ``c`` of the
+    claim literal's ``(E, l)``: ``(O, l)`` is ``c ^ 1``, ``(E, ~l)`` is
+    ``c ^ 2`` and ``(O, ~l)`` is ``c ^ 3``."""
+    ev = TAGS.index(setup.evidential_standard)
+    de = TAGS.index(setup.deontic_standard)
+    conditions = (((0, ev, PROVED), (3, de, PROVED)) if player == PR else
+                  ((3, de, REFUTED), (1, de, PROVED), (2, ev, PROVED),
+                   (0, ev, REFUTED)))
+    cells = [index.cell(EVIDENTIAL, literal)
+             for literal in setup.claim.literals]
+    keys = tuple((cell ^ flip, tag, want) for cell in cells
+                 if cell is not None for flip, tag, want in conditions)
+    fixed = cells.count(None) * sum(want == REFUTED
+                                    for _, _, want in conditions)
+    return keys, fixed, len(conditions) * len(cells)
 
 
 def conclusions_for(rule_ids: Iterable[str], cache: _Tables

@@ -390,6 +390,12 @@ class TestCompile:
         assert any(index.beaten_by)
         for name, expected in reference.items():
             assert getattr(index, name) == expected, name
+        # a plain tuple equals a Literal, so the comparison above does not
+        # see a compile that numbers tuples; every table's literal must
+        # be a Literal, and ids must be keyed by those same objects
+        assert all(type(literal) is Literal for literal in index.literals)
+        assert all(key is literal
+                   for key, literal in zip(index.ids, index.literals))
 
     def test_unknown_fact_mode_rejected(self):
         # DefeasibleTheory refuses such a fact; an index given one
@@ -883,6 +889,23 @@ class TestOneShotCones:
             theory.facts, theory.rules, [(EVIDENTIAL, "b")])] == ["r3"]
         assert engine.cone(theory.facts, theory.rules,
                            [(OBLIGATION, "zz")]) == ()
+        assert engine.cone(theory.facts, theory.rules, [("X", "b")]) == ()
+
+    @pytest.mark.parametrize("text, asked, kept, inert", [
+        # (O, g) is a fact but (E, g) is not, so -d g holds and r1 stays
+        ("fact f.\nfact O g.\nrule r1: f, -d g => b.\n", "b", ["r1"], [0]),
+        # (E, f) is a fact, but no rule or fact supports (O, f), so r2 is
+        # inert at once
+        ("fact f.\nrule r2: O f => c.\n", "c", [], [1]),
+    ], ids=["o_fact_is_no_e_fact", "e_fact_supports_no_o_antecedent"])
+    def test_cone_keeps_the_modes_apart(self, text, asked, kept, inert):
+        theory = parse_theory(text).union_theory()
+        assert [rule.id for rule in engine.cone(
+            theory.facts, theory.rules, [(EVIDENTIAL, asked)])] == kept
+        assert [rule.id for rule in engine.cone_index(
+            theory, EVIDENTIAL, lit(asked)).rules] == kept
+        assert list(engine.TheoryIndex(theory.facts, theory.rules).inert) \
+            == inert
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10 ** 6), st.sampled_from(range(len(CLASSES))))

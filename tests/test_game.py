@@ -987,6 +987,32 @@ class TestClaimMemos:
         assert len(closed) == len(keys)
         assert {(id(tables), kept) for tables, kept in closed} == keys
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(support_setups(), chain_setups, corpus_setups),
+           st.randoms(use_true_random=False))
+    def test_goal_keys_are_the_cells_of_the_claim_conditions(self, setup,
+                                                              rng):
+        # _goal reaches the other cells of an atom by flipping bits; the
+        # reference asks the index for each condition's own cell, in
+        # claim_conditions order, a literal it does not number included
+        claimed = replace(
+            setup, claim=Claim(tuple(rng.sample(_union_literals(setup), 2))),
+            evidential_standard=rng.choice(TAGS),
+            deontic_standard=rng.choice(TAGS[:2]))  # delta or partial
+        tables = game._Tables(claimed)
+        index, goals = tables.index, tables.goals
+        for player in (PR, DEF):
+            conditions = list(game.claim_conditions(claimed, player))
+            cells = [index.cell(mode, literal)
+                     for _, _, mode, literal in conditions]
+            keys = tuple((cell, TAGS.index(tag),
+                          PROVED if sign == PLUS else REFUTED)
+                         for cell, (sign, tag, _, _) in zip(cells, conditions)
+                         if cell is not None)
+            fixed = sum(cell is None and sign == MINUS
+                        for cell, (sign, _, _, _) in zip(cells, conditions))
+            assert goals[player] == (keys, fixed, len(conditions))
+
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(support_setups(), chain_setups, corpus_setups),
            st.randoms(use_true_random=False))
