@@ -45,6 +45,34 @@ position's value is fixed whatever order its children are evaluated in,
 and a cut drops only children that cannot beat an outcome already
 found.  Every memo entry is thus the true value of its position, not a
 bound on it.
+
+Once neither pool holds a rule of ``_Tables.keep``, the claim is
+frozen, and unless it is both established and refuted the search
+scores the position statically: the exact leaf of game-tree search
+(Knuth and Moore, "An analysis of alpha-beta pruning", AI 6(4), 1975),
+not a heuristic.  A disclosure of rules
+outside the kept ones leaves every claim cell as it is (the slicing
+argument at ``engine.cone``, and the inert-rule argument in ``engine``),
+so whether the claim is established (``good``) and whether it is
+refuted (``bad``) are the same at every position below.
+``termination_status`` and ``adjudicate_pools`` read only those two and
+which pools are empty, and ``_Tables.achievable`` over a pool with no
+kept rule reads the current status.  The game graph is acyclic, so
+every line ends, and:
+
+* ``good`` and not ``bad``: every line ends ``pr_succeeds``, when the
+  defence pool empties or at adjudication, which defeats the defence
+  and not pr;
+* ``bad`` and not ``good``: every line ends ``def_succeeds``, when the
+  pr pool empties or at adjudication, which defeats pr and not the
+  defence;
+* neither: every line ends ``stalled``, when both pools are empty or at
+  adjudication, which defeats both;
+* both: the strict end-of-game test turns on which pool empties first,
+  which this argument leaves open, so the search goes on.
+
+The search returns such a value without evaluating a move, and, like a
+settled position, the position is not counted.
 """
 
 from __future__ import annotations
@@ -93,7 +121,8 @@ class Analysis:
     work of the exhaustive search: each accepted opening it tried plus
     each undecided position whose moves it evaluated, once per position
     (a position is its two pools, the mover and the passes in a row).
-    Positions a cut skipped are not counted."""
+    Positions a cut skipped are not counted, nor positions scored
+    statically once no pool holds a rule of the claim's cone."""
 
     winner: str
     minimal_opening: Optional[tuple[str, ...]]
@@ -157,11 +186,20 @@ def _exhaustive(start: GameState) -> tuple[str, int]:
                state.consecutive_passes)
         if key in memo:
             return memo[key]
+        tables, keep = state.tables, state.tables.keep
+        if keep.isdisjoint(state.pr_ids) and keep.isdisjoint(state.def_ids):
+            # the claim is frozen, so the value is static unless the
+            # claim is both established and refuted (see above)
+            good = tables.established(state.conclusions)
+            bad = tables.refuted(state.conclusions)
+            if not (good and bad):
+                return (PR_SUCCEEDS if good else DEF_SUCCEEDS if bad
+                        else STALLED)
         explored += 1
         preference = _PREFERENCE[state.mover]
         best = value(step(state, frozenset())[0])
         pool = state.pr_ids if state.mover == PR else state.def_ids
-        inert = state.tables.inert
+        inert = tables.inert
         for disclosed in subsets(pool, include_empty=False):
             if not preference[best]:
                 break

@@ -268,11 +268,11 @@ class TestEmptyOpening:
         assert code == 0
         assert out == ("winner: pr\n"
                        "minimal opening: no rules\n"
-                       "states explored: 3\n")
+                       "states explored: 1\n")
         code, out, _ = invoke(
             capsys, "game", "analyze", common_claim, "--json")
         assert out == ('{"winner":"pr","minimal_opening":[],'
-                       '"states_explored":3}\n')
+                       '"states_explored":1}\n')
 
 
 class TestGameAnalyze:

@@ -21,6 +21,21 @@ def _rule(rid, ant, head, mode=EVIDENTIAL):
     return Rule(rid, (Antecedent(EVIDENTIAL, lit(ant)),), mode, lit(head))
 
 
+def _outside_cone_setup(defence, kept=False):
+    """``p0`` establishes the claim ``b`` and ``p1``, like each defence
+    rule ``d<i>: f => x<i>``, lies outside the claim's cone, with a
+    legal target of its own.  When ``kept``, the defence also holds
+    ``k``, in the cone, which ``p0`` beats, so it never refutes the
+    claim."""
+    ids = [f"d{i}" for i in range(defence)] + (["k"] if kept else [])
+    return parse_theory(
+        "fact f.\nfact O ~b.\nrule p0: f => b.\nrule p1: f => y.\n"
+        + "".join(f"rule d{i}: f => x{i}.\n" for i in range(defence))
+        + ("fact h.\nrule k: h => ~b.\nsup p0 > k.\n" if kept else "")
+        + "claim: b.\ngame pr: p0, p1.\ngame def: " + ", ".join(ids)
+        + ".\n")
+
+
 class TestRobustOpenings:
     def test_minimal_opening_discloses_the_counter(self, s2):
         assert minimal_winning_opening(s2) == ("r1", "r4", "r7")
@@ -115,37 +130,43 @@ class TestExhaustive:
         assert analyze(s2) == analyze(s2)
 
     def test_cut_search_on_a_large_setup(self):
-        # 5 pr and 7 def rules; the uncut search expands 6,144 positions
+        # 5 pr and 7 def rules; the uncut search expands 6,144 positions,
+        # but none of them lies in the claim's cone, so the empty opening
+        # freezes the claim and the search scores it statically
         setup = established_setup(71, max_rules=20, deontic_ratio=0.5)
-        assert analyze(setup) == Analysis(PR, (), 129)
+        assert analyze(setup) == Analysis(PR, (), 1)
 
     def test_search_skips_disclosures_of_inert_rules_only(self,
                                                           monkeypatch):
-        # 23 of this setup's ids are inert, and a disclosure of those
-        # alone reaches the table it starts from, with no legal target
-        setup = established_setup(291, max_rules=26, deontic_ratio=0.5)
+        # 12 of this setup's 18 private rules are inert, and a disclosure
+        # of those alone reaches the table it starts from, with no legal
+        # target; the search expands positions whose mover holds rules
+        # of the claim's cone beside inert ones
+        setup = established_setup(869, max_rules=26, deontic_ratio=0.5)
         step = game.step
-        inert_only = []
+        inert_only, mixed = [], []
 
         def recording(state, disclosed):
-            if disclosed and disclosed <= state.tables.inert:
+            tables = state.tables
+            if disclosed and disclosed <= tables.inert:
                 inert_only.append(disclosed)
+            pool = state.pr_ids if state.mover == PR else state.def_ids
+            if state.turn and pool & tables.keep and pool & tables.inert:
+                mixed.append(state)
             return step(state, disclosed)
 
         monkeypatch.setattr(strategy, "step", recording)
-        assert analyze(setup) == Analysis(PR, ("r14",), 3)
+        assert analyze(setup) == Analysis(PR, ("r12",), 3)
+        assert mixed
         assert inert_only == []
 
     @pytest.mark.parametrize("defence", [25, 50])
     def test_search_costs_one_frame_per_ply(self, monkeypatch, defence):
         # the deepest line alternates one defence rule and a pr pass, so
         # it is two plies per private rule; the search stops where that
-        # line first empties the defence pool
-        setup = parse_theory(
-            "fact f.\nfact O ~b.\nrule p0: f => b.\nrule p1: f => y.\n"
-            + "".join(f"rule d{i}: f => x{i}.\n" for i in range(defence))
-            + "claim: b.\ngame pr: p0, p1.\ngame def: "
-            + ", ".join(f"d{i}" for i in range(defence)) + ".\n")
+        # line first empties the defence pool.  Its last rule, k, lies in
+        # the claim's cone, so no position above that one is frozen
+        setup = _outside_cone_setup(defence - 1, kept=True)
         caller, settle, deepest = sys._getframe(), game.settle, [0]
 
         class DefencePoolEmptied(Exception):
@@ -278,15 +299,92 @@ class TestCutSearch:
             assert exhaustive_winner(setup) == _uncut_winner(setup)
 
     @pytest.mark.parametrize("seed, winner, opening, explored", [
-        (814, DEF, None, 70), (1644, PR, ("r4",), 13), (451, PR, ("r6",), 65)])
+        (814, DEF, None, 70), (1644, PR, ("r4",), 7), (259, DEF, None, 94)])
     def test_transpositions_are_searched_once(self, seed, winner, opening,
                                               explored):
         # these games reach one position along several move orders; a
-        # search that expanded it each time would explore 108, 17 and
-        # 195 positions
+        # search that expanded it each time would explore 108 and 224
+        # positions for seeds 814 and 259.  Seed 1644 reaches its
+        # positions twice only where the claim is frozen, and such a
+        # position is scored statically, with no memo entry
         setup = established_setup(seed, max_rules=14, deontic_ratio=0.5)
         assert _uncut_winner(setup, memoised=False) == winner
         assert analyze(setup) == Analysis(winner, opening, explored)
+
+
+class TestFrozenClaim:
+    """Once no pool holds a rule of the claim's cone, the search scores a
+    position by the claim's status, and goes on only when the claim is
+    both established and refuted."""
+
+    @pytest.mark.parametrize("text, status, expected", [
+        # p0 establishes b; no other private rule lies in its cone
+        ("fact f.\nfact O ~b.\nrule p0: f => b.\nrule p1: f => y.\n"
+         "rule d0: f => x0.\nrule d1: f => x1.\n"
+         "claim: b.\ngame pr: p0, p1.\ngame def: d0, d1.\n",
+         (True, False), Analysis(PR, ("p0",), 1)),
+        # d0 beats p0 and refutes b, and p1 cannot answer it
+        ("fact f.\nfact O ~b.\nrule p0: f => b.\nrule p1: f => y.\n"
+         "rule d0: f => ~b.\nrule d1: f => x1.\nsup d0 > p0.\n"
+         "claim: b.\ngame pr: p0, p1.\ngame def: d0, d1.\n",
+         (False, True), Analysis(DEF, None, 6)),
+        # x1 leaves b undetermined at delta (its premise c is only
+        # sigma_minus, since sc > rc and e is circular)
+        ("fact a.\nrule ob: a =>O ~b.\n"
+         "rule rc: a => c.\nrule sc: e => ~c.\nrule le: e => e.\n"
+         "sup sc > rc.\n"
+         "rule p1: a => b.\nrule p2: a => y.\n"
+         "rule x1: c => ~b.\nrule d1: a => z.\n"
+         "claim: b.\ngame pr: p1, p2.\ngame def: x1, d1.\n",
+         (False, False), Analysis(STALLED, ("p1",), 12)),
+        # at scintilla b and ~b are both proved, so every opening both
+        # establishes and refutes the claim
+        ("fact a.\nrule c1: a => b.\nrule c2: a => ~b.\n"
+         "rule p1: a =>O ~b.\nrule p2: a => y.\nrule d1: a => z.\n"
+         "claim: b.\ngame pr: p1, p2.\ngame def: d1.\n"
+         "standard evidential s.\n",
+         (True, True), Analysis(DEF, None, 4)),
+    ], ids=["established", "refuted", "neither", "both"])
+    def test_static_value_equals_uncut_search(self, monkeypatch, text,
+                                              status, expected):
+        setup = parse_theory(text)
+        settle, step = game.settle, game.step
+        reached, expanded = set(), set()
+
+        def frozen(state):
+            tables = state.tables
+            if (tables.keep.isdisjoint(state.pr_ids)
+                    and tables.keep.isdisjoint(state.def_ids)):
+                return (tables.established(state.conclusions),
+                        tables.refuted(state.conclusions))
+            return None
+
+        def settling(state):
+            settled = settle(state)
+            if settled == ONGOING:
+                reached.add(frozen(state))
+            return settled
+
+        def stepping(state, disclosed):
+            if state.turn and not disclosed:  # the pass, played first
+                expanded.add(frozen(state))
+            return step(state, disclosed)
+
+        monkeypatch.setattr(strategy, "settle", settling)
+        monkeypatch.setattr(strategy, "step", stepping)
+        assert analyze(setup) == expected
+        assert status in reached
+        assert (status in expanded) == (status == (True, True))
+        monkeypatch.undo()
+        assert exhaustive_winner(setup) == _uncut_winner(setup) \
+            == expected.winner
+
+    @pytest.mark.parametrize("defence", [4, 8, 12, 18])
+    def test_rules_outside_the_cone_cost_no_position(self, defence):
+        # a search that expanded the frozen positions would explore
+        # 2^(defence + 1) - 1 of them
+        setup = _outside_cone_setup(defence)
+        assert analyze(setup) == Analysis(PR, ("p0",), 1)
 
 
 class TestGreedyPolicy:
