@@ -46,9 +46,14 @@ def _emit(payload) -> None:
     print(json.dumps(payload, separators=(",", ":")))
 
 
+def _read(path: str) -> str:
+    """A setup or moves file, without the byte-order mark some editors
+    write before UTF-8 text."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def _load_setup(args) -> GameSetup:
-    text = Path(args.file).read_text(encoding="utf-8")
-    setup = parse_theory(text)
+    setup = parse_theory(_read(args.file))
     evidential = TAG_FOR_TOKEN.get(args.evidential_standard)
     deontic = TAG_FOR_TOKEN.get(args.deontic_standard)
     setup = with_standards(setup, evidential, deontic)
@@ -66,9 +71,8 @@ def _glyph_key(tag: str, mode: str, literal) -> str:
 
 
 def _cmd_check(args) -> int:
-    text = Path(args.file).read_text(encoding="utf-8")
     try:
-        setup = parse_theory(text)
+        setup = parse_theory(_read(args.file))
     except ParseFailure as failure:
         if not args.json:
             raise  # run renders it
@@ -205,7 +209,7 @@ def _cmd_game_run(args) -> int:
     from .game import IllegalMove, OpeningRejected, run_game
 
     setup = _load_setup(args)
-    moves = parse_moves(Path(args.moves).read_text(encoding="utf-8"))
+    moves = parse_moves(_read(args.moves))
     try:
         trace = run_game(setup, moves)
     except (OpeningRejected, IllegalMove) as exc:

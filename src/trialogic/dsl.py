@@ -26,21 +26,26 @@ or ``def: pass.``, where ``E`` and ``O`` mark evidential and obligation
 targets.  A query is one signed, tagged, optionally ``O``-marked
 literal such as ``+d b`` or ``-p O ~b``.
 
-Parsing recovers at statement boundaries, so one bad statement does not
-hide errors in the rest of the file.  ``serialize_theory`` emits a
-canonical form: statements sorted by kind then content, one per line,
-defaults omitted.  Parsing a serialized setup reproduces it exactly.
+The lexer is one regular expression whose alternatives are the token
+kinds, run over each line.  Tokens sit in flat lists (kinds, values,
+lines, columns) that the parser reads by index; no object is built per
+token, and a ``SourceSpan`` only for an error.  Parsing recovers at
+statement boundaries, so one bad statement does not hide errors in the
+rest of the file.  ``serialize_theory`` emits a canonical form:
+statements sorted by kind then content, one per line, defaults omitted.
+Parsing a serialized setup reproduces it exactly.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .model import (
-    ATOM_RE, DEF, DELTA, EVIDENTIAL, MODES, OBLIGATION, PARTIAL, PLAYERS,
-    PR, TAG_FOR_TOKEN, TOKEN_FOR_TAG, Antecedent, Claim, GameSetup,
-    Literal, Move, Rule, TaggedLiteral, literal_sort_key,
+    ATOM_RE, DEF, DELTA, EVIDENTIAL, OBLIGATION, PARTIAL, PLAYERS, PR,
+    TAG_FOR_TOKEN, TOKEN_FOR_TAG, Antecedent, Claim, GameSetup, Literal,
+    Move, Rule, TaggedLiteral, literal_sort_key,
 )
 
 
@@ -65,23 +70,24 @@ class ParseFailure(Exception):
         super().__init__("; ".join(e.render() for e in self.errors))
 
 
-class _Token(NamedTuple):
-    """A token and where it starts: line and column from 1, and its
-    length.  Its ``SourceSpan`` is built only for an error."""
-
-    kind: str
-    value: str
-    line: int
-    col: int
-    length: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.col, self.length)
-
-
-_PUNCT = {">": "GT", ":": "COLON", ",": "COMMA", ".": "DOT",
-          "~": "TILDE", "+": "PLUS", "-": "MINUS"}
+# One match per token of a line: the spacing before it, then the token,
+# a comment, an unexpected character or the end of the line.
+_TOKENS = re.compile(rf"""
+    (\s*)
+    (?: ( {ATOM_RE.pattern}     # WORD
+        | [>:,.~+-]             # GT COLON COMMA DOT TILDE PLUS MINUS
+        | [EO](?!\w)            # MODE, where no word character follows
+        | =>O(?!\w)             # DARROW, likewise
+        | =>                    # ARROW
+        )
+      | \#.*
+      | (\S)
+      | \Z )
+    """, re.VERBOSE).findall
+_KINDS = {">": "GT", ":": "COLON", ",": "COMMA", ".": "DOT", "~": "TILDE",
+          "+": "PLUS", "-": "MINUS", "E": "MODE", "O": "MODE",
+          "=>": "ARROW", "=>O": "DARROW"}
+_new = tuple.__new__
 
 
 def _tokenize(text: str):
@@ -89,278 +95,271 @@ def _tokenize(text: str):
 
     The one lexer of all three formats.  Lines are those of
     ``str.splitlines``; any whitespace separates tokens, and ``#``
-    comments out the rest of its line.
+    comments out the rest of its line.  Returns the parallel lists
+    kinds, values, lines and columns (from 1), then the errors; a
+    token's length is that of its value.
     """
-    tokens: list[_Token] = []
+    values: list[str] = []
+    lines: list[int] = []
+    cols: list[int] = []
     errors: list[ParseError] = []
-    lines = text.splitlines()
+    rows = text.splitlines()
     if text[-1:].splitlines() != [text[-1:]]:
-        lines.append("")  # empty text, or a line break ends it
-    for line, source in enumerate(lines, start=1):
-        i, n = 0, len(source)
-        while i < n:
-            ch = source[i]
-            if ch.isspace():
-                i += 1
-            elif ch == "#":
-                break
-            elif ch in _PUNCT:
-                tokens.append(_Token(_PUNCT[ch], ch, line, i + 1, 1))
-                i += 1
-            elif match := ATOM_RE.match(source, i):
-                word = match.group()
-                tokens.append(_Token("WORD", word, line, i + 1, len(word)))
-                i = match.end()
-            elif ch in MODES and not _is_word_char(source[i + 1:i + 2]):
-                tokens.append(_Token("MODE", ch, line, i + 1, 1))
-                i += 1
-            elif source.startswith("=>", i):
-                if source[i + 2:i + 3] == OBLIGATION and \
-                        not _is_word_char(source[i + 3:i + 4]):
-                    tokens.append(_Token("DARROW", "=>O", line, i + 1, 3))
-                    i += 3
-                else:
-                    tokens.append(_Token("ARROW", "=>", line, i + 1, 2))
-                    i += 2
-            else:
-                errors.append(ParseError(SourceSpan(line, i + 1, 1),
-                                         f"unexpected character {ch!r}"))
-                i += 1
-    tokens.append(_Token("EOF", "", len(lines), len(lines[-1]) + 1, 0))
-    return tokens, errors
-
-
-def _is_word_char(ch: str) -> bool:
-    return bool(ch) and (ch.isalnum() or ch == "_")
-
-
-class _Parser:
-    def __init__(self, tokens, errors):
-        self.tokens = tokens
-        self.pos = 0
-        self.errors: list[ParseError] = errors
-        self.facts: list[tuple[str, Literal]] = []
-        self.rules: list[Rule] = []
-        self.rule_ids: set[str] = set()
-        self.sup: list[tuple[_Token, _Token]] = []
-        self.claim: Optional[list[Literal]] = None
-        self.sections: dict[str, list[tuple[str, _Token]]] = {}
-        self.standards: dict[str, str] = {}
-        self.moves: list[Move] = []
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        if token.kind != "EOF":
-            self.pos += 1
-        return token
-
-    def fail(self, message: str, token: Optional[_Token] = None):
-        """Record an error at ``token``, by default the next, and bail."""
-        self.errors.append(ParseError((token or self.peek()).span, message))
-        raise _Bail()
-
-    def expect(self, kind: str, what: str) -> _Token:
-        if self.peek().kind != kind:
-            self.fail(f"expected {what}, found {self.peek().value!r}")
-        return self.advance()
-
-    def skip_statement(self) -> None:
-        while self.peek().kind not in ("DOT", "EOF"):
-            self.advance()
-        if self.peek().kind == "DOT":
-            self.advance()
-
-    def parse(self, statement) -> None:
-        while self.peek().kind != "EOF":
-            try:
-                statement()
-            except _Bail:
-                self.skip_statement()
-
-    def statement(self) -> None:
-        token = self.peek()
-        if token.kind != "WORD":
-            self.fail(f"expected a statement keyword, found {token.value!r}")
-        handler = {
-            "fact": self.fact_stmt, "rule": self.rule_stmt,
-            "sup": self.sup_stmt, "claim": self.claim_stmt,
-            "game": self.game_stmt, "standard": self.standard_stmt,
-        }.get(token.value)
-        if handler is None:
-            self.fail(f"unknown statement keyword {token.value!r}")
-        self.advance()
-        handler()
-        self.expect("DOT", "'.'")
-
-    def comma_list(self, item) -> list:
-        """One or more ``item()`` separated by commas."""
-        items = [item()]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            items.append(item())
-        return items
-
-    def literal(self) -> Literal:
-        negated = False
-        if self.peek().kind == "TILDE":
-            self.advance()
-            negated = True
-        word = self.expect("WORD", "an atom")
-        return Literal(word.value, not negated)
-
-    def mode(self) -> str:
-        """Obligation if the marker ``O`` comes next, else evidential.
-        ``E`` marks only move targets; here the literal rejects it."""
-        if self.peek().value == OBLIGATION:
-            self.advance()
-            return OBLIGATION
-        return EVIDENTIAL
-
-    def fact_stmt(self) -> None:
-        mode = self.mode()
-        self.facts.append((mode, self.literal()))
-
-    def antecedent(self) -> Antecedent:
-        sign = tag = None
-        if self.peek().kind in ("PLUS", "MINUS"):
-            sign = "+" if self.advance().kind == "PLUS" else "-"
-            token = self.expect("WORD", "a proof tag (d, p, s or w)")
-            if token.value not in TAG_FOR_TOKEN:
-                self.fail(f"unknown proof tag {token.value!r}", token)
-            tag = TAG_FOR_TOKEN[token.value]
-        mode = self.mode()
-        return Antecedent(mode, self.literal(), sign, tag)
-
-    def rule_stmt(self) -> None:
-        name = self.expect("WORD", "a rule id")
-        self.expect("COLON", "':'")
-        antecedents = self.comma_list(self.antecedent)
-        arrow = self.peek()
-        if arrow.kind not in ("ARROW", "DARROW"):
-            self.fail(f"expected '=>' or '=>O', found {arrow.value!r}")
-        self.advance()
-        head_mode = OBLIGATION if arrow.kind == "DARROW" else EVIDENTIAL
-        head = self.literal()
-        if name.value in self.rule_ids:
-            self.errors.append(ParseError(
-                name.span, f"duplicate rule id {name.value!r}"))
-            return
-        self.rule_ids.add(name.value)
-        self.rules.append(Rule(name.value, tuple(antecedents), head_mode, head))
-
-    def sup_stmt(self) -> None:
-        stronger = self.expect("WORD", "a rule id")
-        self.expect("GT", "'>'")
-        weaker = self.expect("WORD", "a rule id")
-        self.sup.append((stronger, weaker))
-
-    def claim_stmt(self) -> None:
-        start = self.peek()
-        self.expect("COLON", "':'")
-        literals = self.comma_list(self.literal)
-        if self.claim is not None:
-            self.errors.append(ParseError(start.span,
-                                          "duplicate claim statement"))
-            return
-        self.claim = literals
-
-    def game_stmt(self) -> None:
-        token = self.expect("WORD", "a pool name (pr, def or common)")
-        if token.value not in (PR, DEF, "common"):
-            self.fail(f"unknown pool {token.value!r}", token)
-        self.expect("COLON", "':'")
-        ids = self.comma_list(lambda: self.expect("WORD", "a rule id"))
-        bucket = self.sections.setdefault(token.value, [])
-        bucket.extend((t.value, t) for t in ids)
-
-    def standard_stmt(self) -> None:
-        which = self.expect("WORD", "'evidential' or 'deontic'")
-        if which.value not in ("evidential", "deontic"):
-            self.fail(f"unknown standard kind {which.value!r}", which)
-        token = self.expect("WORD", "a proof tag (d, p, s or w)")
-        if token.value not in TAG_FOR_TOKEN:
-            self.fail(f"unknown proof tag {token.value!r}", token)
-        if which.value == "deontic" and token.value not in ("d", "p"):
-            self.fail("deontic standard must be d or p", token)
-        if which.value in self.standards:
-            self.errors.append(ParseError(
-                token.span, f"duplicate {which.value} standard"))
-            return
-        self.standards[which.value] = TAG_FOR_TOKEN[token.value]
-
-    def move_stmt(self) -> None:
-        if self.peek().value not in PLAYERS:
-            self.fail(f"expected 'pr' or 'def', found {self.peek().value!r}")
-        player = self.advance().value
-        self.expect("COLON", "':'")
-        if self.peek().value == "pass" and \
-                self.tokens[self.pos + 1].kind == "DOT":
-            self.advance()
-            move = Move(player, frozenset())
-        else:
-            ids = self.comma_list(self.move_rule_id)
-            targets = []
-            if self.peek().value == "targets":
-                self.advance()
-                targets = self.comma_list(self.target)
-            elif self.moves:
-                self.fail("a non-pass move after the opening needs a "
-                          "targets clause")
-            move = Move(player, frozenset(ids), frozenset(targets))
-        self.expect("DOT", "'.'")
-        self.moves.append(move)
-
-    def move_rule_id(self) -> str:
-        if self.peek().value == "targets":
-            self.fail("expected a rule id, found 'targets'")
-        return self.expect("WORD", "a rule id").value
-
-    def target(self) -> tuple[str, Literal]:
-        mode = self.expect("MODE", "a target mode (E or O)").value
-        return mode, self.literal()
+        rows.append("")  # empty text, or a line break ends it
+    for line, source in enumerate(rows, start=1):
+        col = 1
+        for space, token, bad in _TOKENS(source):
+            col += len(space)
+            if token:
+                values.append(token)
+                cols.append(col)
+                col += len(token)
+            elif bad:
+                errors.append(ParseError(SourceSpan(line, col, 1),
+                                         f"unexpected character {bad!r}"))
+                col += 1
+        lines += [line] * (len(values) - len(lines))
+    kinds = [_KINDS.get(value, "WORD") for value in values]
+    kinds.append("EOF")
+    values.append("")
+    lines.append(len(rows))
+    cols.append(len(rows[-1]) + 1)
+    return kinds, values, lines, cols, errors
 
 
 class _Bail(Exception):
-    pass
+    """An error was recorded at the token whose index this carries;
+    parsing resumes after the statement that holds it."""
+
+
+class _Parser:
+    """Each production takes the index of its first token and returns
+    the index after it, with what it read if anything.  The productions
+    of rules and moves test a token's kind inline and call ``expect``
+    only to report a wrong one."""
+
+    def __init__(self, text: str):
+        self.kinds, self.values, self.lines, self.cols, self.errors = \
+            _tokenize(text)
+        self.facts: list[tuple[str, Literal]] = []
+        self.rules: list[Rule] = []
+        self.rule_ids: set[str] = set()
+        self.sup: list[int] = []  # stronger and weaker id, pair by pair
+        self.claim: Optional[list[Literal]] = None
+        self.sections: dict[str, list[int]] = {}
+        self.standards: dict[str, str] = {}
+        self.moves: list[Move] = []
+
+    def error(self, i: int, message: str) -> None:
+        span = SourceSpan(self.lines[i], self.cols[i], len(self.values[i]))
+        self.errors.append(ParseError(span, message))
+
+    def fail(self, i: int, message: str):
+        self.error(i, message)
+        raise _Bail(i)
+
+    def expect(self, i: int, kind: str, what: str) -> int:
+        """The index after token ``i``, which must be of ``kind``."""
+        if self.kinds[i] != kind:
+            self.fail(i, f"expected {what}, found {self.values[i]!r}")
+        return i + 1
+
+    def parse(self, statement) -> None:
+        kinds = self.kinds
+        i = 0
+        while kinds[i] != "EOF":
+            try:
+                i = statement(self, i)
+            except _Bail as bail:
+                i = bail.args[0]
+                while kinds[i] != "DOT" and kinds[i] != "EOF":
+                    i += 1
+                i += kinds[i] == "DOT"
+
+    def statement(self, i: int) -> int:
+        handler = _STATEMENTS.get(self.values[i])
+        if handler is None:
+            self.expect(i, "WORD", "a statement keyword")
+            self.fail(i, f"unknown statement keyword {self.values[i]!r}")
+        return self.expect(handler(self, i + 1), "DOT", "'.'")
+
+    def comma_list(self, item, i: int) -> tuple[int, list]:
+        """One or more ``item`` separated by commas."""
+        i, found = item(i)
+        items = [found]
+        while self.kinds[i] == "COMMA":
+            i, found = item(i + 1)
+            items.append(found)
+        return i, items
+
+    def literal(self, i: int) -> tuple[int, Literal]:
+        positive = self.kinds[i] != "TILDE"
+        if not positive:
+            i += 1
+        if self.kinds[i] != "WORD":
+            self.expect(i, "WORD", "an atom")
+        return i + 1, _new(Literal, (self.values[i], positive))
+
+    def antecedent(self, i: int) -> tuple[int, Antecedent]:
+        kinds, values = self.kinds, self.values
+        sign = tag = None
+        if kinds[i] == "PLUS" or kinds[i] == "MINUS":
+            sign = values[i]
+            tag = TAG_FOR_TOKEN.get(values[i + 1])
+            if tag is None:
+                self.expect(i + 1, "WORD", "a proof tag (d, p, s or w)")
+                self.fail(i + 1, f"unknown proof tag {values[i + 1]!r}")
+            i += 2
+        mode = EVIDENTIAL
+        if values[i] == OBLIGATION:
+            mode, i = OBLIGATION, i + 1
+        i, literal = self.literal(i)
+        return i, Antecedent(mode, literal, sign, tag)
+
+    def fact_stmt(self, i: int) -> int:
+        """``O`` marks an obligation; ``E`` marks only move targets, and
+        here the literal rejects it."""
+        mode = EVIDENTIAL
+        if self.values[i] == OBLIGATION:
+            mode, i = OBLIGATION, i + 1
+        i, literal = self.literal(i)
+        self.facts.append((mode, literal))
+        return i
+
+    def rule_stmt(self, start: int) -> int:
+        kinds, name = self.kinds, self.values[start]
+        if kinds[start] != "WORD" or kinds[start + 1] != "COLON":
+            self.expect(self.expect(start, "WORD", "a rule id"), "COLON", "':'")
+        i, antecedents = self.comma_list(self.antecedent, start + 2)
+        arrow = kinds[i]
+        if arrow != "ARROW" and arrow != "DARROW":
+            self.fail(i, f"expected '=>' or '=>O', found {self.values[i]!r}")
+        i, head = self.literal(i + 1)
+        if name in self.rule_ids:
+            self.error(start, f"duplicate rule id {name!r}")
+            return i
+        self.rule_ids.add(name)
+        self.rules.append(Rule(
+            name, tuple(antecedents),
+            OBLIGATION if arrow == "DARROW" else EVIDENTIAL, head))
+        return i
+
+    def rule_id(self, i: int) -> tuple[int, int]:
+        return self.expect(i, "WORD", "a rule id"), i
+
+    def sup_stmt(self, i: int) -> int:
+        i = self.expect(self.expect(i, "WORD", "a rule id"), "GT", "'>'")
+        self.expect(i, "WORD", "a rule id")
+        self.sup += (i - 2, i)
+        return i + 1
+
+    def claim_stmt(self, i: int) -> int:
+        end, literals = self.comma_list(self.literal,
+                                        self.expect(i, "COLON", "':'"))
+        if self.claim is not None:
+            self.error(i, "duplicate claim statement")
+        else:
+            self.claim = literals
+        return end
+
+    def game_stmt(self, i: int) -> int:
+        pool = self.values[i]
+        self.expect(i, "WORD", "a pool name (pr, def or common)")
+        if pool not in (PR, DEF, "common"):
+            self.fail(i, f"unknown pool {pool!r}")
+        i, ids = self.comma_list(self.rule_id,
+                                 self.expect(i + 1, "COLON", "':'"))
+        self.sections.setdefault(pool, []).extend(ids)
+        return i
+
+    def standard_stmt(self, i: int) -> int:
+        which = self.values[i]
+        i = self.expect(i, "WORD", "'evidential' or 'deontic'")
+        if which not in ("evidential", "deontic"):
+            self.fail(i - 1, f"unknown standard kind {which!r}")
+        token = self.values[i]
+        self.expect(i, "WORD", "a proof tag (d, p, s or w)")
+        if token not in TAG_FOR_TOKEN:
+            self.fail(i, f"unknown proof tag {token!r}")
+        if which == "deontic" and token not in ("d", "p"):
+            self.fail(i, "deontic standard must be d or p")
+        if which in self.standards:
+            self.error(i, f"duplicate {which} standard")
+        else:
+            self.standards[which] = TAG_FOR_TOKEN[token]
+        return i + 1
+
+    def move_stmt(self, i: int) -> int:
+        kinds, values = self.kinds, self.values
+        player = values[i]
+        if player not in PLAYERS:
+            self.fail(i, f"expected 'pr' or 'def', found {player!r}")
+        i = self.expect(i + 1, "COLON", "':'")
+        if values[i] == "pass" and kinds[i + 1] == "DOT":
+            move, i = Move(player, frozenset()), i + 1
+        else:
+            i, ids = self.comma_list(self.move_rule_id, i)
+            targets: list = []
+            if values[i] == "targets":
+                i, targets = self.comma_list(self.target, i + 1)
+            elif self.moves:
+                self.fail(i, "a non-pass move after the opening needs a "
+                             "targets clause")
+            move = Move(player, frozenset(ids), frozenset(targets))
+        if kinds[i] != "DOT":
+            self.expect(i, "DOT", "'.'")
+        self.moves.append(move)
+        return i + 1
+
+    def move_rule_id(self, i: int) -> tuple[int, str]:
+        if self.values[i] == "targets":
+            self.fail(i, "expected a rule id, found 'targets'")
+        return self.expect(i, "WORD", "a rule id"), self.values[i]
+
+    def target(self, i: int) -> tuple[int, tuple[str, Literal]]:
+        end, literal = self.literal(self.expect(i, "MODE",
+                                                "a target mode (E or O)"))
+        return end, (self.values[i], literal)
+
+
+_STATEMENTS = {
+    "fact": _Parser.fact_stmt, "rule": _Parser.rule_stmt,
+    "sup": _Parser.sup_stmt, "claim": _Parser.claim_stmt,
+    "game": _Parser.game_stmt, "standard": _Parser.standard_stmt,
+}
 
 
 def parse_theory(text: str) -> GameSetup:
     """Parse a setup file.  Raises ParseFailure carrying every error
     found (recovery is per statement)."""
-    parser = _Parser(*_tokenize(text))
-    parser.parse(parser.statement)
-    errors = parser.errors
+    parser = _Parser(text)
+    parser.parse(_Parser.statement)
+    errors, values = parser.errors, parser.values
 
-    for pair in parser.sup:
-        for token in pair:
-            if token.value not in parser.rule_ids:
-                errors.append(ParseError(
-                    token.span, "superiority references unknown rule id "
-                                f"{token.value!r}"))
+    for i in parser.sup:
+        if values[i] not in parser.rule_ids:
+            parser.error(i, "superiority references unknown rule id "
+                            f"{values[i]!r}")
     owner: dict[str, str] = {}
     for section, entries in parser.sections.items():
-        for rule_id, token in entries:
+        for i in entries:
+            rule_id = values[i]
             if rule_id not in parser.rule_ids:
-                errors.append(ParseError(
-                    token.span,
-                    f"game section references unknown rule id {rule_id!r}"))
+                parser.error(i, "game section references unknown rule id "
+                                f"{rule_id!r}")
             elif owner.get(rule_id) == section:
-                errors.append(ParseError(
-                    token.span, f"rule id {rule_id!r} listed twice in the "
-                                f"{section} pool"))
+                parser.error(i, f"rule id {rule_id!r} listed twice in the "
+                                f"{section} pool")
             elif rule_id in owner:
-                errors.append(ParseError(
-                    token.span,
-                    f"rule id {rule_id!r} assigned to more than one pool"))
+                parser.error(i, f"rule id {rule_id!r} assigned to more "
+                                "than one pool")
             else:
                 owner[rule_id] = section
 
     if errors:
         raise _failure(errors)
 
+    sup = [values[i] for i in parser.sup]
     pools: dict[str, list[Rule]] = {PR: [], DEF: [], "common": []}
     for rule in parser.rules:
         pools[owner.get(rule.id, "common")].append(rule)
@@ -369,7 +368,7 @@ def parse_theory(text: str) -> GameSetup:
         common_rules=tuple(pools["common"]),
         pr_rules=tuple(pools[PR]),
         def_rules=tuple(pools[DEF]),
-        superiority=frozenset((a.value, b.value) for a, b in parser.sup),
+        superiority=frozenset(zip(sup[::2], sup[1::2])),
         claim=Claim(tuple(parser.claim)) if parser.claim is not None else None,
         evidential_standard=parser.standards.get("evidential", DELTA),
         deontic_standard=parser.standards.get("deontic", PARTIAL),
@@ -386,8 +385,8 @@ def parse_moves(text: str) -> list[Move]:
     for non-pass moves after the opening; the opening may omit them
     (they default to the claim).  ``targets`` is a keyword, never a
     rule id.  Raises ParseFailure carrying every error found."""
-    parser = _Parser(*_tokenize(text))
-    parser.parse(parser.move_stmt)
+    parser = _Parser(text)
+    parser.parse(_Parser.move_stmt)
     if parser.errors:
         raise _failure(parser.errors)
     return parser.moves
@@ -395,12 +394,11 @@ def parse_moves(text: str) -> list[Move]:
 
 def parse_query(text: str) -> TaggedLiteral:
     """Parse a signed tagged query such as ``"+d b"`` or ``"-p O ~b"``."""
-    parser = _Parser(*_tokenize(text))
+    parser = _Parser(text)
     try:
-        if parser.peek().kind in ("PLUS", "MINUS"):
-            query = parser.antecedent()
-            parser.expect("EOF", "the end of the query")
-            if not parser.errors:
+        if parser.kinds[0] in ("PLUS", "MINUS"):
+            i, query = parser.antecedent(0)
+            if parser.kinds[i] == "EOF" and not parser.errors:
                 return TaggedLiteral(query.sign, query.tag, query.mode,
                                      query.literal)
     except _Bail:

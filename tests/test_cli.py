@@ -202,6 +202,32 @@ class TestGameRun:
         assert any(line.startswith("   new: ") for line in lines)
 
 
+class TestByteOrderMark:
+    """A setup or moves file saved with a UTF-8 byte-order mark reads as
+    the same file without it."""
+
+    @pytest.mark.parametrize("fmt", [(), ("--json",)])
+    @pytest.mark.parametrize("argv", [
+        ("check", "{setup}"),
+        ("prove", "{setup}", "--all"),
+        ("game", "run", "{setup}", "--moves", "{moves}"),
+    ])
+    def test_output_is_that_of_the_file_without_it(
+            self, capsys, fixtures_dir, tmp_path, argv, fmt):
+        files = {}
+        for key, name in (("setup", "s1.ddt"), ("moves", "s1_play_b.moves")):
+            files[key] = tmp_path / name
+            files[key].write_text(
+                "\ufeff" + (fixtures_dir / name).read_text(encoding="utf-8"),
+                encoding="utf-8")
+        plain = {"setup": fixtures_dir / "s1.ddt",
+                 "moves": fixtures_dir / "s1_play_b.moves"}
+        marked = invoke(capsys, *[a.format(**files) for a in argv], *fmt)
+        assert marked == invoke(capsys, *[a.format(**plain) for a in argv],
+                                *fmt)
+        assert marked[0] == 0
+
+
 class TestGameAuto:
     def test_greedy_json(self, capsys, s1_path):
         code, out, _ = invoke(capsys, "game", "auto", s1_path, "--json")

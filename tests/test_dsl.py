@@ -1,3 +1,4 @@
+import string
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from trialogic import (
     serialize_theory,
 )
 from trialogic.corpus import random_setup
+from trialogic.dsl import _tokenize
 
 from conftest import FIXTURES
 
@@ -214,6 +216,81 @@ class TestOneLexer:
     def test_query_widenings(self):
         assert parse_query("+ d ~ b # c") == parse_query("+d ~b")
         assert parse_query("-p O~b") == parse_query("-p O ~b")
+
+
+_REFERENCE_PUNCT = {">": "GT", ":": "COLON", ",": "COMMA", ".": "DOT",
+                    "~": "TILDE", "+": "PLUS", "-": "MINUS"}
+_WORD_TAIL = string.ascii_letters + string.digits + "_"
+
+
+def _reference_tokens(text):
+    """The lexer as a loop over characters: each token as (kind, value,
+    line, column, length), then each lexical error rendered.  It shares
+    no code with ``dsl._tokenize``."""
+    tokens, errors = [], []
+    lines = text.splitlines()
+    if text[-1:].splitlines() != [text[-1:]]:
+        lines.append("")  # empty text, or a line break ends it
+    for line, source in enumerate(lines, start=1):
+        i, n = 0, len(source)
+        while i < n:
+            ch = source[i]
+            follows_word = source[i + 1:i + 2].isalnum() \
+                or source[i + 1:i + 2] == "_"
+            if ch.isspace():
+                i += 1
+            elif ch == "#":
+                break
+            elif ch in _REFERENCE_PUNCT:
+                tokens.append((_REFERENCE_PUNCT[ch], ch, line, i + 1, 1))
+                i += 1
+            elif ch in string.ascii_lowercase:
+                end = i + 1
+                while end < n and source[end] in _WORD_TAIL:
+                    end += 1
+                tokens.append(("WORD", source[i:end], line, i + 1, end - i))
+                i = end
+            elif ch in "EO" and not follows_word:
+                tokens.append(("MODE", ch, line, i + 1, 1))
+                i += 1
+            elif source.startswith("=>", i):
+                after = source[i + 3:i + 4]
+                if source[i + 2:i + 3] == "O" and \
+                        not (after.isalnum() or after == "_"):
+                    tokens.append(("DARROW", "=>O", line, i + 1, 3))
+                    i += 3
+                else:
+                    tokens.append(("ARROW", "=>", line, i + 1, 2))
+                    i += 2
+            else:
+                errors.append(f"{line}:{i + 1}: unexpected character {ch!r}")
+                i += 1
+    tokens.append(("EOF", "", len(lines), len(lines[-1]) + 1, 0))
+    return tokens, errors
+
+
+# Every str.splitlines boundary, other Unicode spacing, word characters
+# outside ASCII, a byte-order mark, and the spellings where a mode or an
+# arrow meets a word character.
+_LEXER_PIECES = [
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+    "\u2028", "\u2029", " ", "\t", "\x1f", "\xa0", "\u2003", "\u3000",
+    "\ufeff", "\xe9", "\u0663", "\u2177", "_", "9", "A", "a", "z", "rule",
+    "r1", "E", "O", "Ea", "aE", "EE", "O_", "\xe9O", "=>", "=>O", "=>Oa",
+    "=>O_", "=>O\u0663", "=>E", "=", ">", ":", ",", ".", "~", "+", "-", "#",
+    "# c",
+]
+
+
+class TestLexerOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(_LEXER_PIECES), max_size=25).map("".join)
+           | st.text(max_size=30))
+    def test_tokens_and_errors_match_the_reference(self, text):
+        kinds, values, lines, cols, errors = _tokenize(text)
+        tokens = list(zip(kinds, values, lines, cols, map(len, values)))
+        assert (tokens, [e.render() for e in errors]) == \
+            _reference_tokens(text)
 
 
 _DSL_WORDS = ["fact", "rule", "sup", "claim", "game", "standard", "pr",

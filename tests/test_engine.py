@@ -1008,6 +1008,78 @@ class TestInertRules:
                         for sign in (PLUS, MINUS) for tag in TAGS] == queries
 
 
+class TestMetamorphic:
+    """ROADMAP item 2's M3, over the corpus classes: compiling the same
+    rules in another order changes no row, and adding a rule that can
+    change nothing else changes no row of the other cells.
+    ``TestAgenda.test_rule_order_does_not_matter`` renames the ids so
+    that ``DefeasibleTheory`` sorts the rules differently."""
+
+    @staticmethod
+    def _drawn(seed, cls):
+        theory = random_theory(seed, **TestOneShotCones.CLASSES[cls])
+        return theory, compute_conclusions(theory).rows()
+
+    @staticmethod
+    def _rows_of(theory, rule, old_rows):
+        """The rows of ``theory`` plus ``rule`` for the literals of
+        ``old_rows``."""
+        literals = {row[0] for row in old_rows}
+        table = compute_conclusions(DefeasibleTheory(
+            theory.facts, theory.rules + (rule,), theory.superiority))
+        return [row for row in table.rows() if row[0] in literals]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6),
+           st.sampled_from(range(len(TestOneShotCones.CLASSES))),
+           st.randoms(use_true_random=False))
+    def test_compile_order_changes_no_row(self, seed, cls, rng):
+        theory, rows = self._drawn(seed, cls)
+        order = list(theory.rules)
+        rng.shuffle(order)
+        index = engine.TheoryIndex(theory.facts, order, theory.superiority)
+        assert compute_conclusions(index).rows() == rows
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6),
+           st.sampled_from(range(len(TestOneShotCones.CLASSES))),
+           st.randoms(use_true_random=False))
+    def test_rule_on_an_unsupported_antecedent_changes_no_row(
+            self, seed, cls, rng):
+        theory, rows = self._drawn(seed, cls)
+        supported = set(theory.facts) | {(rule.head_mode, rule.head)
+                                         for rule in theory.rules}
+        cells = [(mode, literal) for literal, mode, _, _ in rows[::len(TAGS)]
+                 if (mode, literal) not in supported]
+        mode, literal = rng.choice(cells + [(OBLIGATION, lit("e_fresh"))])
+        # the head may be any other cell, so the rule would matter if it
+        # fired; headed at its own antecedent it would support that
+        head, head_mode, _, _ = rng.choice(
+            [row for row in rows if (row[1], row[0]) != (mode, literal)])
+        antecedents = [Antecedent(mode, literal)] + [
+            Antecedent(ant_mode, ant) for ant, ant_mode, _, _ in
+            rng.sample(rows, rng.randint(0, 2))]
+        rng.shuffle(antecedents)
+        rule = Rule("zz_new", tuple(antecedents), head_mode, head)
+        assert self._rows_of(theory, rule, rows) == rows
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6),
+           st.sampled_from(range(len(TestOneShotCones.CLASSES))),
+           st.randoms(use_true_random=False), st.sampled_from(MODES),
+           st.booleans())
+    def test_rule_with_a_fresh_head_changes_no_other_row(
+            self, seed, cls, rng, head_mode, positive):
+        theory, rows = self._drawn(seed, cls)
+        antecedents = tuple(
+            Antecedent(mode, literal) for literal, mode, _, _ in
+            rng.sample(rows, rng.randint(1, 3)))
+        # numbered between the theory's atoms, so later ids shift
+        rule = Rule("zz_new", antecedents, head_mode,
+                    Literal("e_fresh", positive))
+        assert self._rows_of(theory, rule, rows) == rows
+
+
 class TestStrengthOrder:
     def test_positive_chain(self):
         assert strength_order(("+", DELTA), ("+", PARTIAL)) == -1
