@@ -71,7 +71,10 @@ class ParseFailure(Exception):
 
 
 # One match per token of a line: the spacing before it, then the token,
-# a comment, an unexpected character or the end of the line.
+# a comment, an unexpected character, or the end of the line, which
+# takes trailing spacing in one match.  ``\w`` is a character that
+# ``str.isalnum`` accepts, or ``_``.  A token that is none of the fixed
+# ones in ``_KINDS`` is a WORD.
 _TOKENS = re.compile(rf"""
     (\s*)
     (?: ( {ATOM_RE.pattern}     # WORD
@@ -87,7 +90,7 @@ _TOKENS = re.compile(rf"""
 _KINDS = {">": "GT", ":": "COLON", ",": "COMMA", ".": "DOT", "~": "TILDE",
           "+": "PLUS", "-": "MINUS", "E": "MODE", "O": "MODE",
           "=>": "ARROW", "=>O": "DARROW"}
-_new = tuple.__new__
+_new = tuple.__new__  # makes a Literal without a call to its __new__
 
 
 def _tokenize(text: str):
@@ -135,8 +138,9 @@ class _Bail(Exception):
 class _Parser:
     """Each production takes the index of its first token and returns
     the index after it, with what it read if anything.  The productions
-    of rules and moves test a token's kind inline and call ``expect``
-    only to report a wrong one."""
+    most tokens pass through (literals, antecedents, rules and moves)
+    test a token's kind inline and call ``expect`` only to report a
+    wrong one."""
 
     def __init__(self, text: str):
         self.kinds, self.values, self.lines, self.cols, self.errors = \
@@ -229,7 +233,8 @@ class _Parser:
     def rule_stmt(self, start: int) -> int:
         kinds, name = self.kinds, self.values[start]
         if kinds[start] != "WORD" or kinds[start + 1] != "COLON":
-            self.expect(self.expect(start, "WORD", "a rule id"), "COLON", "':'")
+            self.expect(self.expect(start, "WORD", "a rule id"), "COLON",
+                        "':'")
         i, antecedents = self.comma_list(self.antecedent, start + 2)
         arrow = kinds[i]
         if arrow != "ARROW" and arrow != "DARROW":

@@ -10,12 +10,12 @@ parser pass; ``test_dsl_record.py`` replays the record.
 The texts are seeded and built here, not stored: every truncation and
 every one-character deletion of each fixture, serialized corpus setups
 with one token inserted, moves files and queries, every other one with
-one token inserted, and token soups.  Each text is run through ``parse_theory``,
-``parse_moves`` and ``parse_query``; an outcome is the canonical result
-(the serialized setup, the moves, the query) or the exact rendered
-error list.  The record keeps, per group of texts, one short digest of
-the three outcomes of each text, so a replay names every text whose
-outcome changed.
+one token inserted, and token soups.  Each text is run through
+``parse_theory``, ``parse_moves`` and ``parse_query``; an outcome is
+the canonical result (the serialized setup, the moves, the query) or
+the exact rendered error list.  The record keeps, per group of texts,
+one short digest of the three outcomes of each text, so a replay names
+every text whose outcome changed.
 """
 
 from __future__ import annotations
