@@ -250,6 +250,8 @@ class _Parser:
         return i
 
     def rule_id(self, i: int) -> tuple[int, int]:
+        """A rule id, read as its token's index, kept for the spans of
+        errors found once every statement is in."""
         return self.expect(i, "WORD", "a rule id"), i
 
     def sup_stmt(self, i: int) -> int:

@@ -223,6 +223,10 @@ _REFERENCE_PUNCT = {">": "GT", ":": "COLON", ",": "COMMA", ".": "DOT",
 _WORD_TAIL = string.ascii_letters + string.digits + "_"
 
 
+def _is_word_char(ch: str) -> bool:
+    return bool(ch) and (ch.isalnum() or ch == "_")
+
+
 def _reference_tokens(text):
     """The lexer as a loop over characters: each token as (kind, value,
     line, column, length), then each lexical error rendered.  It shares
@@ -235,8 +239,6 @@ def _reference_tokens(text):
         i, n = 0, len(source)
         while i < n:
             ch = source[i]
-            follows_word = source[i + 1:i + 2].isalnum() \
-                or source[i + 1:i + 2] == "_"
             if ch.isspace():
                 i += 1
             elif ch == "#":
@@ -250,13 +252,12 @@ def _reference_tokens(text):
                     end += 1
                 tokens.append(("WORD", source[i:end], line, i + 1, end - i))
                 i = end
-            elif ch in "EO" and not follows_word:
+            elif ch in "EO" and not _is_word_char(source[i + 1:i + 2]):
                 tokens.append(("MODE", ch, line, i + 1, 1))
                 i += 1
             elif source.startswith("=>", i):
-                after = source[i + 3:i + 4]
                 if source[i + 2:i + 3] == "O" and \
-                        not (after.isalnum() or after == "_"):
+                        not _is_word_char(source[i + 3:i + 4]):
                     tokens.append(("DARROW", "=>O", line, i + 1, 3))
                     i += 3
                 else:
