@@ -178,7 +178,8 @@ class _Parser:
                 i = bail.args[0]
                 while kinds[i] != "DOT" and kinds[i] != "EOF":
                     i += 1
-                i += kinds[i] == "DOT"
+                if kinds[i] == "DOT":
+                    i += 1
 
     def statement(self, i: int) -> int:
         handler = _STATEMENTS.get(self.values[i])
